@@ -24,7 +24,6 @@ MIN_CWND = 1.0
 class Phase(Enum):
     SLOW_START = "slow_start"
     CONGESTION_AVOIDANCE = "congestion_avoidance"
-    RECOVERY = "recovery"
 
 
 @dataclass(frozen=True, slots=True)

@@ -133,7 +133,7 @@ def _summary_text(traces, config: dict) -> str:
     lines.append("-" * len(header))
     for fid, fm in metrics.items():
         try:
-            table = summarize(fm)
+            table = summarize(traces.flows[fid])
             p50 = f"{table['srtt_ms']['p50']:.1f}"
             p75 = f"{table['srtt_ms']['p75']:.1f}"
         except MetricsError:

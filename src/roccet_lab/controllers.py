@@ -126,8 +126,9 @@ class RenoController:
 
 
 class ProbeRateController:
-    def __init__(self, params: probe_rate.ProbeRateParams):
+    def __init__(self, params: probe_rate.ProbeRateParams, mss_bytes: int):
         self.params = params
+        self.mss_bytes = mss_bytes
         self.state = CcState(algo_tag="probe_rate")
         self.model = probe_rate.ProbeRateState()
         self._pacing: float | None = None
@@ -147,7 +148,8 @@ class ProbeRateController:
         if in_recovery:
             return
         self.state, self.model, self._pacing = probe_rate.probe_rate_on_ack(
-            self.state, self.model, ack, self.params, in_flight, round_start
+            self.state, self.model, ack, self.params, in_flight, round_start,
+            self.mss_bytes,
         )
 
     def on_loss(self, now_us: int, origin: str) -> None:
@@ -278,7 +280,8 @@ class RoccetController(_InPlaceCubic):
 
     def on_loss(self, now_us: int, origin: str) -> None:
         if self.phase is Phase.SLOW_START:
-            self.cc = roccet.launch_on_loss(self.roc, self.cc)
+            # Loss during slow start is ignored: retransmission is still
+            # the transport's job, but the window is left untouched.
             return
         before = len(self.ce_log)
         self.roc, self.cc = roccet.orbiter_on_loss(
@@ -293,7 +296,10 @@ def make_controller(
     cubic_params: CubicParams,
     roccet_params: RoccetParams,
     probe_params: probe_rate.ProbeRateParams,
+    mss_bytes: int,
 ):
+    """Build the controller for one flow; `mss_bytes` is the link's
+    segment size, which the rate-based comparator paces in."""
     if algo == "cubic":
         return CubicController(cubic_params)
     if algo == "reno":
@@ -301,5 +307,5 @@ def make_controller(
     if algo == "roccet":
         return RoccetController(cubic_params, roccet_params)
     if algo == "probe_rate":
-        return ProbeRateController(probe_params)
+        return ProbeRateController(probe_params, mss_bytes)
     raise ValueError(f"unknown congestion control algorithm: {algo!r}")

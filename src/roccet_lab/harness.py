@@ -284,6 +284,17 @@ def _probe_from_dict(d: dict, where: str) -> ProbeRateParams:
 
 
 def scenario_from_dict(d: dict) -> ScenarioSpec:
+    """Parse and validate a scenario-file dict. A value of the wrong type
+    fails as ScenarioError, like any other bad value."""
+    try:
+        spec = _parse_scenario(d)
+        spec.validate()
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ScenarioError(f"scenario: bad value: {exc}") from exc
+    return spec
+
+
+def _parse_scenario(d: dict) -> ScenarioSpec:
     _check_keys(
         d,
         {
@@ -397,7 +408,7 @@ def scenario_from_dict(d: dict) -> ScenarioSpec:
             )
         )
 
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         link=link,
         buffer_bdp=d.get("buffer_bdp", 1.0),
         flows=tuple(flows),
@@ -407,8 +418,6 @@ def scenario_from_dict(d: dict) -> ScenarioSpec:
         loss=loss,
         name=d.get("name", "custom"),
     )
-    spec.validate()
-    return spec
 
 
 def _cubic_to_partial(p: CubicParams) -> dict:
@@ -653,6 +662,10 @@ class SweepSpec:
 
 @dataclass(frozen=True, slots=True)
 class SweepCell:
+    """One finished (axis point, repetition) of a sweep: its share report
+    and each flow's totals (`FlowMetrics`). It keeps no per-sample data,
+    so the cells a sweep has finished hold no traces, however many."""
+
     axis: dict
     repetition: int
     seed: int

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MetricsError
-from .trace import TraceSet
+from .trace import FlowTrace, TraceSet
 
 WARMUP_FRACTION = 0.10
 PERCENTILES = (25, 50, 75)
@@ -20,23 +20,24 @@ PERCENTILES = (25, 50, 75)
 
 @dataclass(frozen=True, slots=True)
 class FlowMetrics:
-    """Condensed view of one flow's trace."""
+    """Per-flow totals of one run: scalars only, no per-sample series.
+
+    The samples stay in the run's `FlowTrace`; `summarize` reads its
+    percentiles from there. So a sweep that keeps these per cell keeps
+    no per-sample data once a cell is done.
+    """
 
     flow_id: str
     algo: str
-    goodput_series: tuple[tuple[float, float], ...]  # (t_ms, Mbps)
-    srtt_series: tuple[tuple[float, float], ...]  # (t_ms, ms)
     total_goodput_mbps: float
     delivered_bytes: int
     ce_counts: dict[str, int]
-    span_ms: tuple[float, float]
 
 
 @dataclass(frozen=True, slots=True)
 class ShareReport:
     per_flow_fraction: dict[str, float]
     jain_index: float
-    harm: float | None
     window_ms: tuple[float, float]
 
 
@@ -55,17 +56,8 @@ def jain_index(values: list[float]) -> float:
 def flow_metrics(traces: TraceSet) -> dict[str, FlowMetrics]:
     out: dict[str, FlowMetrics] = {}
     for fid, ft in traces.flows.items():
-        goodput = tuple((s.t_us / 1000, s.goodput_mbps) for s in ft.samples)
-        srtt = tuple(
-            (s.t_us / 1000, s.srtt_us / 1000) for s in ft.samples if s.srtt_us > 0
-        )
         delivered = sum(s.delivered_bytes for s in ft.samples)
-        if ft.samples:
-            span = (ft.start_us / 1000, ft.samples[-1].t_us / 1000)
-            active_us = ft.samples[-1].t_us - ft.start_us
-        else:
-            span = (ft.start_us / 1000, ft.start_us / 1000)
-            active_us = 0
+        active_us = ft.samples[-1].t_us - ft.start_us if ft.samples else 0
         total = delivered * 8.0 / active_us if active_us > 0 else 0.0
         counts: dict[str, int] = {}
         for _, kind in ft.ce_log:
@@ -73,12 +65,9 @@ def flow_metrics(traces: TraceSet) -> dict[str, FlowMetrics]:
         out[fid] = FlowMetrics(
             flow_id=fid,
             algo=ft.algo,
-            goodput_series=goodput,
-            srtt_series=srtt,
             total_goodput_mbps=total,
             delivered_bytes=delivered,
             ce_counts=counts,
-            span_ms=span,
         )
     return out
 
@@ -114,7 +103,6 @@ def bandwidth_share(
     return ShareReport(
         per_flow_fraction=fractions,
         jain_index=jain_index([float(b) for b in bytes_by_flow.values()]),
-        harm=None,
         window_ms=(lo / 1000, hi / 1000),
     )
 
@@ -142,28 +130,27 @@ def percentile_nearest_rank(values: list[float], pct: float) -> float:
 
 
 def summarize(
-    series: dict[str, list[float]] | FlowMetrics,
+    series: dict[str, list[float]] | FlowTrace,
     t_ms: list[float] | None = None,
     warmup_fraction: float = WARMUP_FRACTION,
 ) -> dict[str, dict[str, float]]:
     """p25/p50/p75/max table for sRTT and goodput past the warm-up window.
 
-    Accepts either a FlowMetrics or a parsed-CSV column dict (with its
-    t_ms handled internally).
+    Accepts either a run's FlowTrace, read sample by sample, or a
+    parsed-CSV column dict (with its t_ms handled internally). For a
+    FlowTrace the warm-up is measured from the flow's start to its last
+    sample, and samples without an sRTT yet are left out of the sRTT
+    table.
     """
-    if isinstance(series, FlowMetrics):
-        cols = {
-            "srtt_ms": [v for _, v in series.srtt_series],
-            "goodput_mbps": [v for _, v in series.goodput_series],
-            "_t_srtt": [t for t, _ in series.srtt_series],
-            "_t_goodput": [t for t, _ in series.goodput_series],
-        }
-        end = series.span_ms[1]
-        cut = series.span_ms[0] + warmup_fraction * (end - series.span_ms[0])
-        srtt_vals = [v for t, v in zip(cols["_t_srtt"], cols["srtt_ms"]) if t >= cut]
-        good_vals = [
-            v for t, v in zip(cols["_t_goodput"], cols["goodput_mbps"]) if t >= cut
+    if isinstance(series, FlowTrace):
+        samples = series.samples
+        start = series.start_us / 1000
+        end = samples[-1].t_us / 1000 if samples else start
+        cut = start + warmup_fraction * (end - start)
+        srtt_vals = [
+            s.srtt_us / 1000 for s in samples if s.srtt_us > 0 and s.t_us / 1000 >= cut
         ]
+        good_vals = [s.goodput_mbps for s in samples if s.t_us / 1000 >= cut]
     else:
         times = series["t_ms"] if t_ms is None else t_ms
         if not times:

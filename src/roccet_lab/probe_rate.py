@@ -32,7 +32,6 @@ class ProbeRateParams:
     cwnd_gain: float = 2.0
     bw_filter_rounds: int = 10
     loss_beta: float = 0.7
-    mss_bytes: int = 1500
 
     def validate(self) -> None:
         if self.min_rtt_window_us <= 0 or self.probe_rtt_duration_us <= 0:
@@ -78,12 +77,14 @@ def probe_rate_on_ack(
     params: ProbeRateParams,
     in_flight: float,
     round_start: bool,
+    mss_bytes: int,
 ) -> tuple[CcState, ProbeRateState, float | None]:
     """Advance the model for one ACK.
 
     Returns the new controller state plus the pacing rate in bits per
     second (None before any rate estimate exists). `in_flight` and
-    `round_start` come from the transport (ACK-clocked round counting).
+    `round_start` come from the transport (ACK-clocked round counting);
+    `mss_bytes` is the link's segment size.
     """
     now = ack.now_us
 
@@ -164,7 +165,7 @@ def probe_rate_on_ack(
             state = replace(state, mode=PROBE_BW, gain_index=0, cycle_stamp_us=now)
             cc = replace(cc, cwnd=max(params.min_cwnd, params.cwnd_gain * bdp))
 
-    return cc, state, pacing_rate_bps(state, params)
+    return cc, state, pacing_rate_bps(state, params, mss_bytes)
 
 
 def probe_rate_on_loss(
@@ -174,8 +175,13 @@ def probe_rate_on_loss(
     return replace(cc, cwnd=max(params.min_cwnd, cc.cwnd * params.loss_beta))
 
 
-def pacing_rate_bps(state: ProbeRateState, params: ProbeRateParams) -> float | None:
-    """Current pacing rate, or None until a delivery-rate estimate exists."""
+def pacing_rate_bps(
+    state: ProbeRateState, params: ProbeRateParams, mss_bytes: int
+) -> float | None:
+    """Current pacing rate, or None until a delivery-rate estimate exists.
+
+    The model counts segments per second; `mss_bytes`, the link's segment
+    size, turns that into bits per second."""
     max_bw = _max_bw(state)
     if max_bw <= 0.0:
         return None
@@ -187,4 +193,4 @@ def pacing_rate_bps(state: ProbeRateState, params: ProbeRateParams) -> float | N
         gain = 1.0
     else:
         gain = PROBE_GAINS[state.gain_index]
-    return gain * max_bw * params.mss_bytes * 8.0
+    return gain * max_bw * mss_bytes * 8.0

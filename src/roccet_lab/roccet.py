@@ -280,12 +280,6 @@ def apply_launch_exit(
     return new_state, new_cc
 
 
-def launch_on_loss(state: RoccetState, cc: CcState) -> CcState:
-    """Loss during slow start is ignored: retransmission is still the
-    transport's job, but the window is left untouched."""
-    return cc
-
-
 def orbiter_check(
     state: RoccetState, cc: CcState, now_us: int, params: RoccetParams
 ) -> OrbiterDecision:

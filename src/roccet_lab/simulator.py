@@ -755,7 +755,7 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     senders: dict[str, Sender] = {}
     receivers: dict[str, Receiver] = {}
     for f in scenario.flows:
-        controller = make_controller(f.algo, f.cubic, f.roccet, f.probe)
+        controller = make_controller(f.algo, f.cubic, f.roccet, f.probe, mss)
         source = AppSource(
             f.source.kind, f.source.rate_bps, f.source.start_us, f.source.duration_us, mss
         )

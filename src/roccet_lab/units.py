@@ -16,20 +16,8 @@ def ms_to_us(ms: float) -> int:
     return round(ms * US_PER_MS)
 
 
-def us_to_s(us: int) -> float:
-    return us / US_PER_S
-
-
-def us_to_ms(us: int) -> float:
-    return us / US_PER_MS
-
-
 def mbps_to_bps(mbps: float) -> int:
     return round(mbps * 1_000_000)
-
-
-def bps_to_mbps(bps: float) -> float:
-    return bps / 1_000_000
 
 
 def bdp_segments(rate_bps: float, base_rtt_us: int, mss_bytes: int) -> float:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from roccet_lab.cli import main
 
 
@@ -45,6 +47,16 @@ class TestRun:
         )
         assert code == 1
         assert "no such key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override", ['link.rate_mbps="abc"', "flows=5", "buffer_bdp=null"]
+    )
+    def test_wrong_value_type_exits_one(self, override, tmp_path, capsys):
+        code = run_cli("run", "--builtin", "steady", "--set", override, "-o", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid-scenario: ")
 
     def test_identical_invocations_identical_artifacts(self, tmp_path):
         outs = []

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -118,11 +120,13 @@ class TestSeeds:
         assert a == b
 
 
-def _fake_traces() -> TraceSet:
-    ts = TraceSet(mss_bytes=1500, horizon_us=1_000_000, sample_us=100_000, config={})
+def _fake_traces(n_samples: int = 10) -> TraceSet:
+    ts = TraceSet(
+        mss_bytes=1500, horizon_us=n_samples * 100_000, sample_us=100_000, config={}
+    )
     for fid, weight in (("a", 2), ("b", 1)):
         ft = FlowTrace(flow_id=fid, algo="roccet", start_us=0)
-        for i in range(1, 11):
+        for i in range(1, n_samples + 1):
             ft.samples.append(
                 Sample(t_us=i * 100_000, dt_us=100_000, cwnd=10.0,
                        srtt_us=40_000, delivered_bytes=weight * 15_000, queue_segs=0)
@@ -140,6 +144,29 @@ class TestSweep:
         )
         results = run_sweep(spec, runner=lambda scenario: _fake_traces())
         assert len(results) == 6 * 7 * 5
+
+    def test_finished_cells_keep_no_samples(self):
+        # A finished cell keeps per-flow totals only, so what a sweep holds
+        # once it returns does not grow with the traces its cells made.
+        n_samples = 5_000
+        spec = SweepSpec(
+            scenario="fairness-10x40", axes={"buffer_bdp": [1, 2, 4, 8, 16]}, repetitions=2
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            one_cell = _fake_traces(n_samples)
+            one_cell_bytes = tracemalloc.get_traced_memory()[0] - before
+            del one_cell
+            before = tracemalloc.get_traced_memory()[0]
+            results = run_sweep(spec, runner=lambda scenario: _fake_traces(n_samples))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 10
+        assert retained < one_cell_bytes / 10
 
     def test_cap_enforced(self):
         spec = SweepSpec(

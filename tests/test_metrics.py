@@ -8,7 +8,6 @@ from roccet_lab.harness import builtin_scenario
 from roccet_lab.metrics import (
     FlowMetrics,
     bandwidth_share,
-    flow_metrics,
     harm,
     jain_index,
     percentile_nearest_rank,
@@ -21,12 +20,9 @@ def _metrics(goodput=10.0, flow_id="f", algo="cubic"):
     return FlowMetrics(
         flow_id=flow_id,
         algo=algo,
-        goodput_series=((0.0, goodput),),
-        srtt_series=((0.0, 40.0),),
         total_goodput_mbps=goodput,
         delivered_bytes=0,
         ce_counts={},
-        span_ms=(0.0, 1000.0),
     )
 
 
@@ -119,8 +115,7 @@ class TestPercentiles:
 class TestSummarize:
     def test_tables_from_trace(self):
         traces = run(builtin_scenario("steady", horizon_s=5.0))
-        fm = flow_metrics(traces)["cubic0"]
-        table = summarize(fm)
+        table = summarize(traces.flows["cubic0"])
         assert set(table) == {"srtt_ms", "goodput_mbps"}
         assert table["srtt_ms"]["p25"] <= table["srtt_ms"]["p50"] <= table["srtt_ms"]["p75"]
         assert table["srtt_ms"]["max"] >= table["srtt_ms"]["p75"]
@@ -135,6 +130,6 @@ class TestSummarize:
     ):
         # Emulated deep-buffer comparison: the delay-based extension keeps
         # its 75th-percentile sRTT below the frozen-window baseline's 25th.
-        roc = summarize(flow_metrics(bw_halving_roccet)["roccet0"])
-        cub = summarize(flow_metrics(bw_halving_cubic)["cubic0"])
+        roc = summarize(bw_halving_roccet.flows["roccet0"])
+        cub = summarize(bw_halving_cubic.flows["cubic0"])
         assert roc["srtt_ms"]["p75"] < cub["srtt_ms"]["p25"]

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 from roccet_lab.cc_types import AckInfo, CcState, Phase
 from roccet_lab.harness import builtin_scenario
+from roccet_lab.metrics import flow_metrics
 from roccet_lab.probe_rate import (
     PROBE_BW,
     PROBE_RTT,
@@ -48,7 +51,7 @@ class TestProbeRate:
         now = 0
         for _ in range(10):  # one round of per-segment ACKs
             now += 4_000
-            cc, pr, _ = probe_rate_on_ack(cc, pr, ack(1, now), params, 10.0, False)
+            cc, pr, _ = probe_rate_on_ack(cc, pr, ack(1, now), params, 10.0, False, 1500)
         assert cc.cwnd == 20.0
 
     def test_probe_rtt_entered_after_quiet_window(self):
@@ -57,7 +60,7 @@ class TestProbeRate:
         pr = ProbeRateState(mode=PROBE_BW, min_rtt_us=40_000, min_rtt_stamp_us=0,
                             bw_window=((0, 800.0),), cycle_stamp_us=0)
         cc, pr, _ = probe_rate_on_ack(
-            cc, pr, ack(1, now_us=10_100_000, rtt_us=41_000), params, 40.0, False
+            cc, pr, ack(1, now_us=10_100_000, rtt_us=41_000), params, 40.0, False, 1500
         )
         assert pr.mode == PROBE_RTT
         assert cc.cwnd == 4.0
@@ -96,7 +99,7 @@ class TestProbeRate:
             round_start = i % 33 == 0  # ~one 40 ms round of 33 segments
             in_flight = min(cc.cwnd, bdp)  # ACK-paced feed keeps one BDP out
             cc, pr, pacing = probe_rate_on_ack(
-                cc, pr, ack(1, now, rtt_us=40_000), params, in_flight, round_start
+                cc, pr, ack(1, now, rtt_us=40_000), params, in_flight, round_start, 1500
             )
             if pr.mode == PROBE_BW and pacing is not None and now > 20e6:
                 from roccet_lab.probe_rate import PROBE_GAINS
@@ -106,6 +109,17 @@ class TestProbeRate:
         assert unity_rates, "model never reached steady probing"
         mean = sum(unity_rates) / len(unity_rates)
         assert abs(mean - 10e6) / 10e6 < 0.15
+
+    def test_goodput_does_not_depend_on_mtu(self):
+        # The pacing rate is the model's segments per second times the
+        # link's segment size, so jumbo frames pace at the same bit rate.
+        spec = builtin_scenario("steady", algo="probe_rate", horizon_s=20.0)
+        goodput = {}
+        for mtu in (1500, 9000):
+            traces = run(replace(spec, link=replace(spec.link, mtu_bytes=mtu)))
+            goodput[mtu] = flow_metrics(traces)["probe_rate0"].total_goodput_mbps
+        assert goodput[1500] > 8.0
+        assert abs(goodput[9000] - goodput[1500]) <= 0.1 * goodput[1500]
 
     def test_cwnd_capped_near_two_bdp(self):
         spec = builtin_scenario("steady", algo="probe_rate", horizon_s=20.0)

@@ -17,7 +17,6 @@ from roccet_lab.roccet import (
     apply_launch_exit,
     apply_roccet_ce,
     launch_check,
-    launch_on_loss,
     orbiter_check,
     orbiter_on_loss,
     reset_interval,
@@ -177,12 +176,16 @@ class TestLaunch:
 
     def test_loss_ignored_in_slow_start(self):
         cc = CcState(cwnd=300.0)
-        assert launch_on_loss(RoccetState(), cc) == cc
+        ctl = RoccetController(CP, RoccetParams())
+        ctl.cc = cc
+        ctl.on_loss(0, "fast_retransmit")
+        assert ctl.cc == cc
         # plain CUBIC contrast: the same loss costs 30 %
         cubic_cc = cubic_on_congestion_event(cc, CP, 0)
         assert math.isclose(cubic_cc.cwnd, 210.0, rel_tol=1e-9)
         # ignoring twice changes nothing either
-        assert launch_on_loss(RoccetState(), launch_on_loss(RoccetState(), cc)) == cc
+        ctl.on_loss(0, "fast_retransmit")
+        assert ctl.cc == cc
 
 
 class TestOrbiter:
