@@ -34,12 +34,17 @@ _get_roc = attrgetter(*_ROC_FIELDS)
 
 class _InPlaceCubic:
     """CcState held as one attribute per field, with the CUBIC per-ACK
-    growth applied in place. `cwnd` is a plain attribute."""
+    growth applied in place. `cwnd` is a plain attribute. `_epoch` caches
+    `cubic.cubic_epoch` of the current fields (None until first needed);
+    assigning `cc` clears it."""
 
-    __slots__ = _CC_FIELDS + ("cubic_params", "ce_events")
+    __slots__ = _CC_FIELDS + ("cubic_params", "ce_events", "_epoch", "_aimd_inc")
+
+    pacing_rate_bps = None
 
     def __init__(self, cubic_params: CubicParams, algo_tag: str):
         self.cubic_params = cubic_params
+        self._aimd_inc = cubic.aimd_increment(cubic_params)
         self.cc = CcState(algo_tag=algo_tag)
         self.ce_events: list[tuple[int, str]] = []
 
@@ -51,14 +56,11 @@ class _InPlaceCubic:
     def cc(self, value: CcState) -> None:
         for name in _CC_FIELDS:
             setattr(self, name, getattr(value, name))
+        self._epoch = None
 
     @property
     def state(self) -> CcState:
         return self.cc
-
-    @property
-    def pacing_rate_bps(self) -> float | None:
-        return None
 
     def _cubic_on_ack(self, ack: AckInfo) -> None:
         """`cubic.cubic_on_ack` in place: congestion avoidance with an
@@ -68,15 +70,19 @@ class _InPlaceCubic:
         if params.app_limited_freeze and ack.is_app_limited:
             return
         if self.phase is Phase.CONGESTION_AVOIDANCE and self.epoch_start_us is not None:
+            epoch = self._epoch
+            if epoch is None:
+                epoch = self._epoch = cubic.cubic_epoch(self.w_max, self.cwnd_epoch, params)
             self.cwnd, self.w_est = cubic.cubic_ca_step(
                 self.cwnd,
                 self.w_est,
-                self.w_max,
-                self.cwnd_epoch,
                 self.epoch_start_us,
                 ack.now_us,
                 ack.newly_acked,
-                params,
+                epoch[0],
+                epoch[1],
+                params.c_scale,
+                self._aimd_inc,
             )
         else:
             self.cc = cubic.cubic_on_ack(self.cc, ack, params)
@@ -101,6 +107,8 @@ class CubicController(_InPlaceCubic):
 
 
 class RenoController:
+    pacing_rate_bps = None
+
     def __init__(self):
         self.state = CcState(algo_tag="reno")
         self.ce_events: list[tuple[int, str]] = []
@@ -108,10 +116,6 @@ class RenoController:
     @property
     def cwnd(self) -> float:
         return self.state.cwnd
-
-    @property
-    def pacing_rate_bps(self) -> float | None:
-        return None
 
     def on_ack(
         self, ack: AckInfo, in_flight: float, round_start: bool, in_recovery: bool = False

@@ -18,6 +18,10 @@ which keeps W(0) equal to the actual starting window. When the epoch
 starts at or above w_max the curve is purely convex from the current
 window (K = 0). The curve plateaus near w_max (cautious close to the last
 congestion point) and accelerates the further the window is from it.
+
+K and the curve's origin are fixed for an epoch (`cubic_epoch`), as in
+RFC 9438, which computes K once when the epoch begins; the per-ACK step
+takes them, and the Reno-equivalent increment, as arguments.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .cc_types import AckInfo, CcState, CubicParams, MIN_CWND, Phase
+
+
+def _curve(t_since_epoch_s: float, k: float, origin: float, c_scale: float) -> float:
+    """W(t) = c_scale * (t - K)^3 + origin, floored at one segment."""
+    return max(MIN_CWND, c_scale * (t_since_epoch_s - k) ** 3 + origin)
 
 
 def cubic_k(w_max: float, params: CubicParams) -> float:
@@ -35,26 +44,27 @@ def cubic_k(w_max: float, params: CubicParams) -> float:
 def cubic_window(t_since_epoch_s: float, w_max: float, params: CubicParams) -> float:
     """Window target `t_since_epoch_s` seconds into a standard epoch, i.e.
     one that began from beta_mult * w_max. Floored at one segment."""
-    k = cubic_k(w_max, params)
-    return max(MIN_CWND, params.c_scale * (t_since_epoch_s - k) ** 3 + w_max)
+    return _curve(t_since_epoch_s, cubic_k(w_max, params), w_max, params.c_scale)
+
+
+def cubic_epoch(w_max: float, cwnd_epoch: float, params: CubicParams) -> tuple[float, float]:
+    """(K, origin) of the curve for an epoch that began from `cwnd_epoch`.
+
+    For an epoch starting at or above w_max the origin moves up to the
+    starting window and K collapses to zero (convex growth from there).
+    """
+    if w_max > cwnd_epoch:
+        return ((w_max - cwnd_epoch) / params.c_scale) ** (1.0 / 3.0), w_max
+    return 0.0, cwnd_epoch
 
 
 def cubic_target(
     t_since_epoch_s: float, w_max: float, cwnd_epoch: float, params: CubicParams
 ) -> float:
-    """Window target for an epoch that began from `cwnd_epoch`.
-
-    Equals `cubic_window` when cwnd_epoch == beta_mult * w_max. For an
-    epoch starting at or above w_max the origin moves up to the starting
-    window and K collapses to zero (convex growth from there).
-    """
-    if w_max > cwnd_epoch:
-        k = ((w_max - cwnd_epoch) / params.c_scale) ** (1.0 / 3.0)
-        origin = w_max
-    else:
-        k = 0.0
-        origin = cwnd_epoch
-    return max(MIN_CWND, params.c_scale * (t_since_epoch_s - k) ** 3 + origin)
+    """Window target for an epoch that began from `cwnd_epoch`; equals
+    `cubic_window` when cwnd_epoch == beta_mult * w_max."""
+    k, origin = cubic_epoch(w_max, cwnd_epoch, params)
+    return _curve(t_since_epoch_s, k, origin, params.c_scale)
 
 
 def aimd_increment(params: CubicParams) -> float:
@@ -67,14 +77,18 @@ def aimd_increment(params: CubicParams) -> float:
 def cubic_ca_step(
     cwnd: float,
     w_est: float,
-    w_max: float,
-    cwnd_epoch: float,
     epoch_start_us: int,
     now_us: int,
     newly_acked: int,
-    params: CubicParams,
+    k: float,
+    origin: float,
+    c_scale: float,
+    aimd_inc: float,
 ) -> tuple[float, float]:
     """One congestion-avoidance ACK; returns the new (cwnd, w_est).
+
+    `k` and `origin` are the epoch's (`cubic_epoch`), `aimd_inc` is
+    `aimd_increment` of the parameters.
 
     The window steps toward the growth target by at most
     (target - cwnd) / cwnd and never shrinks; the target is the cubic
@@ -85,8 +99,8 @@ def cubic_ca_step(
     t = (now_us - epoch_start_us) / 1e6
     # The companion window updated by this ACK floors the *next* step,
     # keeping the epoch-start window exactly continuous.
-    target = max(cubic_target(t, w_max, cwnd_epoch, params), w_est)
-    w_est = w_est + aimd_increment(params) * newly_acked / cwnd
+    target = max(_curve(t, k, origin, c_scale), w_est)
+    w_est = w_est + aimd_inc * newly_acked / cwnd
     if target > cwnd:
         cwnd = cwnd + (target - cwnd) / cwnd
     return cwnd, w_est
@@ -102,8 +116,8 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
 
     The CUBIC and ROCCET controllers run this per ACK in place
     (`controllers._InPlaceCubic._cubic_on_ack`), calling `cubic_ca_step`
-    on their own fields and this function only outside an anchored
-    congestion-avoidance epoch.
+    on their own fields with the epoch's K kept from its start, and this
+    function only outside an anchored congestion-avoidance epoch.
     """
     if params.app_limited_freeze and ack.is_app_limited:
         return state
@@ -129,15 +143,17 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
             return replace(
                 state, epoch_start_us=ack.now_us, cwnd_epoch=state.cwnd, w_est=state.cwnd
             )
+        k, origin = cubic_epoch(state.w_max, state.cwnd_epoch, params)
         cwnd, w_est = cubic_ca_step(
             state.cwnd,
             state.w_est,
-            state.w_max,
-            state.cwnd_epoch,
             state.epoch_start_us,
             ack.now_us,
             ack.newly_acked,
-            params,
+            k,
+            origin,
+            params.c_scale,
+            aimd_increment(params),
         )
         return replace(state, cwnd=cwnd, w_est=w_est)
 

@@ -283,13 +283,18 @@ def _probe_from_dict(d: dict, where: str) -> ProbeRateParams:
     )
 
 
+# What a value of the wrong type raises on its way through a parser, a
+# builder or `validate`; both entry points report it as ScenarioError.
+_BAD_VALUE = (TypeError, ValueError, AttributeError, OverflowError)
+
+
 def scenario_from_dict(d: dict) -> ScenarioSpec:
     """Parse and validate a scenario-file dict. A value of the wrong type
     fails as ScenarioError, like any other bad value."""
     try:
         spec = _parse_scenario(d)
         spec.validate()
-    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except _BAD_VALUE as exc:
         raise ScenarioError(f"scenario: bad value: {exc}") from exc
     return spec
 
@@ -628,8 +633,11 @@ def builtin_scenario(name: str, algo: str | None = None, seed: int = 1, **kwargs
             f"scenario {name}: unknown options {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
     algo = algo or _DEFAULT_ALGO[name]
-    spec = _BUILDERS[name](algo=algo, seed=seed, **kwargs)
-    spec.validate()
+    try:
+        spec = _BUILDERS[name](algo=algo, seed=seed, **kwargs)
+        spec.validate()
+    except _BAD_VALUE as exc:
+        raise ScenarioError(f"scenario {name}: bad value: {exc}") from exc
     return spec
 
 

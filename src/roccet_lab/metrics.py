@@ -131,13 +131,12 @@ def percentile_nearest_rank(values: list[float], pct: float) -> float:
 
 def summarize(
     series: dict[str, list[float]] | FlowTrace,
-    t_ms: list[float] | None = None,
     warmup_fraction: float = WARMUP_FRACTION,
 ) -> dict[str, dict[str, float]]:
     """p25/p50/p75/max table for sRTT and goodput past the warm-up window.
 
     Accepts either a run's FlowTrace, read sample by sample, or a
-    parsed-CSV column dict (with its t_ms handled internally). For a
+    parsed-CSV column dict, timed by its own `t_ms` column. For a
     FlowTrace the warm-up is measured from the flow's start to its last
     sample, and samples without an sRTT yet are left out of the sRTT
     table.
@@ -152,7 +151,7 @@ def summarize(
         ]
         good_vals = [s.goodput_mbps for s in samples if s.t_us / 1000 >= cut]
     else:
-        times = series["t_ms"] if t_ms is None else t_ms
+        times = series["t_ms"]
         if not times:
             raise MetricsError("summarize: empty trace")
         cut = times[0] + warmup_fraction * (times[-1] - times[0])

@@ -153,7 +153,9 @@ def srrtt_step(srrtt: float, srtt_now_us: int, rtt_min_us: int, alpha: float) ->
     minima it is never negative, but the refresh option can lift rtt_min
     above a transiently low smoothed RTT.
     """
-    x = max(0.0, (srtt_now_us - rtt_min_us) / rtt_min_us)
+    x = (srtt_now_us - rtt_min_us) / rtt_min_us
+    if x < 0.0:
+        x = 0.0
     return alpha * x + (1.0 - alpha) * srrtt
 
 

@@ -1,0 +1,90 @@
+"""Byte-identity pins: the sha256 of `trace.csv` and of the whole
+`events.json` (`events_processed` included) for every builtin at its
+default algorithm and for `steady` under each algorithm, at shortened
+horizons.
+
+A change that only makes the simulator faster must leave every digest
+as it is. A change that alters behaviour on purpose re-records them and
+says so; print the current digests with
+
+    PYTHONPATH=src python tests/test_byte_identity.py
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from roccet_lab.harness import builtin_scenario
+from roccet_lab.simulator import run
+
+# (builtin, algo or None for the default, horizon in s): bw-halving runs
+# past its 15 s rate cut, frozen-cwnd past both injected drops.
+CASES = {
+    "bw-halving": ("bw-halving", None, 16.0),
+    "frozen-cwnd": ("frozen-cwnd", None, 5.0),
+    "fairness-50x30": ("fairness-50x30", None, 4.0),
+    "fairness-10x40": ("fairness-10x40", None, 8.0),
+    "steady-cubic": ("steady", "cubic", 6.0),
+    "steady-reno": ("steady", "reno", 6.0),
+    "steady-roccet": ("steady", "roccet", 6.0),
+    "steady-probe_rate": ("steady", "probe_rate", 6.0),
+}
+
+# case: (sha256 of trace.csv, sha256 of events.json)
+DIGESTS = {
+    "bw-halving": (
+        "5e41fc29bac1e1a431c20f2b7058840087643910faa1b1ef9962e2e8f43ea4dc",
+        "5ed34db43482913e4fc20a63020f7537bfc797fd542a93ccf97ed620c5b28b78",
+    ),
+    "frozen-cwnd": (
+        "921c29143dd0fc7a99872dd1a5c323a0d213f12506abb0d3f480d60024da707d",
+        "df32a9e705820c9af95463579faef06fac89e70952e0e5bd7687b4a75bac20fd",
+    ),
+    "fairness-50x30": (
+        "fdc7e07744bf5f4a89ab427b3838c2f8dfbd2d2700329331edeb5dec83b6c323",
+        "a6837bceb403f3e06765e8c1b32e96f62e062c77973c7f8a7ae2d6456bef893b",
+    ),
+    "fairness-10x40": (
+        "ed7874110a74dbd18fa9c7d4280b31f07f824e7712fce11ea6f6dab6e6a0dda2",
+        "24aef8f5329404b9eab59dd5ddf0354f028ba87524b7b248a6fb063a33ecf363",
+    ),
+    "steady-cubic": (
+        "c97820bf0c23a58927c2a9964325ad6ad402cd76d0c6f676e5ae78c741759fef",
+        "10389ff7f3238d483652c31d35e4bf12847a9a571b5d4e0db276c96feff471d8",
+    ),
+    "steady-reno": (
+        "18cd0e41480afa3372360a5d1552cab997d592ad2e98df3acdc15e02f62fdbab",
+        "4c1417d83867b8b3c55bb966221fa0bdc0aeec57bac1bb0cee216ff67af51a8e",
+    ),
+    "steady-roccet": (
+        "89a720766749ab47fa3d12e68f9eef8c323b111fafc282400bde38c9d756b563",
+        "4f4c359e0086ba9b91fd65de24289ea968f1af7d8ae6ff28874e868abdf240e8",
+    ),
+    "steady-probe_rate": (
+        "bf7c43e5e7e1a13539afffadc6ac901910d494d344b0c9210a0f92b32cee3b2a",
+        "21e15f73041eaac25323a6a904c210a4ccc96e86676fe637f8ac9b09f2f300c3",
+    ),
+}
+
+
+def digests(name: str) -> tuple[str, str]:
+    builtin, algo, horizon_s = CASES[name]
+    traces = run(builtin_scenario(builtin, algo=algo, seed=1, horizon_s=horizon_s))
+    trace_csv, events_json = io.StringIO(), io.StringIO()
+    traces.write_csv(trace_csv)
+    traces.write_events_json(events_json)
+    return tuple(
+        hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        for buf in (trace_csv, events_json)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifacts_byte_identical(name):
+    assert digests(name) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    for case in CASES:
+        print(f'    "{case}": (\n        "%s",\n        "%s",\n    ),' % digests(case))

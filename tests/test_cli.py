@@ -186,6 +186,17 @@ class TestSweepCommand:
         assert run_cli("sweep", "--sweep", str(sweep_file), "-o", str(tmp_path)) == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["buffer_bdp=abc", "n_flows=abc"])
+    def test_wrong_axis_type_exits_one(self, axis, tmp_path, capsys):
+        code = run_cli(
+            "sweep", "--builtin", "fairness-10x40", "--axis", axis, "-o", str(tmp_path)
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid-sweep: ")
+        assert not (tmp_path / "results.csv").exists()
+
 
 def test_list_scenarios(capsys):
     assert run_cli("list-scenarios") == 0
