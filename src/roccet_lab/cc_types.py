@@ -86,8 +86,9 @@ class AckInfo:
     fill the current window because the application supplied too little
     data.
 
-    Read-only by convention but not frozen: the sender builds one per ACK,
-    and a frozen dataclass costs several times as much to construct.
+    Read-only by convention but not frozen: each sender keeps one and
+    refills it for every ACK, which costs less than building a record per
+    ACK, so a controller reads it during `on_ack` and keeps none of it.
     """
 
     newly_acked: int

@@ -96,6 +96,16 @@ class ScenarioSpec:
             f.cubic.validate()
             f.roccet.validate()
             f.probe.validate()
+            if f.source.kind not in ("greedy", "app_limited"):
+                raise ScenarioError(f"flow {f.flow_id}: unknown source kind {f.source.kind!r}")
+            if f.source.kind == "app_limited" and (
+                f.source.rate_bps is None or f.source.rate_bps <= 0
+            ):
+                raise ScenarioError(f"flow {f.flow_id}: app_limited source needs rate > 0")
+            if f.sndbuf_segs is not None and f.sndbuf_segs < 1:
+                raise ScenarioError(
+                    f"flow {f.flow_id}: sndbuf_segs must be >= 1, got {f.sndbuf_segs}"
+                )
             end = f.source.start_us + (f.source.duration_us or 0)
             if f.source.duration_us is not None and end >= self.horizon_us:
                 raise ScenarioError(
@@ -105,6 +115,8 @@ class ScenarioSpec:
                 raise ScenarioError(f"flow {f.flow_id}: starts past the horizon")
         if self.sample_us <= 0:
             raise ScenarioError("sample cadence must be > 0")
+        if self.horizon_us < 0:
+            raise ScenarioError("horizon must be >= 0")
 
     # -- serialization ---------------------------------------------------
 

@@ -15,6 +15,7 @@ produce identical event orders and byte-identical traces.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import math
@@ -22,7 +23,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .cc_types import AckInfo
 from .controllers import make_controller
@@ -40,6 +41,8 @@ MAX_RTO_US = 60_000_000
 
 
 _heappush = heapq.heappush  # bound once: it runs for every event
+_new_tuple = tuple.__new__  # builds a Packet without a Python-level __new__
+_NEVER = math.inf  # an instant that never comes
 
 
 class EventLoop:
@@ -49,35 +52,51 @@ class EventLoop:
     queueing anything; `schedule` draws one for each event it queues.
     Passing a reserved number to `schedule_reserved` later orders that
     event exactly as if it had been scheduled at the moment of reservation.
+    The per-segment callers push `(at_us, reserve_seq(), fn, arg)` onto
+    `heap` themselves, which is all `schedule` does.
     """
 
-    __slots__ = ("now_us", "_heap", "reserve_seq", "processed")
+    __slots__ = ("now_us", "heap", "reserve_seq", "processed")
 
     def __init__(self) -> None:
         self.now_us = 0
-        self._heap: list[tuple[int, int, Callable, object]] = []
+        self.heap: list[tuple[int, int, Callable, object]] = []
         self.reserve_seq: Callable[[], int] = itertools.count(1).__next__
         self.processed = 0
 
     def schedule(self, at_us: int, fn: Callable, arg: object = None) -> None:
-        _heappush(self._heap, (at_us, self.reserve_seq(), fn, arg))
+        _heappush(self.heap, (at_us, self.reserve_seq(), fn, arg))
 
     def schedule_reserved(self, at_us: int, seq: int, fn: Callable, arg: object = None) -> None:
-        _heappush(self._heap, (at_us, seq, fn, arg))
+        _heappush(self.heap, (at_us, seq, fn, arg))
 
     def pending(self, fn: Callable) -> list:
         """Arguments of the queued events that will call `fn`."""
-        return [arg for _, _, queued, arg in self._heap if queued == fn]
+        return [arg for _, _, queued, arg in self.heap if queued == fn]
 
     def run_until(self, end_us: int) -> None:
-        heap = self._heap
+        """Dispatch every event due by `end_us`, then set the clock to it.
+
+        The cyclic garbage collector is paused while events run and left
+        as the caller had it afterwards: events allocate only tuples,
+        integers and other objects without reference cycles, which
+        reference counting frees, so a collection there would only walk
+        the live heap for nothing.
+        """
+        heap = self.heap
         pop = heapq.heappop
         processed = 0
-        while heap and heap[0][0] <= end_us:
-            at, _, fn, arg = pop(heap)
-            self.now_us = at
-            processed += 1
-            fn(arg)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while heap and heap[0][0] <= end_us:
+                at, _, fn, arg = pop(heap)
+                self.now_us = at
+                processed += 1
+                fn(arg)
+        finally:
+            if collecting:
+                gc.enable()
         self.processed += processed
         self.now_us = end_us
 
@@ -118,14 +137,14 @@ class LinkSpec:
             raise ScenarioError("prop_delay and mtu must be > 0")
 
 
-@dataclass(slots=True)
-class Packet:
-    """One segment; every segment is the link's MSS long."""
+class Packet(NamedTuple):
+    """One segment; every segment is the link's MSS long. The sender
+    builds it with `tuple.__new__(Packet, (...))`, all four fields given."""
 
     flow_id: str
     seq: int
     sent_at_us: int
-    is_retransmit: bool = False
+    is_retransmit: bool
 
 
 class EnqueueResult(Enum):
@@ -154,7 +173,9 @@ class LossInjector:
 
     Drops the first forward packet at or after each configured time, drops
     probabilistically inside the configured window, and can add uniform
-    extra delay to deliveries inside the window.
+    extra delay to deliveries inside the window. `quiet_until_us` and
+    `jitters` let the bottleneck skip the calls that cannot act: a skipped
+    call would neither drop nor draw from the random stream.
     """
 
     def __init__(
@@ -171,6 +192,22 @@ class LossInjector:
         self._drop_prob = drop_prob
         self._window = window_us
         self._jitter = jitter_us
+        self.jitters = jitter_us > 0
+
+    def quiet_until_us(self, now_us: int) -> int | float:
+        """First instant at or after which `should_drop` may act (drop or
+        draw a random number), given the calls made so far; `now_us`, the
+        time of the latest call, is only used to retire an elapsed window.
+        Infinite when it never will."""
+        at = (
+            self._drop_times[self._next_drop]
+            if self._next_drop < len(self._drop_times)
+            else _NEVER
+        )
+        window = self._window
+        if self._drop_prob > 0.0 and window is not None and now_us < window[1]:
+            at = min(at, window[0])
+        return at
 
     def _in_window(self, now_us: int) -> bool:
         return self._window is not None and self._window[0] <= now_us < self._window[1]
@@ -222,6 +259,12 @@ class Bottleneck:
         self._debug_enq: dict[int, tuple[int, int]] = {}
         self._last_delivery_us = 0
         self._service_us = self._service_time_us()
+        self._heap = loop.heap
+        self._next_seq = loop.reserve_seq
+        # submit asks the injector only from this instant on; _service_done
+        # only when it jitters.
+        self._drops_from_us = _NEVER if injector is None else injector.quiet_until_us(0)
+        self._jitters = injector is not None and injector.jitters
 
     def _service_time_us(self) -> int:
         return max(1, round(self.mss_bytes * 8_000_000 / self.rate_bps))
@@ -238,9 +281,13 @@ class Bottleneck:
     def submit(self, pkt: Packet) -> bool:
         """Sender hands over one segment; returns False when dropped."""
         now = self.loop.now_us
-        if self.injector is not None and self.injector.should_drop(now):
-            self._record_drop(pkt, "injected")
-            return False
+        if now >= self._drops_from_us:
+            injector = self.injector
+            dropped = injector.should_drop(now)
+            self._drops_from_us = injector.quiet_until_us(now)
+            if dropped:
+                self._record_drop(pkt, "injected")
+                return False
         if self.debug_log is not None:
             self._debug_enq[id(pkt)] = (now, -1)
         if self.in_service is None:
@@ -254,18 +301,17 @@ class Bottleneck:
         return True
 
     def _start_service(self, pkt: Packet) -> None:
-        loop = self.loop
+        now = self.loop.now_us
         if self.debug_log is not None:
             enq, _ = self._debug_enq[id(pkt)]
-            self._debug_enq[id(pkt)] = (enq, loop.now_us)
+            self._debug_enq[id(pkt)] = (enq, now)
         self.in_service = pkt
-        loop.schedule(loop.now_us + self._service_us, self._service_done, pkt)
+        _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
 
     def _service_done(self, pkt: Packet) -> None:
-        loop = self.loop
-        now = loop.now_us
+        now = self.loop.now_us
         deliver_at = now + self.prop_delay_us
-        if self.injector is not None:
+        if self._jitters:
             deliver_at += self.injector.extra_delay_us(now)
         # Jitter wobbles latency but never reorders the link's FIFO.
         if deliver_at <= self._last_delivery_us:
@@ -276,12 +322,19 @@ class Bottleneck:
             self.debug_log.append(
                 (pkt.flow_id, pkt.seq, enq, svc_start, now, deliver_at, pkt.is_retransmit)
             )
-        loop.schedule(deliver_at, self.deliver_cb[pkt.flow_id], pkt)
-        if self._fifo:
-            self.queue.occupancy -= 1
-            self._start_service(self._fifo.popleft())
-        else:
+        heap = self._heap
+        _heappush(heap, (deliver_at, self._next_seq(), self.deliver_cb[pkt[0]], pkt))
+        if not self._fifo:
             self.in_service = None
+            return
+        # _start_service for the next queued packet, inline: on a busy link
+        # this is where nearly every service starts.
+        self.queue.occupancy -= 1
+        pkt = self.in_service = self._fifo.popleft()
+        if self.debug_log is not None:
+            enq, _ = self._debug_enq[id(pkt)]
+            self._debug_enq[id(pkt)] = (enq, now)
+        _heappush(heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
 
     @property
     def occupancy(self) -> int:
@@ -312,8 +365,9 @@ class AppSource:
 
     For rate-limited sources availability is computed analytically from
     elapsed time, and `next_avail_us` tells the sender when to wake once it
-    runs dry. `unbounded` marks a greedy source without an end, for which
-    `available_segments` is always None, so callers need not ask.
+    runs dry. `availability` also says how long the count stays true, so
+    the sender asks again only when the answer can differ. All of it is exact
+    integer arithmetic: rates are whole bits per second.
     """
 
     def __init__(
@@ -329,7 +383,6 @@ class AppSource:
         self.start_us = start_us
         self.duration_us = duration_us
         self.mss = mss_bytes
-        self.unbounded = kind == "greedy" and duration_us is None
 
     def available_segments(self, now_us: int) -> int | None:
         """Segments the application has produced by `now_us`; None = unbounded."""
@@ -349,10 +402,22 @@ class AppSource:
         if self.kind == "greedy":
             return None
         need_bit_us = segment_count * 8 * self.mss * 1_000_000
-        t = self.start_us + math.ceil(need_bit_us / self.rate_bps)
+        t = self.start_us - (-need_bit_us // self.rate_bps)  # ceiling division
         if self.duration_us is not None and t > self.start_us + self.duration_us:
             return None
         return t
+
+    def availability(self, now_us: int) -> tuple[int | None, int | float]:
+        """`available_segments(now_us)`, and the first instant after
+        `now_us` at which that answer changes (infinite if it never does).
+        A rate-limited count grows by one at that instant; a greedy source
+        with an end turns from None to 0 when it ends."""
+        count = self.available_segments(now_us)
+        if self.kind == "greedy":
+            end = _NEVER if self.duration_us is None else self.start_us + self.duration_us
+            return count, end if now_us < end else _NEVER
+        nxt = self.next_avail_us(count + 1)
+        return count, _NEVER if nxt is None else nxt
 
 
 class Receiver:
@@ -369,6 +434,8 @@ class Receiver:
         self.ooo: set[int] = set()
         self.rx_count = 0
         self.ack_sink: Callable[[int], None] | None = None
+        self._heap = loop.heap
+        self._next_seq = loop.reserve_seq
 
     @property
     def delivered_bytes(self) -> int:
@@ -377,7 +444,7 @@ class Receiver:
 
     def on_segment(self, pkt: Packet) -> None:
         self.rx_count += 1
-        seq = pkt.seq
+        _, seq, sent_at_us, _ = pkt
         rcv_nxt = self.rcv_nxt
         if seq == rcv_nxt:
             rcv_nxt += 1
@@ -395,9 +462,15 @@ class Receiver:
         # information a one-ACK-per-segment receiver has) and echoes its
         # send timestamp, so RTT samples survive retransmissions the way
         # they do with TCP timestamps.
-        loop = self.loop
-        ack = (rcv_nxt, seq, pkt.sent_at_us)
-        loop.schedule(loop.now_us + self.ack_delay_us, self.ack_sink, ack)
+        _heappush(
+            self._heap,
+            (
+                self.loop.now_us + self.ack_delay_us,
+                self._next_seq(),
+                self.ack_sink,
+                (rcv_nxt, seq, sent_at_us),
+            ),
+        )
 
 
 class Sender:
@@ -408,6 +481,10 @@ class Sender:
     number `snd_nxt`, and all transmissions `snd_nxt + retransmits`; the
     end-of-run audit derives both from those two fields instead of
     counting each segment.
+
+    The source's answer is kept with the instant it stops being true
+    (`_avail`, `_avail_until`), and one `AckInfo` is refilled for every
+    ACK; controllers read it during `on_ack` only.
     """
 
     def __init__(
@@ -452,6 +529,9 @@ class Sender:
         self._round_end_seq = 0
         self._pace_next_us = 0
         self._pending_wake: int | None = None
+        self._avail: int | None = None
+        self._avail_until: int | float = 0  # ask the source at the first look
+        self._ack = AckInfo(0, None, 0)
 
         self.retransmits = 0
         self.started = False
@@ -468,10 +548,12 @@ class Sender:
         headroom = int(self.ctl.cwnd) - in_flight
         if headroom <= 0:
             return False
-        if not self.source.unbounded:
-            avail = self.source.available_segments(self.loop.now_us)
-            if avail is not None and avail - self.snd_nxt < headroom:
-                return True
+        now = self.loop.now_us
+        if now >= self._avail_until:
+            self._avail, self._avail_until = self.source.availability(now)
+        avail = self._avail
+        if avail is not None and avail - self.snd_nxt < headroom:
+            return True
         return self.sndbuf is not None and self.sndbuf - in_flight < headroom
 
     # -- wakeups ---------------------------------------------------------
@@ -480,7 +562,8 @@ class Sender:
         if self._pending_wake is not None and self._pending_wake <= at_us:
             return
         self._pending_wake = at_us
-        self.loop.schedule(at_us, self._wake_cb, at_us)
+        loop = self.loop
+        _heappush(loop.heap, (at_us, loop.reserve_seq(), self._wake_cb, at_us))
 
     def _wake_cb(self, at_us: int) -> None:
         if self._pending_wake != at_us:
@@ -547,12 +630,11 @@ class Sender:
 
     def _handshake_done(self, sample: int) -> None:
         self._note_sample(sample)
-        ack = AckInfo(
-            newly_acked=0,
-            rtt_sample_us=sample,
-            now_us=self.loop.now_us,
-            is_app_limited=False,
-        )
+        ack = self._ack
+        ack.newly_acked = 0
+        ack.rtt_sample_us = sample
+        ack.now_us = self.loop.now_us
+        ack.is_app_limited = False
         self.ctl.on_ack(ack, in_flight=0, round_start=False, in_recovery=False)
         self.started = True
         self.try_send()
@@ -560,7 +642,9 @@ class Sender:
     def _send_segment(self, seq: int, retransmit: bool) -> None:
         if self._rto_at is None:
             self._arm_rto()
-        self.bottleneck.submit(Packet(self.flow_id, seq, self.loop.now_us, retransmit))
+        self.bottleneck.submit(
+            _new_tuple(Packet, (self.flow_id, seq, self.loop.now_us, retransmit))
+        )
 
     def _retransmit(self, seq: int) -> None:
         self.retransmits += 1
@@ -570,6 +654,23 @@ class Sender:
         if not self.started:
             return
         now = self.loop.now_us
+        if now >= self._avail_until:
+            self._avail, self._avail_until = self.source.availability(now)
+        avail = self._avail
+        seq = self.snd_nxt
+        wake = None
+        if avail is not None and seq >= avail:
+            # Dry: all this call could do is queue the wake for the next
+            # segment, which the window decides below. With a wake queued
+            # at or before that instant there is nothing to do at all.
+            if seq == avail:
+                wake = self._avail_until  # segment seq exists from then on
+            else:  # past what the source ever has: a greedy source that ended
+                nxt = self.source.next_avail_us(seq + 1)
+                wake = _NEVER if nxt is None else nxt
+            pending = self._pending_wake
+            if wake == _NEVER or (pending is not None and pending <= wake):
+                return
         ctl = self.ctl
         pacing = ctl.pacing_rate_bps
         # Without SACK the sender cannot tell holes from in-flight data, so
@@ -584,13 +685,12 @@ class Sender:
         # Sending touches neither the controller, snd_una nor the clock, so
         # the window and the data available stay fixed for this burst.
         limit = self.snd_una + window
-        avail = None if self.source.unbounded else self.source.available_segments(now)
-        seq = self.snd_nxt
         while seq < limit:
             if avail is not None and seq >= avail:
-                nxt = self.source.next_avail_us(seq + 1)
-                if nxt is not None:
-                    self._schedule_wake(nxt)
+                if wake is None:
+                    wake = self._avail_until  # seq == avail: it rose one by one
+                if wake != _NEVER:
+                    self._schedule_wake(wake)
                 return
             if pacing is not None and pacing > 0:
                 if now < self._pace_next_us:
@@ -599,7 +699,10 @@ class Sender:
                 interval = max(1, round(self.mss * 8_000_000 / pacing))
                 self._pace_next_us = max(self._pace_next_us, now) + interval
             self.snd_nxt = seq + 1
-            self._send_segment(seq, retransmit=False)
+            # _send_segment for new data, inline: once per segment sent
+            if self._rto_at is None:
+                self._arm_rto()
+            self.bottleneck.submit(_new_tuple(Packet, (self.flow_id, seq, now, False)))
             seq += 1
 
     # -- receive path ------------------------------------------------------
@@ -689,7 +792,11 @@ class Sender:
                 self._round_end_seq = self.snd_nxt
 
             in_flight = self.snd_nxt - ackno
-            ack = AckInfo(newly, sample, now, self._is_app_limited(in_flight))
+            ack = self._ack
+            ack.newly_acked = newly
+            ack.rtt_sample_us = sample
+            ack.now_us = now
+            ack.is_app_limited = self._is_app_limited(in_flight)
             self.ctl.on_ack(ack, in_flight, round_start, self.recovery_high is not None)
 
             if in_flight > 0:
@@ -728,22 +835,7 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     packet-log oracle in the tests checks window obedience instead). The
     key stays so that `events v1` keeps its shape.
     """
-    scenario.link.validate()
-    flow_ids = [f.flow_id for f in scenario.flows]
-    if len(set(flow_ids)) != len(flow_ids):
-        raise ScenarioError(f"duplicate flow ids: {flow_ids}")
-    if scenario.sample_us <= 0:
-        raise ScenarioError("sample cadence must be > 0")
-    if scenario.horizon_us < 0:
-        raise ScenarioError("horizon must be >= 0")
-    for f in scenario.flows:
-        if f.source.kind not in ("greedy", "app_limited"):
-            raise ScenarioError(f"unknown source kind {f.source.kind!r}")
-        if f.source.kind == "app_limited" and (
-            f.source.rate_bps is None or f.source.rate_bps <= 0
-        ):
-            raise ScenarioError(f"flow {f.flow_id}: app_limited source needs rate > 0")
-
+    scenario.validate(require_flows=False)
     traces = TraceSet(
         mss_bytes=scenario.link.mtu_bytes,
         horizon_us=scenario.horizon_us,
@@ -784,6 +876,9 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
 
     senders: dict[str, Sender] = {}
     receivers: dict[str, Receiver] = {}
+    # One row per flow for the sampler: start, sender, receiver, the
+    # samples' append, and the delivered bytes and time of its last sample.
+    rows: list[list] = []
     for f in scenario.flows:
         controller = make_controller(f.algo, f.cubic, f.roccet, f.probe, mss)
         source = AppSource(
@@ -797,35 +892,31 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
         bottleneck.deliver_cb[f.flow_id] = receiver.on_segment
         senders[f.flow_id] = sender
         receivers[f.flow_id] = receiver
-        traces.flows[f.flow_id] = FlowTrace(f.flow_id, f.algo, f.source.start_us)
+        flow_trace = traces.flows[f.flow_id] = FlowTrace(f.flow_id, f.algo, f.source.start_us)
+        rows.append([f.source.start_us, sender, receiver, flow_trace.samples.append, 0, 0])
         loop.schedule(f.source.start_us, sender.start)
 
-    last_delivered = {fid: 0 for fid in flow_ids}
-    last_sample_t = {fid: 0 for fid in flow_ids}
-
     def record_samples(t_us: int) -> None:
-        queue_now = bottleneck.occupancy
-        for f in scenario.flows:
-            if t_us < f.source.start_us:
+        queue_now = bottleneck.queue.occupancy
+        for row in rows:
+            start_us, sender, receiver, append, last_delivered, last_t = row
+            if t_us < start_us:
                 continue
-            fid = f.flow_id
-            sender = senders[fid]
-            receiver = receivers[fid]
-            prev_t = max(last_sample_t[fid], f.source.start_us)
-            delivered = receiver.delivered_bytes
-            delta = delivered - last_delivered[fid]
-            traces.flows[fid].samples.append(
+            srtt = sender.srtt_us
+            delivered = receiver.rcv_nxt * mss  # delivered_bytes, less a call
+            # Sample(t_us, dt_us, cwnd, srtt_us, delivered_bytes, queue_segs)
+            append(
                 Sample(
-                    t_us=t_us,
-                    dt_us=t_us - prev_t,
-                    cwnd=sender.ctl.cwnd,
-                    srtt_us=round(sender.srtt_us) if sender.srtt_us is not None else 0,
-                    delivered_bytes=delta,
-                    queue_segs=queue_now,
+                    t_us,
+                    t_us - (last_t if last_t > start_us else start_us),
+                    sender.ctl.cwnd,
+                    round(srtt) if srtt is not None else 0,
+                    delivered - last_delivered,
+                    queue_now,
                 )
             )
-            last_delivered[fid] = delivered
-            last_sample_t[fid] = t_us
+            row[4] = delivered
+            row[5] = t_us
 
     def sampler(t_us: int) -> None:
         record_samples(t_us)

@@ -1,6 +1,7 @@
 """Byte-identity pins: the sha256 of `trace.csv` and of the whole
 `events.json` (`events_processed` included) for every builtin at its
-default algorithm and for `steady` under each algorithm, at shortened
+default algorithm, for `steady` under each algorithm, and for three
+variants that reach source and loss paths no builtin does, at shortened
 horizons.
 
 A change that only makes the simulator faster must leave every digest
@@ -12,10 +13,11 @@ says so; print the current digests with
 
 import hashlib
 import io
+from dataclasses import replace
 
 import pytest
 
-from roccet_lab.harness import builtin_scenario
+from roccet_lab.harness import LossSpec, SourceSpec, builtin_scenario
 from roccet_lab.simulator import run
 
 # (builtin, algo or None for the default, horizon in s): bw-halving runs
@@ -29,6 +31,40 @@ CASES = {
     "steady-reno": ("steady", "reno", 6.0),
     "steady-roccet": ("steady", "roccet", 6.0),
     "steady-probe_rate": ("steady", "probe_rate", 6.0),
+    "app-limited-duration": ("frozen-cwnd", None, 5.0),
+    "greedy-duration": ("steady", "roccet", 4.0),
+    "loss-window-jitter": ("fairness-10x40", None, 5.0),
+}
+
+
+def _one_source(spec, source):
+    return replace(spec, flows=(replace(spec.flows[0], source=source),))
+
+
+# Paths no builtin reaches, applied on top of the builtin of the same case:
+# an app-limited source (odd rate, late start) that ends before the
+# horizon, a greedy source with an end, and probabilistic loss with jitter
+# inside a window next to fixed drops on a three-flow dumbbell.
+VARIANTS = {
+    "app-limited-duration": lambda spec: _one_source(
+        spec,
+        SourceSpec(
+            kind="app_limited", rate_bps=17_300_001, start_us=250_000, duration_us=2_750_000
+        ),
+    ),
+    "greedy-duration": lambda spec: _one_source(
+        spec, SourceSpec(kind="greedy", start_us=100_000, duration_us=2_000_000)
+    ),
+    "loss-window-jitter": lambda spec: replace(
+        spec,
+        flows=spec.flows + (replace(spec.flows[0], flow_id="cubic_rival", algo="cubic"),),
+        loss=LossSpec(
+            drop_at_us=(500_000, 4_200_000),
+            drop_prob=0.01,
+            window_us=(1_500_000, 3_500_000),
+            jitter_us=2_500,
+        ),
+    ),
 }
 
 # case: (sha256 of trace.csv, sha256 of events.json)
@@ -65,12 +101,28 @@ DIGESTS = {
         "bf7c43e5e7e1a13539afffadc6ac901910d494d344b0c9210a0f92b32cee3b2a",
         "21e15f73041eaac25323a6a904c210a4ccc96e86676fe637f8ac9b09f2f300c3",
     ),
+    "app-limited-duration": (
+        "d7926caf4e28f1e9c0abe600f83dd60a53a8ec8dcd40777a3a5e487765029876",
+        "d81b46b5200d921d130ffa36736e208f240380308402077a746ba19e6d5d70e7",
+    ),
+    "greedy-duration": (
+        "5bca34da50b202afe3a07ee722b6da2ad1dc18cce78a9eb1bb59382bd3b0c492",
+        "daf35ad6307171eead78f1d5f6efb4f1cfefe69e7f924e32f0e98173c0e035b0",
+    ),
+    "loss-window-jitter": (
+        "ce44420f6bbf136cdef0164ed315cfadcee894a0fd40eac4070ba1725d610c0f",
+        "12ecf217c0453dbd2f63b6563ffe70e9cd975a6fe06050b6ac7858a4d209942f",
+    ),
 }
 
 
 def digests(name: str) -> tuple[str, str]:
     builtin, algo, horizon_s = CASES[name]
-    traces = run(builtin_scenario(builtin, algo=algo, seed=1, horizon_s=horizon_s))
+    spec = builtin_scenario(builtin, algo=algo, seed=1, horizon_s=horizon_s)
+    if name in VARIANTS:
+        spec = VARIANTS[name](spec)
+        spec.validate()
+    traces = run(spec)
     trace_csv, events_json = io.StringIO(), io.StringIO()
     traces.write_csv(trace_csv)
     traces.write_events_json(events_json)

@@ -58,6 +58,23 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith("error: invalid-scenario: ")
 
+    @pytest.mark.parametrize(
+        "builtin, override, detail",
+        [
+            ("frozen-cwnd", "flows.0.source.rate_mbps=-1", "app_limited source needs rate > 0"),
+            ("steady", "flows.0.sndbuf_segs=-3", "sndbuf_segs must be >= 1"),
+        ],
+    )
+    def test_out_of_range_flow_value_exits_one(self, builtin, override, detail, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("run", "--builtin", builtin, "--set", override, "-o", str(out))
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid-scenario: ")
+        assert detail in err[0]
+        assert not out.exists()
+
     def test_identical_invocations_identical_artifacts(self, tmp_path):
         outs = []
         for name in ("a", "b"):

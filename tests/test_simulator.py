@@ -1,8 +1,11 @@
+import gc
 import io
 from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from roccet_lab.cc_types import CubicParams
 from roccet_lab.controllers import CubicController
@@ -362,3 +365,89 @@ class TestFrozenWindow:
         fm = next(iter(traces.flows.values()))
         tail = [s.cwnd for s in fm.samples if s.t_us >= 10e6]
         assert max(tail) - min(tail) > 1.0
+
+
+class TestPerSegmentCost:
+    def test_source_asked_once_per_segment(self, monkeypatch):
+        # The sender keeps the source's count until the instant it changes,
+        # so neither query runs more than once per new segment sent (plus
+        # a few for the start), however often the sender looks.
+        calls = {"available_segments": 0, "next_avail_us": 0}
+
+        def counting(name):
+            original = getattr(AppSource, name)
+
+            def wrapper(self, arg):
+                calls[name] += 1
+                return original(self, arg)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(AppSource, name, counting(name))
+        traces = run(builtin_scenario("frozen-cwnd", seed=1, horizon_s=10.0))
+        new_sent = traces.audit["cubic0"]["new_sent"]
+        assert new_sent > 10_000
+        for name, n in calls.items():
+            assert n <= new_sent + 10, (name, n, new_sent)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_leaves_collector_as_found(self, enabled):
+        def set_collector(on):
+            if on:
+                gc.enable()
+            else:
+                gc.disable()
+
+        was = gc.isenabled()
+        try:
+            set_collector(enabled)
+            run(builtin_scenario("steady", seed=1, horizon_s=0.5))
+            assert gc.isenabled() is enabled
+        finally:
+            set_collector(was)
+
+    def test_events_leave_no_cyclic_garbage(self):
+        # The collector is paused while events run. That is safe only if
+        # events allocate nothing that needs it: what gc frees after a run
+        # (the run's own objects and the events still queued at the
+        # horizon) must not grow with the number of events dispatched.
+        def garbage_after(horizon_s):
+            gc.collect()
+            traces = run(builtin_scenario("steady", seed=1, horizon_s=horizon_s))
+            freed = gc.collect()
+            assert traces.events_processed > 0
+            return freed, traces.events_processed
+
+        garbage_after(1.0)
+        short, short_events = garbage_after(2.0)
+        long, long_events = garbage_after(4.0)
+        assert long_events > 1.8 * short_events
+        assert long <= short
+
+
+class TestAppSourceAvailability:
+    @given(
+        kind=st.sampled_from(["app_limited", "greedy"]),
+        rate_bps=st.integers(1, 10**11),
+        start_us=st.integers(0, 10**8),
+        duration_us=st.none() | st.integers(1, 10**8),
+        mss=st.integers(1, 9000),
+        now_us=st.integers(0, 3 * 10**8),
+        offset=st.integers(0, 10**12),
+    )
+    def test_count_holds_until_change_time(
+        self, kind, rate_bps, start_us, duration_us, mss, now_us, offset
+    ):
+        source = AppSource(
+            kind, rate_bps if kind == "app_limited" else None, start_us, duration_us, mss
+        )
+        count, until = source.availability(now_us)
+        assert count == source.available_segments(now_us)
+        if until == float("inf"):
+            assert source.available_segments(now_us + offset) == count
+            return
+        assert until > now_us
+        for t in (now_us + offset % (until - now_us), until - 1):
+            assert source.available_segments(t) == count
+        assert source.available_segments(until) != count
