@@ -7,12 +7,17 @@ exposes the current window, an optional pacing rate, and a log of
 congestion events for the trace.
 
 The CUBIC and ROCCET controllers hold their state field by field and run
-the per-ACK path in place through the scalar steps (`cubic.cubic_ca_step`,
-`roccet.rtt_min_step`, `roccet.srrtt_step`, `roccet.interval_step`), the
-same functions the pure state-value wrappers call. Their `cc` (and
-`roc`) attributes read and assign whole `CcState` / `RoccetState` values,
-which is how the rarer transitions (congestion events, LAUNCH/ORBITER
-checks) are applied.
+the per-ACK path in place as straight-line code: the scalar steps
+(`cubic.cubic_ca_step`, `roccet.rtt_min_step`, `roccet.srrtt_step`,
+`roccet.interval_step`) are written out here with the same operations in
+the same order, so every float comes out bit for bit as the step's would.
+The steps and their state-value wrappers stay the reference:
+`tests/test_controller_lockstep.py` replays recorded runs through these
+controllers and through a driver built from the wrappers, and checks
+that both hold the same state after every call. The `cc` (and `roc`)
+attributes read and assign whole `CcState` / `RoccetState` values, which
+is how the rarer transitions (congestion events, LAUNCH/ORBITER checks)
+are applied.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import fields
 from operator import attrgetter
 
-from .cc_types import AckInfo, CcState, CubicParams, Phase
+from .cc_types import MIN_CWND, AckInfo, CcState, CubicParams, Phase
 from . import cubic, probe_rate, reno, roccet
 from .roccet import CeKind, LaunchDecision, OrbiterDecision, RoccetParams, RoccetState
 
@@ -64,26 +69,29 @@ class _InPlaceCubic:
 
     def _cubic_on_ack(self, ack: AckInfo) -> None:
         """`cubic.cubic_on_ack` in place: congestion avoidance with an
-        anchored epoch takes the scalar step, anything else goes through
-        the state-value function."""
+        anchored epoch runs `cubic.cubic_ca_step` written out, with the
+        epoch's K and origin kept from its start; anything else goes
+        through the state-value function."""
         params = self.cubic_params
         if params.app_limited_freeze and ack.is_app_limited:
             return
-        if self.phase is Phase.CONGESTION_AVOIDANCE and self.epoch_start_us is not None:
+        start = self.epoch_start_us
+        if self.phase is Phase.CONGESTION_AVOIDANCE and start is not None:
             epoch = self._epoch
             if epoch is None:
                 epoch = self._epoch = cubic.cubic_epoch(self.w_max, self.cwnd_epoch, params)
-            self.cwnd, self.w_est = cubic.cubic_ca_step(
-                self.cwnd,
-                self.w_est,
-                self.epoch_start_us,
-                ack.now_us,
-                ack.newly_acked,
-                epoch[0],
-                epoch[1],
-                params.c_scale,
-                self._aimd_inc,
-            )
+            cwnd = self.cwnd
+            w_est = self.w_est
+            # target = max(max(MIN_CWND, curve), w_est), each comparison
+            # keeping the earlier operand on a tie as max() does
+            target = params.c_scale * ((ack.now_us - start) / 1e6 - epoch[0]) ** 3 + epoch[1]
+            if not target > MIN_CWND:
+                target = MIN_CWND
+            if w_est > target:
+                target = w_est
+            self.w_est = w_est + self._aimd_inc * ack.newly_acked / cwnd
+            if target > cwnd:
+                self.cwnd = cwnd + (target - cwnd) / cwnd
         else:
             self.cc = cubic.cubic_on_ack(self.cc, ack, params)
 
@@ -179,7 +187,7 @@ class RoccetController(_InPlaceCubic):
     recovery.
 
     The signal updates and CUBIC growth run in place on this object's
-    fields through the scalar steps; the checks and the transitions they
+    fields as straight-line code; the checks and the transitions they
     trigger go through the `roccet` state-value functions on `roc` / `cc`.
     """
 
@@ -215,40 +223,45 @@ class RoccetController(_InPlaceCubic):
         params = self.params
         sample = ack.rtt_sample_us
 
-        if sample is not None:
-            self.rtt_min_us, self.rtt_min_updated_at_us = roccet.rtt_min_step(
-                self.rtt_min_us, self.rtt_min_updated_at_us, sample, now, params
-            )
-            if self._srtt_us is None:
-                self._srtt_us = float(sample)
-            else:
-                self._srtt_us += EWMA_SRTT_WEIGHT * (sample - self._srtt_us)
-            self.srrtt = roccet.srrtt_step(
-                self.srrtt, round(self._srtt_us), self.rtt_min_us, params.alpha
-            )
-
         rtt_min = self.rtt_min_us
+        if sample is not None:
+            # roccet.rtt_min_step
+            if rtt_min is None or sample < rtt_min:
+                self.rtt_min_us = rtt_min = sample
+                self.rtt_min_updated_at_us = now
+            elif (
+                params.rtt_min_refresh
+                and now - self.rtt_min_updated_at_us > params.rtt_min_refresh_age_us
+            ):
+                a = params.rtt_min_refresh_alpha
+                self.rtt_min_us = rtt_min = round(a * sample + (1.0 - a) * rtt_min)
+                self.rtt_min_updated_at_us = now
+            srtt = self._srtt_us
+            if srtt is None:
+                srtt = float(sample)
+            else:
+                srtt += EWMA_SRTT_WEIGHT * (sample - srtt)
+            self._srtt_us = srtt
+            # roccet.srrtt_step
+            x = (round(srtt) - rtt_min) / rtt_min
+            if x < 0.0:
+                x = 0.0
+            alpha = params.alpha
+            self.srrtt = alpha * x + (1.0 - alpha) * self.srrtt
+
         if rtt_min is not None:
             if self.interval_start_us is None:
                 self._reset_interval(now)
-            # Each boundary re-anchors on the ACK that crossed it: windows
-            # are self-timed per flow, drifting with ACK quantization the
-            # way an ACK-clocked kernel timer would.
-            boundary = self._next_tick_us is not None and now >= self._next_tick_us
-            if boundary:
+            # roccet.interval_step. Each boundary re-anchors on the ACK
+            # that crossed it: windows are self-timed per flow, drifting
+            # with ACK quantization the way an ACK-clocked kernel timer
+            # would.
+            next_tick = self._next_tick_us
+            if next_tick is not None and now >= next_tick:
                 self._next_tick_us = now + rtt_min
-            (
-                self.acks_in_interval,
-                self.cum_cwnd_in_interval,
-                self.rtts_elapsed_in_interval,
-            ) = roccet.interval_step(
-                self.acks_in_interval,
-                self.cum_cwnd_in_interval,
-                self.rtts_elapsed_in_interval,
-                ack.newly_acked,
-                self.cwnd,
-                boundary,
-            )
+                self.cum_cwnd_in_interval += self.cwnd
+                self.rtts_elapsed_in_interval += 1
+            self.acks_in_interval += ack.newly_acked
 
         if in_recovery:
             return

@@ -115,9 +115,12 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
     the freeze knob is on, the window is left untouched in any phase.
 
     The CUBIC and ROCCET controllers run this per ACK in place
-    (`controllers._InPlaceCubic._cubic_on_ack`), calling `cubic_ca_step`
-    on their own fields with the epoch's K kept from its start, and this
-    function only outside an anchored congestion-avoidance epoch.
+    (`controllers._InPlaceCubic._cubic_on_ack`): inside an anchored
+    congestion-avoidance epoch they run `cubic_ca_step` written out on
+    their own fields, with the epoch's K kept from its start, and they
+    call this function only outside one. This function and
+    `cubic_ca_step` are the reference that
+    `tests/test_controller_lockstep.py` checks the folded path against.
     """
     if params.app_limited_freeze and ack.is_app_limited:
         return state

@@ -138,8 +138,9 @@ def rtt_min_step(
 def update_rtt_min(
     state: RoccetState, sample_us: int, now_us: int, params: RoccetParams
 ) -> RoccetState:
-    """`rtt_min_step` over a state value. The per-ACK path in
-    `controllers.RoccetController.on_ack` calls the step directly."""
+    """`rtt_min_step` over a state value. `controllers.RoccetController.on_ack`
+    runs the step written out; this function is the reference the lockstep
+    test (`tests/test_controller_lockstep.py`) checks it against."""
     rtt_min, updated_at = rtt_min_step(
         state.rtt_min_us, state.rtt_min_updated_at_us, sample_us, now_us, params
     )
@@ -161,8 +162,8 @@ def srrtt_step(srrtt: float, srtt_now_us: int, rtt_min_us: int, alpha: float) ->
 
 def update_srrtt(state: RoccetState, srtt_now_us: int, params: RoccetParams) -> RoccetState:
     """`srrtt_step` over a state value; needs an rtt_min sample first.
-    The per-ACK path in `controllers.RoccetController.on_ack` calls the
-    step directly."""
+    `controllers.RoccetController.on_ack` runs the step written out; this
+    function is the reference the lockstep test checks it against."""
     if state.rtt_min_us is None:
         raise RoccetLabError("update_srrtt called before any rtt_min sample")
     return replace(
@@ -192,8 +193,9 @@ def accumulate_interval(
     current_cwnd: float,
     rtt_boundary_crossed: bool,
 ) -> RoccetState:
-    """`interval_step` over a state value. The per-ACK path in
-    `controllers.RoccetController.on_ack` calls the step directly."""
+    """`interval_step` over a state value.
+    `controllers.RoccetController.on_ack` runs the step written out; this
+    function is the reference the lockstep test checks it against."""
     acks, cum, rtts = interval_step(
         state.acks_in_interval,
         state.cum_cwnd_in_interval,

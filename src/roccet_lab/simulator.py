@@ -542,20 +542,6 @@ class Sender:
     def in_flight(self) -> int:
         return self.snd_nxt - self.snd_una
 
-    def _is_app_limited(self, in_flight: int) -> bool:
-        """True when the sender cannot fill the congestion window because
-        of data starvation (application rate or send-buffer cap)."""
-        headroom = int(self.ctl.cwnd) - in_flight
-        if headroom <= 0:
-            return False
-        now = self.loop.now_us
-        if now >= self._avail_until:
-            self._avail, self._avail_until = self.source.availability(now)
-        avail = self._avail
-        if avail is not None and avail - self.snd_nxt < headroom:
-            return True
-        return self.sndbuf is not None and self.sndbuf - in_flight < headroom
-
     # -- wakeups ---------------------------------------------------------
 
     def _schedule_wake(self, at_us: int) -> None:
@@ -746,7 +732,8 @@ class Sender:
 
     def on_ack_frame(self, frame: tuple[int, int, int]) -> None:
         ackno, rseq, tsecr = frame
-        now = self.loop.now_us
+        loop = self.loop
+        now = loop.now_us
         snd_una = self.snd_una
         if rseq > self.max_received:
             self.max_received = rseq
@@ -758,8 +745,17 @@ class Sender:
         # Timestamp echo dates every ACK, including ones for retransmitted
         # copies, so the sample is always unambiguous.
         sample = now - tsecr
-        self._note_sample(sample)
         if ackno > snd_una:
+            # _note_sample, inline. Data is sent only after the handshake
+            # took the first sample, so srtt is set.
+            srtt = self.srtt_us
+            rttvar = self.rttvar_us + 0.25 * (abs(srtt - sample) - self.rttvar_us)
+            srtt += 0.125 * (sample - srtt)
+            self.srtt_us = srtt
+            self.rttvar_us = rttvar
+            margin = 4 * rttvar
+            self.rto_us = round(srtt + (margin if margin > MIN_RTO_US else MIN_RTO_US))
+
             newly = ackno - snd_una
             scoreboard = self.scoreboard
             if scoreboard or self._episode_rtx:
@@ -791,20 +787,42 @@ class Sender:
                 round_start = True
                 self._round_end_seq = self.snd_nxt
 
-            in_flight = self.snd_nxt - ackno
+            snd_nxt = self.snd_nxt
+            in_flight = snd_nxt - ackno
+            ctl = self.ctl
+            # App-limited: the window has headroom that the source's data
+            # or the send buffer cannot fill.
+            app_limited = False
+            headroom = int(ctl.cwnd) - in_flight
+            if headroom > 0:
+                if now >= self._avail_until:
+                    self._avail, self._avail_until = self.source.availability(now)
+                avail = self._avail
+                if avail is not None and avail - snd_nxt < headroom:
+                    app_limited = True
+                else:
+                    sndbuf = self.sndbuf
+                    app_limited = sndbuf is not None and sndbuf - in_flight < headroom
             ack = self._ack
             ack.newly_acked = newly
             ack.rtt_sample_us = sample
             ack.now_us = now
-            ack.is_app_limited = self._is_app_limited(in_flight)
-            self.ctl.on_ack(ack, in_flight, round_start, self.recovery_high is not None)
+            ack.is_app_limited = app_limited
+            ctl.on_ack(ack, in_flight, round_start, self.recovery_high is not None)
 
             if in_flight > 0:
-                self._arm_rto()
+                # _arm_rto, inline
+                at = now + self.rto_us
+                self._rto_at = at
+                self._rto_seq = loop.reserve_seq()
+                if self._rto_entry_seq is None or self._rto_entry_at > at:
+                    self._queue_rto()
             else:
                 self._rto_at = None  # disarm
             self.try_send()
-        elif ackno == snd_una and self.snd_nxt > snd_una:
+            return
+        self._note_sample(sample)
+        if ackno == snd_una and self.snd_nxt > snd_una:
             self.dup_acks += 1
             if self.recovery_high is not None:
                 if not self._repair_one():

@@ -1,8 +1,8 @@
 """Byte-identity pins: the sha256 of `trace.csv` and of the whole
 `events.json` (`events_processed` included) for every builtin at its
-default algorithm, for `steady` under each algorithm, and for three
-variants that reach source and loss paths no builtin does, at shortened
-horizons.
+default algorithm, for `steady` under each algorithm, and for five
+variants that reach source, loss and controller paths no builtin does, at
+shortened horizons.
 
 A change that only makes the simulator faster must leave every digest
 as it is. A change that alters behaviour on purpose re-records them and
@@ -17,7 +17,9 @@ from dataclasses import replace
 
 import pytest
 
+from roccet_lab.cc_types import CubicParams
 from roccet_lab.harness import LossSpec, SourceSpec, builtin_scenario
+from roccet_lab.roccet import RoccetParams
 from roccet_lab.simulator import run
 
 # (builtin, algo or None for the default, horizon in s): bw-halving runs
@@ -34,6 +36,8 @@ CASES = {
     "app-limited-duration": ("frozen-cwnd", None, 5.0),
     "greedy-duration": ("steady", "roccet", 4.0),
     "loss-window-jitter": ("fairness-10x40", None, 5.0),
+    "roccet-rtt-min-refresh": ("steady", "roccet", 6.0),
+    "frozen-cwnd-no-freeze": ("frozen-cwnd", None, 5.0),
 }
 
 
@@ -41,10 +45,16 @@ def _one_source(spec, source):
     return replace(spec, flows=(replace(spec.flows[0], source=source),))
 
 
+def _each_flow(spec, **changes):
+    return replace(spec, flows=tuple(replace(f, **changes) for f in spec.flows))
+
+
 # Paths no builtin reaches, applied on top of the builtin of the same case:
 # an app-limited source (odd rate, late start) that ends before the
 # horizon, a greedy source with an end, and probabilistic loss with jitter
-# inside a window next to fixed drops on a three-flow dumbbell.
+# inside a window next to fixed drops on a three-flow dumbbell; ROCCET
+# refreshing a stale rtt_min every half second, and app-limited CUBIC
+# growing its window without the freeze.
 VARIANTS = {
     "app-limited-duration": lambda spec: _one_source(
         spec,
@@ -64,6 +74,12 @@ VARIANTS = {
             window_us=(1_500_000, 3_500_000),
             jitter_us=2_500,
         ),
+    ),
+    "roccet-rtt-min-refresh": lambda spec: _each_flow(
+        spec, roccet=RoccetParams(rtt_min_refresh=True, rtt_min_refresh_age_us=500_000)
+    ),
+    "frozen-cwnd-no-freeze": lambda spec: _each_flow(
+        spec, cubic=CubicParams(app_limited_freeze=False)
     ),
 }
 
@@ -112,6 +128,14 @@ DIGESTS = {
     "loss-window-jitter": (
         "ce44420f6bbf136cdef0164ed315cfadcee894a0fd40eac4070ba1725d610c0f",
         "12ecf217c0453dbd2f63b6563ffe70e9cd975a6fe06050b6ac7858a4d209942f",
+    ),
+    "roccet-rtt-min-refresh": (
+        "98c41cae718602d510ae51ea8f2fb60f212e42fda4a75b8224dd3788d2c9dbe1",
+        "b9715bb831d0a3b512397769c955fed08c02d014cddd6ba64c72f6c48f3c2c9e",
+    ),
+    "frozen-cwnd-no-freeze": (
+        "e74671fb09f060ac7a957858e561ec827af66947db749836afc96bf91143bfb1",
+        "1bfd58ad230b24a007f75222bee00839a688cba8c1695d63d59a607beb10bc24",
     ),
 }
 

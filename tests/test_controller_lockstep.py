@@ -1,0 +1,262 @@
+"""Lockstep oracle for the folded per-ACK path of the CUBIC and ROCCET
+controllers.
+
+`controllers.py` runs each ACK as straight-line code: the rtt_min
+tracker, the smoothed RTT, srRTT, the interval counters and the
+anchored-epoch CUBIC step are written out inside `on_ack`. This test
+records every `on_ack` / `on_loss` call the simulator makes in three runs
+and replays each flow's calls into a fresh controller and into a
+reference driver. The reference is built only from the state-value
+functions of `cubic.py` and `roccet.py` (`update_rtt_min`,
+`update_srrtt`, `accumulate_interval`, `cubic_on_ack` and the LAUNCH /
+ORBITER checks and transitions) and imports nothing from
+`controllers.py`. After every call both must hold exactly the same state:
+the same values of the same types, compared through `repr`.
+"""
+
+from dataclasses import replace
+
+from roccet_lab import simulator
+from roccet_lab.cc_types import AckInfo, CcState, Phase
+from roccet_lab.cubic import cubic_on_ack, cubic_on_congestion_event
+from roccet_lab.harness import builtin_scenario
+from roccet_lab.roccet import (
+    CeKind,
+    LaunchDecision,
+    OrbiterDecision,
+    RoccetParams,
+    RoccetState,
+    accumulate_interval,
+    apply_launch_exit,
+    apply_roccet_ce,
+    launch_check,
+    orbiter_check,
+    orbiter_on_loss,
+    reset_interval,
+    update_rtt_min,
+    update_srrtt,
+)
+
+SRTT_WEIGHT = 1 / 8  # the smoothed RTT that feeds srRTT
+
+
+class ReferenceCubic:
+    """CUBIC through the state-value functions: growth outside loss
+    repair, a congestion event on every loss the transport reports."""
+
+    def __init__(self, cubic_params, algo_tag="cubic"):
+        self.cubic_params = cubic_params
+        self.cc = CcState(algo_tag=algo_tag)
+
+    def on_ack(self, ack, in_flight, round_start, in_recovery):
+        if not in_recovery:
+            self.cc = cubic_on_ack(self.cc, ack, self.cubic_params)
+
+    def on_loss(self, now_us, origin):
+        self.cc = cubic_on_congestion_event(self.cc, self.cubic_params, now_us)
+
+    def snapshot(self):
+        return self.cc, self.cc.cwnd
+
+
+class ReferenceRoccet(ReferenceCubic):
+    """ROCCET's per-ACK decision flow, one state value at a time."""
+
+    def __init__(self, cubic_params, params):
+        super().__init__(cubic_params, "roccet")
+        self.params = params
+        self.roc = RoccetState()
+        self.srtt = None
+        self.next_tick = None
+
+    def _reset(self, now):
+        self.roc = reset_interval(self.roc, now)
+        self.next_tick = now + (self.roc.rtt_min_us or 0)
+
+    def on_ack(self, ack, in_flight, round_start, in_recovery):
+        now, params, sample = ack.now_us, self.params, ack.rtt_sample_us
+        if sample is not None:
+            self.roc = update_rtt_min(self.roc, sample, now, params)
+            if self.srtt is None:
+                self.srtt = float(sample)
+            else:
+                self.srtt = self.srtt + SRTT_WEIGHT * (sample - self.srtt)
+            self.roc = update_srrtt(self.roc, round(self.srtt), params)
+        if self.roc.rtt_min_us is not None:
+            if self.roc.interval_start_us is None:
+                self._reset(now)
+            boundary = self.next_tick is not None and now >= self.next_tick
+            if boundary:
+                self.next_tick = now + self.roc.rtt_min_us
+            self.roc = accumulate_interval(self.roc, ack.newly_acked, self.cc.cwnd, boundary)
+        if in_recovery:
+            return
+        if self.cc.phase is Phase.SLOW_START:
+            start = self.roc.interval_start_us
+            if start is not None and now - start >= params.launch_interval_us:
+                decision = launch_check(self.roc, self.cc, now, params)
+                self._reset(now)
+                if decision is not LaunchDecision.STAY:
+                    self.roc, self.cc = apply_launch_exit(
+                        self.roc, self.cc, now, decision, self.cubic_params
+                    )
+                    return
+        else:
+            drain = self.roc.drain_until_us
+            if drain is not None and now < drain:
+                return
+            if self.roc.rtts_elapsed_in_interval >= params.orbiter_interval_rtts:
+                decision = orbiter_check(self.roc, self.cc, now, params)
+                self._reset(now)
+                if decision is OrbiterDecision.ROCCET_CE:
+                    self.roc, self.cc = apply_roccet_ce(
+                        self.roc, self.cc, now, params, self.cubic_params
+                    )
+                    return
+        self.cc = cubic_on_ack(self.cc, ack, self.cubic_params)
+
+    def on_loss(self, now_us, origin):
+        if self.cc.phase is Phase.SLOW_START:
+            return
+        self.roc, self.cc = orbiter_on_loss(
+            self.roc, self.cc, self.params, self.cubic_params, now_us
+        )
+
+    def snapshot(self):
+        return self.cc, self.roc, self.srtt, self.cc.cwnd
+
+
+def _folded_snapshot(ctl):
+    if hasattr(ctl, "roc"):
+        return ctl.cc, ctl.roc, ctl._srtt_us, ctl.cwnd
+    return ctl.cc, ctl.cwnd
+
+
+class _Recorder:
+    """Stands in for one flow's controller during a run and records what
+    the sender passes it; everything else is the controller's own."""
+
+    def __init__(self, ctl, algo, cubic_params, roccet_params):
+        self.ctl, self.algo = ctl, algo
+        self.cubic_params, self.roccet_params = cubic_params, roccet_params
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self.ctl, name)
+
+    @property
+    def cwnd(self):
+        return self.ctl.cwnd
+
+    @property
+    def pacing_rate_bps(self):
+        return self.ctl.pacing_rate_bps
+
+    def on_ack(self, ack, in_flight, round_start, in_recovery=False):
+        self.calls.append(
+            (
+                "ack",
+                (ack.newly_acked, ack.rtt_sample_us, ack.now_us, ack.is_app_limited),
+                in_flight,
+                round_start,
+                in_recovery,
+            )
+        )
+        self.ctl.on_ack(ack, in_flight, round_start, in_recovery)
+
+    def on_loss(self, now_us, origin):
+        self.calls.append(("loss", now_us, origin))
+        self.ctl.on_loss(now_us, origin)
+
+
+def _record(spec, monkeypatch):
+    make = simulator.make_controller
+    recorders = []
+
+    def recording(algo, cubic_params, roccet_params, probe_params, mss_bytes):
+        ctl = make(algo, cubic_params, roccet_params, probe_params, mss_bytes)
+        if algo not in ("cubic", "roccet"):
+            return ctl
+        rec = _Recorder(ctl, algo, cubic_params, roccet_params)
+        recorders.append(rec)
+        return rec
+
+    with monkeypatch.context() as m:
+        m.setattr(simulator, "make_controller", recording)
+        simulator.run(spec)
+    return recorders
+
+
+def _replay(rec):
+    """Drive a fresh folded controller and the reference with one flow's
+    calls; fail at the first call after which their states differ."""
+    ctl = simulator.make_controller(rec.algo, rec.cubic_params, rec.roccet_params, None, 1500)
+    if rec.algo == "roccet":
+        ref = ReferenceRoccet(rec.cubic_params, rec.roccet_params)
+    else:
+        ref = ReferenceCubic(rec.cubic_params)
+    for i, call in enumerate(rec.calls):
+        if call[0] == "ack":
+            _, fields, in_flight, round_start, in_recovery = call
+            ctl.on_ack(AckInfo(*fields), in_flight, round_start, in_recovery)
+            ref.on_ack(AckInfo(*fields), in_flight, round_start, in_recovery)
+        else:
+            ctl.on_loss(call[1], call[2])
+            ref.on_loss(call[1], call[2])
+        assert repr(_folded_snapshot(ctl)) == repr(ref.snapshot()), (rec.algo, i, call)
+    return ref
+
+
+def _bw_halving():
+    return builtin_scenario("bw-halving", seed=1, horizon_s=16.0)
+
+
+def _fairness_with_drops():
+    return builtin_scenario(
+        "fairness-10x40", seed=1, n_flows=2, buffer_bdp=1.0, competitor="cubic", horizon_s=12.0
+    )
+
+
+def _steady_refresh():
+    spec = builtin_scenario("steady", algo="roccet", seed=1, horizon_s=6.0)
+    params = RoccetParams(rtt_min_refresh=True, rtt_min_refresh_age_us=500_000)
+    return replace(spec, flows=tuple(replace(f, roccet=params) for f in spec.flows))
+
+
+def _refreshes(calls, params):
+    """ACKs at which `update_rtt_min` refreshes the minimum: a sample no
+    lower than it restamps it. A minimum not refreshed keeps its stamp,
+    which cannot be this ACK's time, as the refresh age is positive."""
+    state, fired = RoccetState(), 0
+    for call in calls:
+        if call[0] == "ack":
+            _, sample, now, _ = call[1]
+            before = state.rtt_min_us
+            state = update_rtt_min(state, sample, now, params)
+            fired += before is not None and sample >= before and state.rtt_min_updated_at_us == now
+    return fired
+
+
+def test_bw_halving_in_lockstep(monkeypatch):
+    (rec,) = _record(_bw_halving(), monkeypatch)
+    ref = _replay(rec)
+    kinds = {kind for _, kind in ref.roc.ce_log}
+    assert {CeKind.LAUNCH_EXIT, CeKind.ROCCET_CE} <= kinds
+    assert any(call[0] == "ack" and call[1][3] for call in rec.calls)  # app-limited ACKs
+
+
+def test_fairness_cell_with_drops_in_lockstep(monkeypatch):
+    recs = _record(_fairness_with_drops(), monkeypatch)
+    assert sorted(rec.algo for rec in recs) == ["cubic", "roccet", "roccet"]
+    for rec in recs:
+        _replay(rec)
+    calls = [call for rec in recs for call in rec.calls]
+    assert any(call[0] == "loss" for call in calls)
+    assert any(call[0] == "ack" and call[4] for call in calls)  # ACKs during repair
+
+
+def test_rtt_min_refresh_in_lockstep(monkeypatch):
+    (rec,) = _record(_steady_refresh(), monkeypatch)
+    assert _refreshes(rec.calls, rec.roccet_params) >= 5
+    _replay(rec)
+

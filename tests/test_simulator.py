@@ -1,5 +1,6 @@
 import gc
 import io
+import sys
 from bisect import bisect_left
 from dataclasses import replace
 
@@ -390,6 +391,29 @@ class TestPerSegmentCost:
         assert new_sent > 10_000
         for name, n in calls.items():
             assert n <= new_sent + 10, (name, n, new_sent)
+
+    def test_calls_per_delivered_segment_within_budget(self):
+        # Every Python-level call, built-ins included, that a ROCCET run
+        # makes, per segment delivered. With the per-ACK steps folded into
+        # straight-line code a 6 s bw-halving run makes 21.4; the ceiling
+        # leaves about 10% for change. Calling the scalar steps per ACK
+        # again (31.0) goes over it.
+        spec = builtin_scenario("bw-halving", seed=1, horizon_s=6.0)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" or event == "c_call":
+                calls += 1
+
+        sys.setprofile(count)
+        try:
+            traces = run(spec)
+        finally:
+            sys.setprofile(None)
+        delivered = sum(audit["received"] for audit in traces.audit.values())
+        assert delivered > 20_000
+        assert calls / delivered < 23.5, (calls, delivered)
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_collector_as_found(self, enabled):
