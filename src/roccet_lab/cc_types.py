@@ -81,10 +81,11 @@ class CcState:
 class AckInfo:
     """Everything a controller learns from one cumulative ACK.
 
-    `rtt_sample_us` is None when the sample had to be discarded (the acked
-    segment was retransmitted). `is_app_limited` means the sender could not
-    fill the current window because the application supplied too little
-    data.
+    `rtt_sample_us` is always present: the receiver echoes each segment's
+    send timestamp, so an ACK for a retransmitted copy dates that copy and
+    no sample has to be discarded. `is_app_limited` means the sender could
+    not fill the current window because the application supplied too
+    little data.
 
     Read-only by convention but not frozen: each sender keeps one and
     refills it for every ACK, which costs less than building a record per
@@ -92,6 +93,6 @@ class AckInfo:
     """
 
     newly_acked: int
-    rtt_sample_us: int | None
+    rtt_sample_us: int
     now_us: int
     is_app_limited: bool = False

@@ -143,23 +143,19 @@ class ProbeRateController:
         self.mss_bytes = mss_bytes
         self.state = CcState(algo_tag="probe_rate")
         self.model = probe_rate.ProbeRateState()
-        self._pacing: float | None = None
+        self.pacing_rate_bps: float | None = None
         self.ce_events: list[tuple[int, str]] = []
 
     @property
     def cwnd(self) -> float:
         return self.state.cwnd
 
-    @property
-    def pacing_rate_bps(self) -> float | None:
-        return self._pacing
-
     def on_ack(
         self, ack: AckInfo, in_flight: float, round_start: bool, in_recovery: bool = False
     ) -> None:
         if in_recovery:
             return
-        self.state, self.model, self._pacing = probe_rate.probe_rate_on_ack(
+        self.state, self.model, self.pacing_rate_bps = probe_rate.probe_rate_on_ack(
             self.state, self.model, ack, self.params, in_flight, round_start,
             self.mss_bytes,
         )
@@ -223,45 +219,42 @@ class RoccetController(_InPlaceCubic):
         params = self.params
         sample = ack.rtt_sample_us
 
+        # roccet.rtt_min_step
         rtt_min = self.rtt_min_us
-        if sample is not None:
-            # roccet.rtt_min_step
-            if rtt_min is None or sample < rtt_min:
-                self.rtt_min_us = rtt_min = sample
-                self.rtt_min_updated_at_us = now
-            elif (
-                params.rtt_min_refresh
-                and now - self.rtt_min_updated_at_us > params.rtt_min_refresh_age_us
-            ):
-                a = params.rtt_min_refresh_alpha
-                self.rtt_min_us = rtt_min = round(a * sample + (1.0 - a) * rtt_min)
-                self.rtt_min_updated_at_us = now
-            srtt = self._srtt_us
-            if srtt is None:
-                srtt = float(sample)
-            else:
-                srtt += EWMA_SRTT_WEIGHT * (sample - srtt)
-            self._srtt_us = srtt
-            # roccet.srrtt_step
-            x = (round(srtt) - rtt_min) / rtt_min
-            if x < 0.0:
-                x = 0.0
-            alpha = params.alpha
-            self.srrtt = alpha * x + (1.0 - alpha) * self.srrtt
+        if rtt_min is None or sample < rtt_min:
+            self.rtt_min_us = rtt_min = sample
+            self.rtt_min_updated_at_us = now
+        elif (
+            params.rtt_min_refresh
+            and now - self.rtt_min_updated_at_us > params.rtt_min_refresh_age_us
+        ):
+            a = params.rtt_min_refresh_alpha
+            self.rtt_min_us = rtt_min = round(a * sample + (1.0 - a) * rtt_min)
+            self.rtt_min_updated_at_us = now
+        srtt = self._srtt_us
+        if srtt is None:
+            srtt = float(sample)
+        else:
+            srtt += EWMA_SRTT_WEIGHT * (sample - srtt)
+        self._srtt_us = srtt
+        # roccet.srrtt_step
+        x = (round(srtt) - rtt_min) / rtt_min
+        if x < 0.0:
+            x = 0.0
+        alpha = params.alpha
+        self.srrtt = alpha * x + (1.0 - alpha) * self.srrtt
 
-        if rtt_min is not None:
-            if self.interval_start_us is None:
-                self._reset_interval(now)
-            # roccet.interval_step. Each boundary re-anchors on the ACK
-            # that crossed it: windows are self-timed per flow, drifting
-            # with ACK quantization the way an ACK-clocked kernel timer
-            # would.
-            next_tick = self._next_tick_us
-            if next_tick is not None and now >= next_tick:
-                self._next_tick_us = now + rtt_min
-                self.cum_cwnd_in_interval += self.cwnd
-                self.rtts_elapsed_in_interval += 1
-            self.acks_in_interval += ack.newly_acked
+        if self.interval_start_us is None:
+            self._reset_interval(now)
+        # roccet.interval_step. Each boundary re-anchors on the ACK that
+        # crossed it: windows are self-timed per flow, drifting with ACK
+        # quantization the way an ACK-clocked kernel timer would.
+        next_tick = self._next_tick_us
+        if next_tick is not None and now >= next_tick:
+            self._next_tick_us = now + rtt_min
+            self.cum_cwnd_in_interval += self.cwnd
+            self.rtts_elapsed_in_interval += 1
+        self.acks_in_interval += ack.newly_acked
 
         if in_recovery:
             return

@@ -87,16 +87,14 @@ def probe_rate_on_ack(
     `mss_bytes` is the link's segment size.
     """
     now = ack.now_us
+    sample = ack.rtt_sample_us
 
-    if ack.rtt_sample_us is not None:
-        if state.min_rtt_us is None or ack.rtt_sample_us < state.min_rtt_us:
-            state = replace(
-                state, min_rtt_us=ack.rtt_sample_us, min_rtt_stamp_us=now
-            )
-        if state.mode == PROBE_RTT:
-            best = state.probe_rtt_best_us
-            if best is None or ack.rtt_sample_us < best:
-                state = replace(state, probe_rtt_best_us=ack.rtt_sample_us)
+    if state.min_rtt_us is None or sample < state.min_rtt_us:
+        state = replace(state, min_rtt_us=sample, min_rtt_stamp_us=now)
+    if state.mode == PROBE_RTT:
+        best = state.probe_rtt_best_us
+        if best is None or sample < best:
+            state = replace(state, probe_rtt_best_us=sample)
 
     state = replace(state, round_acked=state.round_acked + ack.newly_acked)
     if round_start:

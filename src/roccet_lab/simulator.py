@@ -11,6 +11,12 @@ segment.
 The clock is integer microseconds. All event ties break on a monotonically
 increasing sequence number, so two runs of the same scenario and seed
 produce identical event orders and byte-identical traces.
+
+Of a segment's three events, two ride FIFO lanes beside the event heap
+(see `EventLoop`): its delivery to the receiver, because the bottleneck
+makes delivery times strictly increasing, and its ACK, because every
+receiver acknowledges after the same fixed delay. Service completions,
+timers, wake-ups, rate changes and samples stay on the heap.
 """
 
 from __future__ import annotations
@@ -48,21 +54,35 @@ _NEVER = math.inf  # an instant that never comes
 class EventLoop:
     """Time-ordered callback queue with deterministic tie-breaking.
 
-    `reserve_seq()` claims the next tie-break number (1, 2, ...) without
-    queueing anything; `schedule` draws one for each event it queues.
-    Passing a reserved number to `schedule_reserved` later orders that
-    event exactly as if it had been scheduled at the moment of reservation.
-    The per-segment callers push `(at_us, reserve_seq(), fn, arg)` onto
-    `heap` themselves, which is all `schedule` does.
+    Every event is an `(at_us, seq, fn, arg)` tuple, and events run in
+    `(at_us, seq)` order. `reserve_seq()` claims the next tie-break number
+    (1, 2, ...) without queueing anything; `schedule` draws one for each
+    event it queues. Passing a reserved number to `schedule_reserved` later
+    orders that event exactly as if it had been scheduled at the moment of
+    reservation.
+
+    Deliveries (link to receivers) and ACKs (receivers to senders) are
+    made in time order, so they wait in two FIFO lanes, `deliveries` and
+    `acks`; every other event goes on `heap`, whose never-due sentinel
+    keeps it from running empty. `run_until` runs the smallest of the
+    three heads, the event one heap of them all would pop, as long as each
+    lane stays sorted: `delivery_lane` and `ack_lane` say why they do.
     """
 
-    __slots__ = ("now_us", "heap", "reserve_seq", "processed")
+    __slots__ = (
+        "now_us", "heap", "deliveries", "acks", "reserve_seq", "processed",
+        "_delivery_lane_taken", "_ack_delay_us",
+    )
 
     def __init__(self) -> None:
         self.now_us = 0
-        self.heap: list[tuple[int, int, Callable, object]] = []
+        self.heap: list[tuple] = [(_NEVER, _NEVER, None, None)]
+        self.deliveries: deque[tuple[int, int, Callable, object]] = deque()
+        self.acks: deque[tuple[int, int, Callable, object]] = deque()
         self.reserve_seq: Callable[[], int] = itertools.count(1).__next__
         self.processed = 0
+        self._delivery_lane_taken = False
+        self._ack_delay_us: int | None = None
 
     def schedule(self, at_us: int, fn: Callable, arg: object = None) -> None:
         _heappush(self.heap, (at_us, self.reserve_seq(), fn, arg))
@@ -70,9 +90,37 @@ class EventLoop:
     def schedule_reserved(self, at_us: int, seq: int, fn: Callable, arg: object = None) -> None:
         _heappush(self.heap, (at_us, seq, fn, arg))
 
+    def delivery_lane(self) -> deque:
+        """The delivery lane, for the one bottleneck that feeds it, which
+        makes its delivery times strictly increasing; two links' need not
+        interleave in order, so a second is refused."""
+        if self._delivery_lane_taken:
+            raise SimulationError("this loop's delivery lane already has a link")
+        self._delivery_lane_taken = True
+        return self.deliveries
+
+    def ack_lane(self, delay_us: int) -> deque:
+        """The ACK lane, for a receiver that queues each ACK `delay_us`
+        after the instant it is made. The clock never goes back, so ACKs
+        made with one fixed delay come due in the order they are appended;
+        a second delay could put a later ACK before an earlier one, so it
+        is refused."""
+        if self._ack_delay_us is None:
+            self._ack_delay_us = delay_us
+        elif delay_us != self._ack_delay_us:
+            raise SimulationError(
+                f"ACK delay {delay_us} us differs from this loop's {self._ack_delay_us} us"
+            )
+        return self.acks
+
     def pending(self, fn: Callable) -> list:
         """Arguments of the queued events that will call `fn`."""
-        return [arg for _, _, queued, arg in self.heap if queued == fn]
+        return [
+            arg
+            for queue in (self.heap, self.deliveries, self.acks)
+            for _, _, queued, arg in queue
+            if queued == fn
+        ]
 
     def run_until(self, end_us: int) -> None:
         """Dispatch every event due by `end_us`, then set the clock to it.
@@ -85,12 +133,28 @@ class EventLoop:
         """
         heap = self.heap
         pop = heapq.heappop
+        deliveries = self.deliveries
+        acks = self.acks
         processed = 0
         collecting = gc.isenabled()
         gc.disable()
         try:
-            while heap and heap[0][0] <= end_us:
-                at, _, fn, arg = pop(heap)
+            while True:
+                event = heap[0]
+                lane = None
+                if deliveries and deliveries[0] < event:
+                    event = deliveries[0]
+                    lane = deliveries
+                if acks and acks[0] < event:
+                    event = acks[0]
+                    lane = acks
+                at, _, fn, arg = event
+                if at > end_us:
+                    break
+                if lane is None:
+                    pop(heap)
+                else:
+                    lane.popleft()
                 self.now_us = at
                 processed += 1
                 fn(arg)
@@ -260,6 +324,7 @@ class Bottleneck:
         self._last_delivery_us = 0
         self._service_us = self._service_time_us()
         self._heap = loop.heap
+        self._deliver = loop.delivery_lane().append
         self._next_seq = loop.reserve_seq
         # submit asks the injector only from this instant on; _service_done
         # only when it jitters.
@@ -288,32 +353,30 @@ class Bottleneck:
             if dropped:
                 self._record_drop(pkt, "injected")
                 return False
-        if self.debug_log is not None:
-            self._debug_enq[id(pkt)] = (now, -1)
-        if self.in_service is None:
-            self._start_service(pkt)
-        elif self.queue.enqueue() is EnqueueResult.DROPPED:
-            self._record_drop(pkt, "queue_full")
-            self._debug_enq.pop(id(pkt), None)
-            return False
-        else:
+        if self.in_service is None:  # an idle link serves it at once
+            if self.debug_log is not None:
+                self._debug_enq[id(pkt)] = (now, now)
+            self.in_service = pkt
+            _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
+            return True
+        queue = self.queue
+        if queue.occupancy < queue.capacity:  # QueueState.enqueue, inline
+            queue.occupancy += 1
             self._fifo.append(pkt)
-        return True
-
-    def _start_service(self, pkt: Packet) -> None:
-        now = self.loop.now_us
-        if self.debug_log is not None:
-            enq, _ = self._debug_enq[id(pkt)]
-            self._debug_enq[id(pkt)] = (enq, now)
-        self.in_service = pkt
-        _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
+            if self.debug_log is not None:
+                self._debug_enq[id(pkt)] = (now, -1)
+            return True
+        queue.drops += 1
+        self._record_drop(pkt, "queue_full")
+        return False
 
     def _service_done(self, pkt: Packet) -> None:
         now = self.loop.now_us
         deliver_at = now + self.prop_delay_us
         if self._jitters:
             deliver_at += self.injector.extra_delay_us(now)
-        # Jitter wobbles latency but never reorders the link's FIFO.
+        # Jitter wobbles latency but never reorders the link's FIFO, and
+        # the delivery lane stays sorted.
         if deliver_at <= self._last_delivery_us:
             deliver_at = self._last_delivery_us + 1
         self._last_delivery_us = deliver_at
@@ -322,19 +385,18 @@ class Bottleneck:
             self.debug_log.append(
                 (pkt.flow_id, pkt.seq, enq, svc_start, now, deliver_at, pkt.is_retransmit)
             )
-        heap = self._heap
-        _heappush(heap, (deliver_at, self._next_seq(), self.deliver_cb[pkt[0]], pkt))
+        self._deliver((deliver_at, self._next_seq(), self.deliver_cb[pkt[0]], pkt))
         if not self._fifo:
             self.in_service = None
             return
-        # _start_service for the next queued packet, inline: on a busy link
-        # this is where nearly every service starts.
+        # Start serving the next queued packet: on a busy link this is where
+        # nearly every service starts.
         self.queue.occupancy -= 1
         pkt = self.in_service = self._fifo.popleft()
         if self.debug_log is not None:
             enq, _ = self._debug_enq[id(pkt)]
             self._debug_enq[id(pkt)] = (enq, now)
-        _heappush(heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
+        _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
 
     @property
     def occupancy(self) -> int:
@@ -364,10 +426,12 @@ class AppSource:
     """Data availability model: greedy (unlimited) or rate-limited.
 
     For rate-limited sources availability is computed analytically from
-    elapsed time, and `next_avail_us` tells the sender when to wake once it
-    runs dry. `availability` also says how long the count stays true, so
-    the sender asks again only when the answer can differ. All of it is exact
-    integer arithmetic: rates are whole bits per second.
+    elapsed time. The sender asks only `availability`, which also says how
+    long the count stays true, so the sender asks again only when the
+    answer can differ, and wakes then once it runs dry;
+    `available_segments` and `next_avail_us` give the two halves of that
+    answer on their own. All of it is exact integer arithmetic: rates are
+    whole bits per second.
     """
 
     def __init__(
@@ -383,6 +447,7 @@ class AppSource:
         self.start_us = start_us
         self.duration_us = duration_us
         self.mss = mss_bytes
+        self._seg_bit_us = 8 * mss_bytes * 1_000_000  # one segment, in bit-microseconds
 
     def available_segments(self, now_us: int) -> int | None:
         """Segments the application has produced by `now_us`; None = unbounded."""
@@ -409,15 +474,28 @@ class AppSource:
 
     def availability(self, now_us: int) -> tuple[int | None, int | float]:
         """`available_segments(now_us)`, and the first instant after
-        `now_us` at which that answer changes (infinite if it never does).
-        A rate-limited count grows by one at that instant; a greedy source
-        with an end turns from None to 0 when it ends."""
-        count = self.available_segments(now_us)
+        `now_us` at which that answer changes (infinite if it never does):
+        `next_avail_us(count + 1)` for a rate-limited count, which grows by
+        one there, and the end of a greedy source with one, which turns
+        from None to 0 there. The sender asks only this, so it works both
+        out itself."""
+        start = self.start_us
+        duration = self.duration_us
         if self.kind == "greedy":
-            end = _NEVER if self.duration_us is None else self.start_us + self.duration_us
-            return count, end if now_us < end else _NEVER
-        nxt = self.next_avail_us(count + 1)
-        return count, _NEVER if nxt is None else nxt
+            if duration is None:
+                return None, _NEVER
+            end = start + duration
+            return (None, end) if now_us < end else (0, _NEVER)
+        unit = self._seg_bit_us
+        rate = self.rate_bps
+        elapsed = now_us - start
+        if duration is not None and elapsed > duration:
+            elapsed = duration
+        count = (rate * elapsed) // unit if elapsed > 0 else 0
+        nxt = start - (-(count + 1) * unit // rate)  # ceiling division
+        if duration is not None and nxt > start + duration:
+            return count, _NEVER
+        return count, nxt
 
 
 class Receiver:
@@ -434,7 +512,7 @@ class Receiver:
         self.ooo: set[int] = set()
         self.rx_count = 0
         self.ack_sink: Callable[[int], None] | None = None
-        self._heap = loop.heap
+        self._queue_ack = loop.ack_lane(ack_delay_us).append
         self._next_seq = loop.reserve_seq
 
     @property
@@ -462,14 +540,13 @@ class Receiver:
         # information a one-ACK-per-segment receiver has) and echoes its
         # send timestamp, so RTT samples survive retransmissions the way
         # they do with TCP timestamps.
-        _heappush(
-            self._heap,
+        self._queue_ack(
             (
                 self.loop.now_us + self.ack_delay_us,
                 self._next_seq(),
                 self.ack_sink,
                 (rcv_nxt, seq, sent_at_us),
-            ),
+            )
         )
 
 
@@ -531,7 +608,7 @@ class Sender:
         self._pending_wake: int | None = None
         self._avail: int | None = None
         self._avail_until: int | float = 0  # ask the source at the first look
-        self._ack = AckInfo(0, None, 0)
+        self._ack = AckInfo(0, 0, 0)
 
         self.retransmits = 0
         self.started = False
@@ -541,21 +618,6 @@ class Sender:
     @property
     def in_flight(self) -> int:
         return self.snd_nxt - self.snd_una
-
-    # -- wakeups ---------------------------------------------------------
-
-    def _schedule_wake(self, at_us: int) -> None:
-        if self._pending_wake is not None and self._pending_wake <= at_us:
-            return
-        self._pending_wake = at_us
-        loop = self.loop
-        _heappush(loop.heap, (at_us, loop.reserve_seq(), self._wake_cb, at_us))
-
-    def _wake_cb(self, at_us: int) -> None:
-        if self._pending_wake != at_us:
-            return
-        self._pending_wake = None
-        self.try_send()
 
     # -- RTO -------------------------------------------------------------
 
@@ -636,7 +698,19 @@ class Sender:
         self.retransmits += 1
         self._send_segment(seq, retransmit=True)
 
-    def try_send(self) -> None:
+    def try_send(self, woken_for: int | None = None) -> None:
+        """Send what the window, the source and the pacing allow now.
+
+        When that is cut short by the source or the pacing, a wake-up is
+        queued for the instant more can go: an event that calls this with
+        `woken_for` set to that instant. Only the earliest wake-up is kept
+        (`_pending_wake`); a wake-up that finds a different one pending is
+        stale and does nothing.
+        """
+        if woken_for is not None:
+            if woken_for != self._pending_wake:
+                return
+            self._pending_wake = None
         if not self.started:
             return
         now = self.loop.now_us
@@ -644,18 +718,16 @@ class Sender:
             self._avail, self._avail_until = self.source.availability(now)
         avail = self._avail
         seq = self.snd_nxt
-        wake = None
         if avail is not None and seq >= avail:
-            # Dry: all this call could do is queue the wake for the next
-            # segment, which the window decides below. With a wake queued
-            # at or before that instant there is nothing to do at all.
-            if seq == avail:
-                wake = self._avail_until  # segment seq exists from then on
-            else:  # past what the source ever has: a greedy source that ended
-                nxt = self.source.next_avail_us(seq + 1)
-                wake = _NEVER if nxt is None else nxt
+            # Dry: all this call could do is queue the wake for segment
+            # seq, which comes at `_avail_until`: a rate-limited count
+            # rises one by one, so seq == avail, and a source that has
+            # ended never changes again (`_avail_until` infinite). With a
+            # wake queued at or before that instant there is nothing to do.
             pending = self._pending_wake
-            if wake == _NEVER or (pending is not None and pending <= wake):
+            if self._avail_until == _NEVER or (
+                pending is not None and pending <= self._avail_until
+            ):
                 return
         ctl = self.ctl
         pacing = ctl.pacing_rate_bps
@@ -673,15 +745,14 @@ class Sender:
         limit = self.snd_una + window
         while seq < limit:
             if avail is not None and seq >= avail:
-                if wake is None:
-                    wake = self._avail_until  # seq == avail: it rose one by one
-                if wake != _NEVER:
-                    self._schedule_wake(wake)
-                return
+                wake = self._avail_until
+                if wake == _NEVER:
+                    return
+                break
             if pacing is not None and pacing > 0:
                 if now < self._pace_next_us:
-                    self._schedule_wake(self._pace_next_us)
-                    return
+                    wake = self._pace_next_us
+                    break
                 interval = max(1, round(self.mss * 8_000_000 / pacing))
                 self._pace_next_us = max(self._pace_next_us, now) + interval
             self.snd_nxt = seq + 1
@@ -690,6 +761,13 @@ class Sender:
                 self._arm_rto()
             self.bottleneck.submit(_new_tuple(Packet, (self.flow_id, seq, now, False)))
             seq += 1
+        else:
+            return  # the window is full: the next ACK sends more
+        pending = self._pending_wake
+        if pending is None or pending > wake:
+            self._pending_wake = wake
+            loop = self.loop
+            _heappush(loop.heap, (wake, loop.reserve_seq(), self.try_send, wake))
 
     # -- receive path ------------------------------------------------------
 

@@ -75,20 +75,18 @@ class ReferenceRoccet(ReferenceCubic):
 
     def on_ack(self, ack, in_flight, round_start, in_recovery):
         now, params, sample = ack.now_us, self.params, ack.rtt_sample_us
-        if sample is not None:
-            self.roc = update_rtt_min(self.roc, sample, now, params)
-            if self.srtt is None:
-                self.srtt = float(sample)
-            else:
-                self.srtt = self.srtt + SRTT_WEIGHT * (sample - self.srtt)
-            self.roc = update_srrtt(self.roc, round(self.srtt), params)
-        if self.roc.rtt_min_us is not None:
-            if self.roc.interval_start_us is None:
-                self._reset(now)
-            boundary = self.next_tick is not None and now >= self.next_tick
-            if boundary:
-                self.next_tick = now + self.roc.rtt_min_us
-            self.roc = accumulate_interval(self.roc, ack.newly_acked, self.cc.cwnd, boundary)
+        self.roc = update_rtt_min(self.roc, sample, now, params)
+        if self.srtt is None:
+            self.srtt = float(sample)
+        else:
+            self.srtt = self.srtt + SRTT_WEIGHT * (sample - self.srtt)
+        self.roc = update_srrtt(self.roc, round(self.srtt), params)
+        if self.roc.interval_start_us is None:
+            self._reset(now)
+        boundary = self.next_tick is not None and now >= self.next_tick
+        if boundary:
+            self.next_tick = now + self.roc.rtt_min_us
+        self.roc = accumulate_interval(self.roc, ack.newly_acked, self.cc.cwnd, boundary)
         if in_recovery:
             return
         if self.cc.phase is Phase.SLOW_START:
