@@ -733,4 +733,5 @@ def run_sweep(
                 flows=flow_metrics(traces),
             )
         )
+        del traces  # so the next cell runs without this one's samples
     return results

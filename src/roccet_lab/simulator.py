@@ -28,7 +28,6 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .cc_types import AckInfo
@@ -211,11 +210,6 @@ class Packet(NamedTuple):
     is_retransmit: bool
 
 
-class EnqueueResult(Enum):
-    ACCEPTED = "accepted"
-    DROPPED = "dropped"
-
-
 @dataclass(slots=True)
 class QueueState:
     """Droptail FIFO occupancy accounting."""
@@ -223,13 +217,6 @@ class QueueState:
     capacity: int
     occupancy: int = 0
     drops: int = 0
-
-    def enqueue(self) -> EnqueueResult:
-        if self.occupancy < self.capacity:
-            self.occupancy += 1
-            return EnqueueResult.ACCEPTED
-        self.drops += 1
-        return EnqueueResult.DROPPED
 
 
 class LossInjector:
@@ -360,7 +347,7 @@ class Bottleneck:
             _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
             return True
         queue = self.queue
-        if queue.occupancy < queue.capacity:  # QueueState.enqueue, inline
+        if queue.occupancy < queue.capacity:  # droptail: a full queue drops
             queue.occupancy += 1
             self._fifo.append(pkt)
             if self.debug_log is not None:
@@ -925,6 +912,8 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     scenario construction. The conservation identity (transmissions equal
     receptions plus drops plus packets still in the network) is audited per
     flow at the end of the run and a violation raises SimulationError.
+    Either way the run breaks its own reference cycles first, so reference
+    counting frees it once the caller drops the traces.
 
     The audit's `window_violations` is always 0: `try_send` stops at the
     window before each send, so no in-loop count could ever see one (the
@@ -1021,43 +1010,58 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
             loop.schedule(nxt, sampler, nxt)
 
     loop.schedule(0, sampler, 0)
-    loop.run_until(scenario.horizon_us)
-    if scenario.horizon_us % scenario.sample_us != 0:
-        record_samples(scenario.horizon_us)
+    try:
+        loop.run_until(scenario.horizon_us)
+        if scenario.horizon_us % scenario.sample_us != 0:
+            record_samples(scenario.horizon_us)
 
-    audit: dict[str, dict[str, int]] = {}
-    for f in scenario.flows:
-        fid = f.flow_id
-        sender = senders[fid]
-        receiver = receivers[fid]
-        in_net = bottleneck.in_network_total(fid)
-        drops = bottleneck.drops_by_flow.get(fid, 0)
-        sent = sender.snd_nxt + sender.retransmits
-        entry = {
-            "segments_sent": sent,
-            "new_sent": sender.snd_nxt,
-            "retransmits": sender.retransmits,
-            "received": receiver.rx_count,
-            "dropped": drops,
-            "in_network_end": in_net,
-            "delivered_bytes": receiver.delivered_bytes,
-            "window_violations": 0,
-            "conserved": sent == receiver.rx_count + drops + in_net,
-        }
-        audit[fid] = entry
-        if not entry["conserved"]:
-            raise SimulationError(
-                f"conservation violated for flow {fid}: {entry}"
-            )
-        traces.flows[fid].ce_log = list(sender.ctl.ce_events)
-        traces.flows[fid].counters = {
-            k: v for k, v in entry.items() if k != "conserved"
-        }
-        launch_exits = getattr(sender.ctl, "launch_exits", None)
-        if launch_exits:
-            traces.flows[fid].extra["launch_exits"] = [
-                [t / 1000, before, after] for t, before, after in launch_exits
-            ]
+        audit: dict[str, dict[str, int]] = {}
+        for f in scenario.flows:
+            fid = f.flow_id
+            sender = senders[fid]
+            receiver = receivers[fid]
+            in_net = bottleneck.in_network_total(fid)
+            drops = bottleneck.drops_by_flow.get(fid, 0)
+            sent = sender.snd_nxt + sender.retransmits
+            entry = {
+                "segments_sent": sent,
+                "new_sent": sender.snd_nxt,
+                "retransmits": sender.retransmits,
+                "received": receiver.rx_count,
+                "dropped": drops,
+                "in_network_end": in_net,
+                "delivered_bytes": receiver.delivered_bytes,
+                "window_violations": 0,
+                "conserved": sent == receiver.rx_count + drops + in_net,
+            }
+            audit[fid] = entry
+            if not entry["conserved"]:
+                raise SimulationError(
+                    f"conservation violated for flow {fid}: {entry}"
+                )
+            traces.flows[fid].ce_log = list(sender.ctl.ce_events)
+            traces.flows[fid].counters = {
+                k: v for k, v in entry.items() if k != "conserved"
+            }
+            launch_exits = getattr(sender.ctl, "launch_exits", None)
+            if launch_exits:
+                traces.flows[fid].extra["launch_exits"] = [
+                    [t / 1000, before, after] for t, before, after in launch_exits
+                ]
+    finally:
+        # Break the run's three reference cycles, so that reference
+        # counting frees it once the caller drops the traces (the collector
+        # is paused in run_until): queued events hold the components, which
+        # hold the loop; the delivery callbacks lead to the receivers, their
+        # senders and back to the link; the sampler holds itself through its
+        # cell. The audit above reads the queues and the callbacks first.
+        # The heap and lanes are cleared in place: the link and the
+        # receivers hold their appends.
+        loop.heap.clear()
+        loop.deliveries.clear()
+        loop.acks.clear()
+        bottleneck.deliver_cb.clear()
+        del sampler
 
     traces.audit = audit
     traces.drops = list(bottleneck.drop_log)

@@ -40,6 +40,9 @@ class _HeapLane:
     def __iter__(self):
         return iter(())
 
+    def clear(self):
+        pass  # its events are on the heap, which the run's teardown clears
+
 
 class HeapOnlyLoop(EventLoop):
     instances: list = []
@@ -132,11 +135,11 @@ def test_lanes_keep_the_heap_only_order(spec):
     _assert_same_order(spec)
 
 
-def test_fixed_scenario_reaches_every_kind_of_event(monkeypatch):
-    # Every kind of event, in one scenario that both loops must run alike:
-    # service completions, deliveries, ACKs, timeouts, wake-ups for the
-    # source and for pacing, rate changes, starts and handshakes.
-    spec = ScenarioSpec(
+def every_event_scenario():
+    """Every kind of event in one scenario: service completions,
+    deliveries, ACKs, timeouts, wake-ups for the source and for pacing,
+    rate changes, starts and handshakes."""
+    return ScenarioSpec(
         link=_mk_link(10.0, 30.0, [(0.7, 4.0), (1.4, 12.0)]),
         buffer_bdp=0.5,
         flows=(
@@ -154,6 +157,11 @@ def test_fixed_scenario_reaches_every_kind_of_event(monkeypatch):
         debug=True,
         name="every-event",
     )
+
+
+def test_fixed_scenario_reaches_every_kind_of_event(monkeypatch):
+    # One scenario with every kind of event, which both loops must run alike.
+    spec = every_event_scenario()
     counts = {}
 
     def counting(cls, name, key=None):

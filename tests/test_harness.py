@@ -147,7 +147,9 @@ class TestSweep:
 
     def test_finished_cells_keep_no_samples(self):
         # A finished cell keeps per-flow totals only, so what a sweep holds
-        # once it returns does not grow with the traces its cells made.
+        # once it returns does not grow with the traces its cells made. Its
+        # traces are dropped before the next cell runs, so the sweep's peak
+        # is about one cell's traces, not two.
         n_samples = 5_000
         spec = SweepSpec(
             scenario="fairness-10x40", axes={"buffer_bdp": [1, 2, 4, 8, 16]}, repetitions=2
@@ -159,14 +161,17 @@ class TestSweep:
             one_cell = _fake_traces(n_samples)
             one_cell_bytes = tracemalloc.get_traced_memory()[0] - before
             del one_cell
+            tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             results = run_sweep(spec, runner=lambda scenario: _fake_traces(n_samples))
+            peak = tracemalloc.get_traced_memory()[1] - before
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert len(results) == 10
         assert retained < one_cell_bytes / 10
+        assert peak < 1.5 * one_cell_bytes, (peak, one_cell_bytes)
 
     def test_cap_enforced(self):
         spec = SweepSpec(

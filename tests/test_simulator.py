@@ -5,12 +5,13 @@ from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_event_lanes import every_event_scenario, scenarios
 
 from roccet_lab.cc_types import CubicParams
 from roccet_lab.controllers import CubicController
-from roccet_lab.errors import ScenarioError
+from roccet_lab.errors import ScenarioError, SimulationError
 from roccet_lab.harness import (
     FlowSpec,
     LossSpec,
@@ -22,9 +23,8 @@ from roccet_lab.harness import (
 from roccet_lab.simulator import (
     AppSource,
     Bottleneck,
-    EnqueueResult,
     EventLoop,
-    QueueState,
+    Packet,
     Sender,
     run,
 )
@@ -54,22 +54,50 @@ def _single_flow(algo="cubic", rate_mbps=10.0, rtt_ms=40.0, buffer_bdp=1.0,
 
 
 class TestQueueOp:
+    """The droptail rule as `Bottleneck.submit` runs it, on a new link
+    whose clock stands still: the first segment goes into service, the
+    next `capacity` wait in the queue, and every later one is dropped."""
+
+    @staticmethod
+    def _link(capacity):
+        return Bottleneck(
+            EventLoop(), capacity_segs=capacity, rate_bps=10_000_000,
+            prop_delay_us=1_000, injector=None,
+        )
+
+    @staticmethod
+    def _pkt(seq, flow_id="f"):
+        return Packet(flow_id, seq, 0, False)
+
     def test_full_queue_drops(self):
-        q = QueueState(capacity=3, occupancy=3)
-        assert q.enqueue() is EnqueueResult.DROPPED
-        assert q.drops == 1
+        link = self._link(3)
+        assert all(link.submit(self._pkt(seq)) for seq in range(4))
+        assert link.queue.occupancy == 3
+        assert link.submit(self._pkt(4)) is False
+        assert link.queue.occupancy == 3
+        assert link.queue.drops == 1
+        assert link.drops_by_flow == {"f": 1}
+        assert link.drop_log == [(0, "f", "queue_full")]
 
     def test_empty_queue_accepts(self):
-        q = QueueState(capacity=3)
-        assert q.enqueue() is EnqueueResult.ACCEPTED
-        assert q.occupancy == 1
+        link = self._link(3)
+        assert link.submit(self._pkt(0))  # into service
+        assert link.queue.occupancy == 0
+        assert link.submit(self._pkt(1))
+        assert link.queue.occupancy == 1
+        assert link.queue.drops == 0
+        assert link.drops_by_flow == {} and link.drop_log == []
 
     def test_burst_overflow_drops_exactly_k(self):
         capacity, k = 25, 7
-        q = QueueState(capacity=capacity)
-        results = [q.enqueue() for _ in range(capacity + k)]
-        assert results.count(EnqueueResult.DROPPED) == k
-        assert q.occupancy == capacity
+        link = self._link(capacity)
+        assert link.submit(self._pkt(0, "g"))  # the server takes the first
+        accepted = [link.submit(self._pkt(seq)) for seq in range(capacity + k)]
+        assert accepted == [True] * capacity + [False] * k
+        assert link.queue.occupancy == capacity
+        assert link.queue.drops == k
+        assert link.drops_by_flow == {"f": k}
+        assert link.drop_log == [(0, "f", "queue_full")] * k
 
 
 class TestRun:
@@ -445,23 +473,39 @@ class TestPerSegmentCost:
         finally:
             set_collector(was)
 
-    def test_events_leave_no_cyclic_garbage(self):
-        # The collector is paused while events run. That is safe only if
-        # events allocate nothing that needs it: what gc frees after a run
-        # (the run's own objects and the events still queued at the
-        # horizon) must not grow with the number of events dispatched.
-        def garbage_after(horizon_s):
-            gc.collect()
-            traces = run(builtin_scenario("steady", seed=1, horizon_s=horizon_s))
-            freed = gc.collect()
-            assert traces.events_processed > 0
-            return freed, traces.events_processed
+    @settings(max_examples=25, deadline=None)
+    @example(spec=every_event_scenario())
+    @given(spec=scenarios())
+    def test_events_leave_no_cyclic_garbage(self, spec):
+        # The collector is paused while events run, and a sweep runs cell
+        # after cell, so a finished run must free itself by reference
+        # counting alone: once its traces are dropped, the collector finds
+        # nothing. The drawn scenarios mix every controller, loss windows
+        # with drops and jitter, app-limited and finite sources, rate
+        # changes and the debug packet log.
+        gc.collect()
+        traces = run(spec)
+        assert traces.events_processed > 0
+        del traces
+        assert gc.collect() == 0
 
-        garbage_after(1.0)
-        short, short_events = garbage_after(2.0)
-        long, long_events = garbage_after(4.0)
-        assert long_events > 1.8 * short_events
-        assert long <= short
+    def test_failed_audit_still_tears_the_run_down(self, monkeypatch):
+        # The teardown runs on the audit's error path too: the queued
+        # events and the link's delivery callbacks are let go.
+        links = []
+        in_network_total = Bottleneck.in_network_total
+
+        def miscounted(self, flow_id):
+            links.append(self)
+            return in_network_total(self, flow_id) + 1
+
+        monkeypatch.setattr(Bottleneck, "in_network_total", miscounted)
+        with pytest.raises(SimulationError, match="conservation violated"):
+            run(builtin_scenario("steady", seed=1, horizon_s=1.0))
+        link = links[0]
+        assert link.loop.processed > 0
+        assert link.loop.heap == [] and not link.loop.deliveries and not link.loop.acks
+        assert link.deliver_cb == {}
 
 
 class TestAppSourceAvailability:
