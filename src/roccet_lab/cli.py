@@ -25,13 +25,14 @@ from .errors import (
     TraceFormatError,
 )
 from .harness import (
-    BUILTIN_DOCS,
+    BUILTINS,
+    SECTIONS,
     ScenarioSpec,
-    SweepSpec,
     builtin_scenario,
     load_scenario,
     run_sweep,
     scenario_from_dict,
+    sweep_from_dict,
 )
 from .metrics import bandwidth_share, flow_metrics, summarize
 from .simulator import run as run_scenario
@@ -91,7 +92,7 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
         path, raw = item.split("=", 1)
         keys = path.split(".")
         value = _parse_override_value(raw)
-        if keys[0] in ("cubic", "roccet", "probe_rate") and keys[0] not in config:
+        if keys[0] in SECTIONS and keys[0] not in config:
             for flow in config.get("flows", []):
                 _set_path(flow, keys, value, path)
         else:
@@ -182,8 +183,6 @@ def _parse_axis(items: list[str]) -> dict[str, list]:
             raise ScenarioError(f"axis {item!r} is not of the form name=v1,v2,...")
         name, raw = item.split("=", 1)
         axes[name] = [_parse_override_value(v) for v in raw.split(",") if v]
-        if not axes[name]:
-            raise ScenarioError(f"axis {name!r} has no values")
     return axes
 
 
@@ -192,30 +191,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.sweep:
             with open(args.sweep, "r", encoding="utf-8") as f:
                 data = json.load(f)
-            allowed = {"scenario", "algo", "axes", "repetitions", "seed", "options"}
-            unknown = set(data) - allowed
-            if unknown:
-                raise ScenarioError(f"sweep file: unknown keys {sorted(unknown)}")
-            spec = SweepSpec(
-                scenario=data["scenario"],
-                algo=data.get("algo"),
-                axes=data.get("axes", {}),
-                repetitions=data.get("repetitions", 1),
-                seed=data.get("seed", 1),
-                options=data.get("options", {}),
-            )
         elif args.builtin:
-            spec = SweepSpec(
-                scenario=args.builtin,
-                algo=args.algo,
-                axes=_parse_axis(args.axis),
-                repetitions=args.reps,
-                seed=args.seed or 1,
-            )
+            data = {
+                "scenario": args.builtin,
+                "algo": args.algo,
+                "axes": _parse_axis(args.axis),
+                "repetitions": args.reps,
+                "seed": args.seed or 1,
+            }
         else:
             raise ScenarioError("one of --sweep or --builtin is required")
+        spec = sweep_from_dict(data)
         cells = run_sweep(spec)
-    except (ScenarioError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
     except RoccetLabError as exc:
         return _fail("simulation-fault", str(exc), EXIT_RUNTIME)
@@ -326,8 +314,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
-    for name in sorted(BUILTIN_DOCS):
-        print(f"{name:<16} {BUILTIN_DOCS[name]}")
+    for name in sorted(BUILTINS):
+        print(f"{name:<16} {BUILTINS[name].doc}")
     return EXIT_OK
 
 

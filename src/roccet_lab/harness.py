@@ -24,9 +24,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any, Callable, NamedTuple
 
 from .cc_types import CubicParams
 from .errors import ScenarioError
@@ -67,6 +69,82 @@ class FlowSpec:
     probe: ProbeRateParams = ProbeRateParams()
 
 
+# Each controller section of a scenario file, top level or per flow: the
+# FlowSpec attribute it fills, its params class, and one row per key:
+# (attribute, file key, stored units per file unit or None, stored type).
+# A scaled key is a number in the file and a rounded int once stored.
+SECTIONS: dict[str, tuple[str, type, tuple[tuple[str, str, float | None, type], ...]]] = {
+    "cubic": ("cubic", CubicParams, (
+        ("c_scale", "c_scale", None, float),
+        ("beta_mult", "beta_mult", None, float),
+        ("fast_convergence", "fast_convergence", None, bool),
+        ("app_limited_freeze", "app_limited_freeze", None, bool),
+    )),
+    "roccet": ("roccet", RoccetParams, (
+        ("alpha", "alpha", None, float),
+        ("srrtt_threshold", "srrtt_threshold", None, float),
+        ("launch_ack_margin", "launch_ack_margin", None, float),
+        ("launch_interval_us", "launch_interval_ms", 1e3, int),
+        ("orbiter_interval_rtts", "orbiter_interval_rtts", None, int),
+        ("orbiter_deviation", "orbiter_deviation", None, float),
+        ("drain_duration_us", "drain_ms", 1e3, int),
+        ("ignore_loss", "ignore_loss", None, bool),
+        ("rtt_min_refresh", "rtt_min_refresh", None, bool),
+        ("rtt_min_refresh_age_us", "rtt_min_refresh_age_s", 1e6, int),
+        ("rtt_min_refresh_alpha", "rtt_min_refresh_alpha", None, float),
+    )),
+    "probe_rate": ("probe", ProbeRateParams, (
+        ("startup_pacing_gain", "startup_pacing_gain", None, float),
+        ("min_rtt_window_us", "min_rtt_window_s", 1e6, int),
+        ("probe_rtt_duration_us", "probe_rtt_duration_ms", 1e3, int),
+        ("min_cwnd", "min_cwnd", None, float),
+        ("cwnd_gain", "cwnd_gain", None, float),
+    )),
+}
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _check_type(value: Any, typ: type, where: str) -> None:
+    """Refuse a value that is not of the stored type. A float takes an int
+    too, kept as given; no number takes a bool; a float must be finite."""
+    if typ is float:
+        ok = type(value) is int or (type(value) is float and math.isfinite(value))
+    else:
+        ok = type(value) is typ
+    if not ok:
+        raise ScenarioError(f"{where} must be {_TYPE_NAMES[typ]}, got {value!r}")
+
+
+def _check_keys(obj: Any, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: expected an object, got {obj!r}")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def _section_from_dict(d: dict, rows, base, where: str):
+    """`base` with the keys of one controller section of a file applied."""
+    _check_keys(d, {key for _, key, _, _ in rows}, where)
+    changes = {}
+    for attr, key, scale, _ in rows:
+        if key in d:
+            value = d[key]
+            if scale is not None:
+                _check_type(value, float, f"{where}.{key}")
+                value = round(value * scale)
+            changes[attr] = value
+    return replace(base, **changes)
+
+
+def _section_to_dict(params, rows) -> dict:
+    return {
+        key: getattr(params, attr) if scale is None else getattr(params, attr) / scale
+        for attr, key, scale, _ in rows
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioSpec:
     link: LinkSpec
@@ -80,6 +158,10 @@ class ScenarioSpec:
     name: str = "custom"
 
     def validate(self, require_flows: bool = True) -> None:
+        _check_type(self.name, str, "name")
+        _check_type(self.seed, int, "seed")
+        _check_type(self.buffer_bdp, float, "buffer_bdp")
+        _check_type(self.link.mtu_bytes, int, "link.mtu_bytes")
         self.link.validate()
         if self.buffer_bdp < 0.25:
             raise ScenarioError(
@@ -87,25 +169,32 @@ class ScenarioSpec:
             )
         if require_flows and not self.flows:
             raise ScenarioError("scenario needs at least one flow")
-        ids = [f.flow_id for f in self.flows]
-        if len(set(ids)) != len(ids):
-            raise ScenarioError(f"duplicate flow ids: {ids}")
+        checked: set[int] = set()  # builtin flows share their params objects
         for f in self.flows:
+            _check_type(f.flow_id, str, "flow id")
             if f.algo not in ("reno", "cubic", "roccet", "probe_rate"):
                 raise ScenarioError(f"flow {f.flow_id}: unknown algo {f.algo!r}")
-            f.cubic.validate()
-            f.roccet.validate()
-            f.probe.validate()
+            for section, (attr, _, rows) in SECTIONS.items():
+                params = getattr(f, attr)
+                if id(params) not in checked:
+                    checked.add(id(params))
+                    for name, _, _, typ in rows:
+                        _check_type(
+                            getattr(params, name), typ, f"flow {f.flow_id}: {section}.{name}"
+                        )
+                    params.validate()
             if f.source.kind not in ("greedy", "app_limited"):
                 raise ScenarioError(f"flow {f.flow_id}: unknown source kind {f.source.kind!r}")
             if f.source.kind == "app_limited" and (
                 f.source.rate_bps is None or f.source.rate_bps <= 0
             ):
                 raise ScenarioError(f"flow {f.flow_id}: app_limited source needs rate > 0")
-            if f.sndbuf_segs is not None and f.sndbuf_segs < 1:
-                raise ScenarioError(
-                    f"flow {f.flow_id}: sndbuf_segs must be >= 1, got {f.sndbuf_segs}"
-                )
+            if f.sndbuf_segs is not None:
+                _check_type(f.sndbuf_segs, int, f"flow {f.flow_id}: sndbuf_segs")
+                if f.sndbuf_segs < 1:
+                    raise ScenarioError(
+                        f"flow {f.flow_id}: sndbuf_segs must be >= 1, got {f.sndbuf_segs}"
+                    )
             end = f.source.start_us + (f.source.duration_us or 0)
             if f.source.duration_us is not None and end >= self.horizon_us:
                 raise ScenarioError(
@@ -113,6 +202,9 @@ class ScenarioSpec:
                 )
             if f.source.start_us >= self.horizon_us:
                 raise ScenarioError(f"flow {f.flow_id}: starts past the horizon")
+        ids = [f.flow_id for f in self.flows]
+        if len(set(ids)) != len(ids):
+            raise ScenarioError(f"duplicate flow ids: {ids}")
         if self.sample_us <= 0:
             raise ScenarioError("sample cadence must be > 0")
         if self.horizon_us < 0:
@@ -170,31 +262,9 @@ class ScenarioSpec:
                         ),
                     },
                     "sndbuf_segs": f.sndbuf_segs,
-                    "cubic": {
-                        "c_scale": f.cubic.c_scale,
-                        "beta_mult": f.cubic.beta_mult,
-                        "fast_convergence": f.cubic.fast_convergence,
-                        "app_limited_freeze": f.cubic.app_limited_freeze,
-                    },
-                    "roccet": {
-                        "alpha": f.roccet.alpha,
-                        "srrtt_threshold": f.roccet.srrtt_threshold,
-                        "launch_ack_margin": f.roccet.launch_ack_margin,
-                        "launch_interval_ms": f.roccet.launch_interval_us / 1e3,
-                        "orbiter_interval_rtts": f.roccet.orbiter_interval_rtts,
-                        "orbiter_deviation": f.roccet.orbiter_deviation,
-                        "drain_ms": f.roccet.drain_duration_us / 1e3,
-                        "ignore_loss": f.roccet.ignore_loss,
-                        "rtt_min_refresh": f.roccet.rtt_min_refresh,
-                        "rtt_min_refresh_age_s": f.roccet.rtt_min_refresh_age_us / 1e6,
-                        "rtt_min_refresh_alpha": f.roccet.rtt_min_refresh_alpha,
-                    },
-                    "probe_rate": {
-                        "startup_pacing_gain": f.probe.startup_pacing_gain,
-                        "min_rtt_window_s": f.probe.min_rtt_window_us / 1e6,
-                        "probe_rtt_duration_ms": f.probe.probe_rtt_duration_us / 1e3,
-                        "min_cwnd": f.probe.min_cwnd,
-                        "cwnd_gain": f.probe.cwnd_gain,
+                    **{
+                        section: _section_to_dict(getattr(f, attr), rows)
+                        for section, (attr, _, rows) in SECTIONS.items()
                     },
                 }
             )
@@ -204,100 +274,10 @@ class ScenarioSpec:
 # -- dict / file parsing ---------------------------------------------------
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-
-
-def _cubic_from_dict(d: dict, where: str) -> CubicParams:
-    _check_keys(d, {"c_scale", "beta_mult", "fast_convergence", "app_limited_freeze"}, where)
-    base = CubicParams()
-    return CubicParams(
-        c_scale=d.get("c_scale", base.c_scale),
-        beta_mult=d.get("beta_mult", base.beta_mult),
-        fast_convergence=d.get("fast_convergence", base.fast_convergence),
-        app_limited_freeze=d.get("app_limited_freeze", base.app_limited_freeze),
-    )
-
-
-def _roccet_from_dict(d: dict, where: str) -> RoccetParams:
-    _check_keys(
-        d,
-        {
-            "alpha",
-            "srrtt_threshold",
-            "launch_ack_margin",
-            "launch_interval_ms",
-            "orbiter_interval_rtts",
-            "orbiter_deviation",
-            "drain_ms",
-            "ignore_loss",
-            "rtt_min_refresh",
-            "rtt_min_refresh_age_s",
-            "rtt_min_refresh_alpha",
-        },
-        where,
-    )
-    base = RoccetParams()
-    return RoccetParams(
-        alpha=d.get("alpha", base.alpha),
-        srrtt_threshold=d.get("srrtt_threshold", base.srrtt_threshold),
-        launch_ack_margin=d.get("launch_ack_margin", base.launch_ack_margin),
-        launch_interval_us=(
-            ms_to_us(d["launch_interval_ms"])
-            if "launch_interval_ms" in d
-            else base.launch_interval_us
-        ),
-        orbiter_interval_rtts=d.get("orbiter_interval_rtts", base.orbiter_interval_rtts),
-        orbiter_deviation=d.get("orbiter_deviation", base.orbiter_deviation),
-        drain_duration_us=(
-            ms_to_us(d["drain_ms"]) if "drain_ms" in d else base.drain_duration_us
-        ),
-        ignore_loss=d.get("ignore_loss", base.ignore_loss),
-        rtt_min_refresh=d.get("rtt_min_refresh", base.rtt_min_refresh),
-        rtt_min_refresh_age_us=(
-            s_to_us(d["rtt_min_refresh_age_s"])
-            if "rtt_min_refresh_age_s" in d
-            else base.rtt_min_refresh_age_us
-        ),
-        rtt_min_refresh_alpha=d.get("rtt_min_refresh_alpha", base.rtt_min_refresh_alpha),
-    )
-
-
-def _probe_from_dict(d: dict, where: str) -> ProbeRateParams:
-    _check_keys(
-        d,
-        {
-            "startup_pacing_gain",
-            "min_rtt_window_s",
-            "probe_rtt_duration_ms",
-            "min_cwnd",
-            "cwnd_gain",
-        },
-        where,
-    )
-    base = ProbeRateParams()
-    return ProbeRateParams(
-        startup_pacing_gain=d.get("startup_pacing_gain", base.startup_pacing_gain),
-        min_rtt_window_us=(
-            s_to_us(d["min_rtt_window_s"])
-            if "min_rtt_window_s" in d
-            else base.min_rtt_window_us
-        ),
-        probe_rtt_duration_us=(
-            ms_to_us(d["probe_rtt_duration_ms"])
-            if "probe_rtt_duration_ms" in d
-            else base.probe_rtt_duration_us
-        ),
-        min_cwnd=d.get("min_cwnd", base.min_cwnd),
-        cwnd_gain=d.get("cwnd_gain", base.cwnd_gain),
-    )
-
-
-# What a value of the wrong type raises on its way through a parser, a
-# builder or `validate`; both entry points report it as ScenarioError.
-_BAD_VALUE = (TypeError, ValueError, AttributeError, OverflowError)
+# What a value of the wrong type or shape raises on its way through a
+# parser, a builder or `validate`; both entry points report it as
+# ScenarioError.
+_BAD_VALUE = (TypeError, ValueError, AttributeError, OverflowError, KeyError, IndexError)
 
 
 def scenario_from_dict(d: dict) -> ScenarioSpec:
@@ -314,19 +294,7 @@ def scenario_from_dict(d: dict) -> ScenarioSpec:
 def _parse_scenario(d: dict) -> ScenarioSpec:
     _check_keys(
         d,
-        {
-            "name",
-            "seed",
-            "horizon_s",
-            "sample_ms",
-            "buffer_bdp",
-            "link",
-            "loss",
-            "flows",
-            "cubic",
-            "roccet",
-            "probe_rate",
-        },
+        {"name", "seed", "horizon_s", "sample_ms", "buffer_bdp", "link", "loss", "flows", *SECTIONS},
         "scenario",
     )
     link_d = d.get("link")
@@ -339,6 +307,8 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
     schedule: list[tuple[int, int]] = [(0, mbps_to_bps(link_d["rate_mbps"]))]
     for i, entry in enumerate(link_d.get("schedule", [])):
         _check_keys(entry, {"at_s", "rate_mbps"}, f"link.schedule[{i}]")
+        if "at_s" not in entry or "rate_mbps" not in entry:
+            raise ScenarioError(f"link.schedule[{i}]: at_s and rate_mbps are required")
         schedule.append((s_to_us(entry["at_s"]), mbps_to_bps(entry["rate_mbps"])))
     link = LinkSpec(
         rate_schedule=tuple(schedule),
@@ -351,6 +321,8 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
     if loss_d is not None:
         _check_keys(loss_d, {"drop_at_s", "drop_prob", "window_s", "jitter_ms"}, "loss")
         window = loss_d.get("window_s")
+        if window and len(window) != 2:
+            raise ScenarioError(f"loss.window_s must be [start, end], got {window!r}")
         loss = LossSpec(
             drop_at_us=tuple(s_to_us(t) for t in loss_d.get("drop_at_s", [])),
             drop_prob=loss_d.get("drop_prob", 0.0),
@@ -358,26 +330,17 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
             jitter_us=ms_to_us(loss_d.get("jitter_ms", 0.0)),
         )
 
-    default_cubic = _cubic_from_dict(d.get("cubic", {}), "cubic")
-    default_roccet = _roccet_from_dict(d.get("roccet", {}), "roccet")
-    default_probe = _probe_from_dict(d.get("probe_rate", {}), "probe_rate")
+    defaults = {
+        section: _section_from_dict(d.get(section, {}), rows, cls(), section)
+        for section, (_, cls, rows) in SECTIONS.items()
+    }
 
     flows: list[FlowSpec] = []
     for i, fd in enumerate(d.get("flows", [])):
         where = f"flows[{i}]"
         _check_keys(
             fd,
-            {
-                "id",
-                "algo",
-                "start_s",
-                "duration_s",
-                "source",
-                "sndbuf_segs",
-                "cubic",
-                "roccet",
-                "probe_rate",
-            },
+            {"id", "algo", "start_s", "duration_s", "source", "sndbuf_segs", *SECTIONS},
             where,
         )
         if "id" not in fd or "algo" not in fd:
@@ -393,35 +356,21 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
                 s_to_us(fd["duration_s"]) if fd.get("duration_s") is not None else None
             ),
         )
-        cubic = (
-            _cubic_from_dict({**_cubic_to_partial(default_cubic), **fd["cubic"]}, f"{where}.cubic")
-            if "cubic" in fd
-            else default_cubic
-        )
-        roccet = (
-            _roccet_from_dict(
-                {**_roccet_to_partial(default_roccet), **fd["roccet"]}, f"{where}.roccet"
+        params = {
+            attr: (
+                _section_from_dict(fd[section], rows, defaults[section], f"{where}.{section}")
+                if section in fd
+                else defaults[section]
             )
-            if "roccet" in fd
-            else default_roccet
-        )
-        probe = (
-            _probe_from_dict(
-                {**_probe_to_partial(default_probe), **fd["probe_rate"]},
-                f"{where}.probe_rate",
-            )
-            if "probe_rate" in fd
-            else default_probe
-        )
+            for section, (attr, _, rows) in SECTIONS.items()
+        }
         flows.append(
             FlowSpec(
                 flow_id=fd["id"],
                 algo=fd["algo"],
                 source=source,
                 sndbuf_segs=fd.get("sndbuf_segs"),
-                cubic=cubic,
-                roccet=roccet,
-                probe=probe,
+                **params,
             )
         )
 
@@ -435,41 +384,6 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
         loss=loss,
         name=d.get("name", "custom"),
     )
-
-
-def _cubic_to_partial(p: CubicParams) -> dict:
-    return {
-        "c_scale": p.c_scale,
-        "beta_mult": p.beta_mult,
-        "fast_convergence": p.fast_convergence,
-        "app_limited_freeze": p.app_limited_freeze,
-    }
-
-
-def _roccet_to_partial(p: RoccetParams) -> dict:
-    return {
-        "alpha": p.alpha,
-        "srrtt_threshold": p.srrtt_threshold,
-        "launch_ack_margin": p.launch_ack_margin,
-        "launch_interval_ms": p.launch_interval_us / 1e3,
-        "orbiter_interval_rtts": p.orbiter_interval_rtts,
-        "orbiter_deviation": p.orbiter_deviation,
-        "drain_ms": p.drain_duration_us / 1e3,
-        "ignore_loss": p.ignore_loss,
-        "rtt_min_refresh": p.rtt_min_refresh,
-        "rtt_min_refresh_age_s": p.rtt_min_refresh_age_us / 1e6,
-        "rtt_min_refresh_alpha": p.rtt_min_refresh_alpha,
-    }
-
-
-def _probe_to_partial(p: ProbeRateParams) -> dict:
-    return {
-        "startup_pacing_gain": p.startup_pacing_gain,
-        "min_rtt_window_s": p.min_rtt_window_us / 1e6,
-        "probe_rtt_duration_ms": p.probe_rtt_duration_us / 1e3,
-        "min_cwnd": p.min_cwnd,
-        "cwnd_gain": p.cwnd_gain,
-    }
 
 
 def load_scenario(path: str) -> ScenarioSpec:
@@ -534,6 +448,9 @@ def _builtin_frozen_cwnd(algo: str, seed: int, **kw) -> ScenarioSpec:
     )
 
 
+_FAIRNESS_OPTIONS = {"n_flows", "competitor", "buffer_bdp", "horizon_s"}
+
+
 def _builtin_fairness(
     rate_mbps: float,
     rtt_ms: float,
@@ -596,57 +513,59 @@ def _builtin_steady(algo: str, seed: int, **kw) -> ScenarioSpec:
     )
 
 
-BUILTIN_DOCS = {
-    "bw-halving": "50->25 Mbps at t=15 s, 40 ms RTT, 16 BDP buffer, 35 s, greedy + 800-segment send buffer",
-    "frozen-cwnd": "app-limited 20 Mbps flow, 50 Mbps x 40 ms, 16 BDP, drops injected at 2 s and 4 s, 60 s",
-    "fairness-50x30": "bandwidth share on 50 Mbps x 30 ms, n flows (+ optional competitor), 2 min",
-    "fairness-10x40": "bandwidth share on 10 Mbps x 40 ms, n flows (+ optional competitor), 2 min",
-    "steady": "single greedy flow, 10 Mbps x 40 ms, 1 BDP buffer, 60 s",
-}
+class Builtin(NamedTuple):
+    """One builtin scenario: its `list-scenarios` line, the algorithm it
+    runs when none is given, the options it takes, and its builder."""
 
-_BUILDERS: dict[str, Callable[..., ScenarioSpec]] = {
-    "bw-halving": _builtin_bw_halving,
-    "frozen-cwnd": _builtin_frozen_cwnd,
-    "fairness-50x30": lambda algo, seed, **kw: _builtin_fairness(
-        50.0, 30.0, "fairness-50x30", algo, seed, **kw
+    doc: str
+    default_algo: str
+    options: set[str]
+    build: Callable[..., ScenarioSpec]
+
+
+BUILTINS: dict[str, Builtin] = {
+    "bw-halving": Builtin(
+        "50->25 Mbps at t=15 s, 40 ms RTT, 16 BDP buffer, 35 s, greedy + 800-segment send buffer",
+        "roccet", {"buffer_bdp", "sndbuf_segs", "horizon_s"}, _builtin_bw_halving,
     ),
-    "fairness-10x40": lambda algo, seed, **kw: _builtin_fairness(
-        10.0, 40.0, "fairness-10x40", algo, seed, **kw
+    "frozen-cwnd": Builtin(
+        "app-limited 20 Mbps flow, 50 Mbps x 40 ms, 16 BDP, drops injected at 2 s and 4 s, 60 s",
+        "cubic", {"buffer_bdp", "horizon_s"}, _builtin_frozen_cwnd,
     ),
-    "steady": _builtin_steady,
+    "fairness-50x30": Builtin(
+        "bandwidth share on 50 Mbps x 30 ms, n flows (+ optional competitor), 2 min",
+        "roccet", _FAIRNESS_OPTIONS, partial(_builtin_fairness, 50.0, 30.0, "fairness-50x30"),
+    ),
+    "fairness-10x40": Builtin(
+        "bandwidth share on 10 Mbps x 40 ms, n flows (+ optional competitor), 2 min",
+        "roccet", _FAIRNESS_OPTIONS, partial(_builtin_fairness, 10.0, 40.0, "fairness-10x40"),
+    ),
+    "steady": Builtin(
+        "single greedy flow, 10 Mbps x 40 ms, 1 BDP buffer, 60 s",
+        "cubic", {"buffer_bdp", "horizon_s"}, _builtin_steady,
+    ),
 }
 
-_BUILDER_KWARGS = {
-    "bw-halving": {"buffer_bdp", "sndbuf_segs", "horizon_s"},
-    "frozen-cwnd": {"buffer_bdp", "horizon_s"},
-    "fairness-50x30": {"n_flows", "competitor", "buffer_bdp", "horizon_s"},
-    "fairness-10x40": {"n_flows", "competitor", "buffer_bdp", "horizon_s"},
-    "steady": {"buffer_bdp", "horizon_s"},
-}
 
-_DEFAULT_ALGO = {
-    "bw-halving": "roccet",
-    "frozen-cwnd": "cubic",
-    "fairness-50x30": "roccet",
-    "fairness-10x40": "roccet",
-    "steady": "cubic",
-}
+def _builtin(name: str, options) -> Builtin:
+    """The registry entry for `name`, once each of `options` is one it takes."""
+    if name not in BUILTINS:
+        raise ScenarioError(
+            f"unknown scenario {name!r}; known: {', '.join(sorted(BUILTINS))}"
+        )
+    builtin = BUILTINS[name]
+    unknown = set(options) - builtin.options
+    if unknown:
+        raise ScenarioError(
+            f"scenario {name}: unknown options {sorted(unknown)}; allowed: {sorted(builtin.options)}"
+        )
+    return builtin
 
 
 def builtin_scenario(name: str, algo: str | None = None, seed: int = 1, **kwargs) -> ScenarioSpec:
-    if name not in _BUILDERS:
-        raise ScenarioError(
-            f"unknown scenario {name!r}; known: {', '.join(sorted(_BUILDERS))}"
-        )
-    allowed = _BUILDER_KWARGS[name]
-    unknown = set(kwargs) - allowed
-    if unknown:
-        raise ScenarioError(
-            f"scenario {name}: unknown options {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    algo = algo or _DEFAULT_ALGO[name]
+    builtin = _builtin(name, kwargs)
     try:
-        spec = _BUILDERS[name](algo=algo, seed=seed, **kwargs)
+        spec = builtin.build(algo=algo or builtin.default_algo, seed=seed, **kwargs)
         spec.validate()
     except _BAD_VALUE as exc:
         raise ScenarioError(f"scenario {name}: bad value: {exc}") from exc
@@ -678,6 +597,31 @@ class SweepSpec:
                 f"sweep would run {total} cells, above the cap of {self.cell_cap}"
             )
         return points
+
+
+def sweep_from_dict(d: dict) -> SweepSpec:
+    """Parse a sweep file's dict (`sweep --builtin` passes its flags as
+    one). Field types, and each axis and option name against what the
+    builtin takes, are checked before any cell is built."""
+    _check_keys(d, {"scenario", "algo", "axes", "repetitions", "seed", "options"}, "sweep")
+    if "scenario" not in d:
+        raise ScenarioError("sweep: scenario is required")
+    spec = SweepSpec(**d)
+    _check_type(spec.scenario, str, "sweep: scenario")
+    if spec.algo is not None:
+        _check_type(spec.algo, str, "sweep: algo")
+    _check_type(spec.repetitions, int, "sweep: repetitions")
+    _check_type(spec.seed, int, "sweep: seed")
+    for key in ("axes", "options"):
+        if not isinstance(getattr(spec, key), dict):
+            raise ScenarioError(f"sweep: {key} must be an object, got {getattr(spec, key)!r}")
+    _builtin(spec.scenario, [*spec.axes, *spec.options])
+    for name, values in spec.axes.items():
+        if not isinstance(values, list) or not values:
+            raise ScenarioError(f"sweep: axis {name!r} must be a non-empty list, got {values!r}")
+    if spec.repetitions < 1:
+        raise ScenarioError(f"sweep: repetitions must be >= 1, got {spec.repetitions}")
+    return spec
 
 
 @dataclass(frozen=True, slots=True)

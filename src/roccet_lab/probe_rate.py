@@ -16,6 +16,8 @@ from .cc_types import AckInfo, CcState, Phase
 from .errors import ScenarioError
 
 PROBE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+BW_FILTER_ROUNDS = 10  # rounds the delivery-rate filter keeps a maximum for
+LOSS_BETA = 0.7  # window survivor fraction after a loss
 
 STARTUP = "startup"
 DRAIN = "drain"
@@ -30,14 +32,14 @@ class ProbeRateParams:
     probe_rtt_duration_us: int = 200_000
     min_cwnd: float = 4.0
     cwnd_gain: float = 2.0
-    bw_filter_rounds: int = 10
-    loss_beta: float = 0.7
 
     def validate(self) -> None:
         if self.min_rtt_window_us <= 0 or self.probe_rtt_duration_us <= 0:
             raise ScenarioError("probe_rate durations must be > 0")
-        if not 0 < self.loss_beta < 1:
-            raise ScenarioError("probe_rate loss_beta must be in (0, 1)")
+        if not self.startup_pacing_gain > 0:
+            raise ScenarioError(
+                f"probe_rate startup_pacing_gain must be > 0, got {self.startup_pacing_gain}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +107,7 @@ def probe_rate_on_ack(
             window = tuple(
                 (r, b)
                 for r, b in window
-                if r > state.round_index - params.bw_filter_rounds
+                if r > state.round_index - BW_FILTER_ROUNDS
             )
             state = replace(state, bw_window=window)
         state = replace(
@@ -170,7 +172,7 @@ def probe_rate_on_loss(
     cc: CcState, state: ProbeRateState, params: ProbeRateParams, now_us: int
 ) -> CcState:
     """Mild multiplicative backoff; the rate model does the real work."""
-    return replace(cc, cwnd=max(params.min_cwnd, cc.cwnd * params.loss_beta))
+    return replace(cc, cwnd=max(params.min_cwnd, cc.cwnd * LOSS_BETA))
 
 
 def pacing_rate_bps(

@@ -215,6 +215,49 @@ class TestSweepCommand:
         assert not (tmp_path / "results.csv").exists()
 
 
+# Inputs that once exited 0 or ended in a traceback. A `sweep --sweep`
+# case gives the sweep file's contents; `{file}` stands for its path.
+BAD_INPUTS = [
+    ["run", "--builtin", "steady", "--set", "roccet.orbiter_interval_rtts=2.5"],
+    ["run", "--builtin", "steady", "--set", "cubic.fast_convergence=3"],
+    ["run", "--builtin", "steady", "--set", 'roccet.ignore_loss="no"'],
+    ["run", "--builtin", "steady", "--set", "roccet.launch_ack_margin=NaN"],
+    ["run", "--builtin", "steady", "--set", "cubic.c_scale=Infinity"],
+    ["run", "--builtin", "steady", "--algo", "probe_rate",
+     "--set", "probe_rate.startup_pacing_gain=0"],
+    ["run", "--builtin", "steady", "--set", 'seed="x"'],
+    ["run", "--builtin", "steady", "--set", "name=5"],
+    ["run", "--builtin", "steady", "--set", "buffer_bdp=true"],
+    ["run", "--builtin", "steady", "--set", "buffer_bdp=NaN"],
+    ["run", "--builtin", "steady", "--set", "link.mtu_bytes=1500.5"],
+    ["run", "--builtin", "steady", "--set", "flows.0.id=7"],
+    ["run", "--builtin", "steady", "--set", "flows.0.sndbuf_segs=2.5"],
+    ["run", "--builtin", "steady", "--set", "link.schedule=[{}]"],
+    ["run", "--builtin", "steady", "--set", 'loss={"window_s":[1]}'],
+    ["sweep", "--sweep", {"scenario": "steady", "repetitions": "x"}],
+    ["sweep", "--sweep", {"scenario": "steady", "options": [1]}],
+    ["sweep", "--sweep", {"scenario": "steady", "axes": [1]}],
+    ["sweep", "--builtin", "steady", "--axis", "seed=1"],
+    ["sweep", "--builtin", "steady", "--axis", "algo=cubic"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: " ".join(map(str, argv[1:])))
+def test_bad_input_exits_one_with_one_line(argv, tmp_path, capsys):
+    argv = list(argv)
+    if isinstance(argv[-1], dict):
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(json.dumps(argv[-1]), encoding="utf-8")
+        argv[-1] = str(sweep_file)
+    out = tmp_path / "o"
+    assert run_cli(*argv, "-o", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    code = "invalid-sweep" if argv[0] == "sweep" else "invalid-scenario"
+    assert err[0].startswith(f"error: {code}: ")
+    assert not out.exists()
+
+
 def test_list_scenarios(capsys):
     assert run_cli("list-scenarios") == 0
     out = capsys.readouterr().out

@@ -1,12 +1,15 @@
 import gc
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roccet_lab.errors import ScenarioError
 from roccet_lab.harness import (
-    BUILTIN_DOCS,
+    BUILTINS,
     SweepSpec,
     builtin_scenario,
     derive_seed,
@@ -16,6 +19,7 @@ from roccet_lab.harness import (
     scenario_from_dict,
 )
 from roccet_lab.metrics import bandwidth_share
+from roccet_lab.roccet import RoccetParams
 from roccet_lab.simulator import run
 from roccet_lab.trace import FlowTrace, Sample, TraceSet
 from roccet_lab.units import s_to_us
@@ -63,7 +67,7 @@ class TestBuiltins:
             builtin_scenario("steady", not_a_knob=1)
 
     def test_all_documented(self):
-        for name in BUILTIN_DOCS:
+        for name in BUILTINS:
             builtin_scenario(name).validate()
 
 
@@ -93,11 +97,70 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError):
             scenario_from_dict(d)
 
+    def test_float_key_keeps_an_int_as_given(self):
+        d = builtin_scenario("steady").to_dict()
+        d["flows"][0]["roccet"]["launch_ack_margin"] = 12
+        echo = scenario_from_dict(d).to_dict()["flows"][0]["roccet"]
+        assert echo["launch_ack_margin"] == 12
+        assert type(echo["launch_ack_margin"]) is int
+
+    def test_types_checked_for_specs_built_in_code(self):
+        spec = builtin_scenario("steady")
+        flow = replace(spec.flows[0], roccet=RoccetParams(orbiter_interval_rtts=2.5))
+        with pytest.raises(ScenarioError, match="orbiter_interval_rtts must be an integer"):
+            replace(spec, flows=(flow,)).validate()
+
     def test_bad_params_rejected(self):
         d = builtin_scenario("steady").to_dict()
         d["flows"][0]["roccet"]["orbiter_deviation"] = 1.5
         with pytest.raises(ScenarioError):
             scenario_from_dict(d)
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every value of a scenario dict that is not a non-empty
+    object or list."""
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+_SCALARS = (
+    st.integers(min_value=-(10**6), max_value=10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.none()
+)
+_ANY_LEAF = _SCALARS | st.lists(_SCALARS, max_size=3) | st.dictionaries(
+    st.text(max_size=4), _SCALARS, max_size=3
+)
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUILTINS)),
+        algo=st.sampled_from(["cubic", "roccet", "reno", "probe_rate"]),
+        data=st.data(),
+    )
+    def test_mutated_leaf_parses_or_raises_scenario_error(self, name, algo, data):
+        d = builtin_scenario(name, algo=algo).to_dict()
+        paths = list(_leaf_paths(d))
+        path = data.draw(st.sampled_from(paths), label="path")
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(_ANY_LEAF, label="value")
+        try:
+            scenario_from_dict(d)
+        except ScenarioError:
+            pass
 
 
 class TestSeeds:
