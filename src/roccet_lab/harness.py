@@ -57,6 +57,17 @@ class LossSpec:
     window_us: tuple[int, int] | None = None
     jitter_us: int = 0
 
+    def validate(self) -> None:
+        if not 0 <= self.drop_prob <= 1:
+            raise ScenarioError(f"loss drop_prob must be in [0, 1], got {self.drop_prob}")
+        window = self.window_us
+        if window is not None and not (len(window) == 2 and 0 <= window[0] < window[1]):
+            raise ScenarioError(f"loss window_us must be (start, end), 0 <= start < end: {window}")
+        if self.jitter_us < 0:
+            raise ScenarioError(f"loss jitter_us must be >= 0, got {self.jitter_us}")
+        if any(t < 0 for t in self.drop_at_us):
+            raise ScenarioError(f"loss drop_at_us must be >= 0, got {self.drop_at_us}")
+
 
 @dataclass(frozen=True, slots=True)
 class FlowSpec:
@@ -69,11 +80,52 @@ class FlowSpec:
     probe: ProbeRateParams = ProbeRateParams()
 
 
+# The keys of one object of a scenario file, one row per key: (attribute,
+# file key, stored units per file unit or None, stored type). A scaled key
+# is a finite number in the file and a rounded int once stored. A stored
+# type `T | None` marks a key that may be null, and `tuple[T, ...]` one
+# that is a list in the file. Parsing, the config echo and the type checks
+# of `ScenarioSpec.validate` all walk these rows.
+Rows = tuple[tuple[Any, str, float | None, Any], ...]
+
+SCENARIO_KEYS: Rows = (
+    ("name", "name", None, str),
+    ("seed", "seed", None, int),
+    ("horizon_us", "horizon_s", 1e6, int),
+    ("sample_us", "sample_ms", 1e3, int),
+    ("buffer_bdp", "buffer_bdp", None, float),
+)
+# `initial_rate_bps` and `base_rtt_us` are read-only LinkSpec properties,
+# stored by `_parse_scenario` as the first schedule entry and the one-way delay.
+LINK_KEYS: Rows = (
+    ("initial_rate_bps", "rate_mbps", 1e6, int),
+    ("base_rtt_us", "rtt_ms", 1e3, int),
+    ("mtu_bytes", "mtu_bytes", None, int),
+)
+# An entry of `link.schedule`, stored as a (time, rate) pair.
+STEP_KEYS: Rows = ((0, "at_s", 1e6, int), (1, "rate_mbps", 1e6, int))
+LOSS_KEYS: Rows = (
+    ("drop_at_us", "drop_at_s", 1e6, tuple[int, ...]),
+    ("drop_prob", "drop_prob", None, float),
+    ("window_us", "window_s", 1e6, tuple[int, ...] | None),
+    ("jitter_us", "jitter_ms", 1e3, int),
+)
+FLOW_KEYS: Rows = (
+    ("flow_id", "id", None, str),
+    ("algo", "algo", None, str),
+    ("sndbuf_segs", "sndbuf_segs", None, int | None),
+)
+# A flow's start and duration are SourceSpec attributes written beside
+# FLOW_KEYS in the file; SOURCE_KEYS are those of the flow's `source`.
+FLOW_TIMES: Rows = (
+    ("start_us", "start_s", 1e6, int),
+    ("duration_us", "duration_s", 1e6, int | None),
+)
+SOURCE_KEYS: Rows = (("kind", "kind", None, str), ("rate_bps", "rate_mbps", 1e6, int | None))
+
 # Each controller section of a scenario file, top level or per flow: the
-# FlowSpec attribute it fills, its params class, and one row per key:
-# (attribute, file key, stored units per file unit or None, stored type).
-# A scaled key is a number in the file and a rounded int once stored.
-SECTIONS: dict[str, tuple[str, type, tuple[tuple[str, str, float | None, type], ...]]] = {
+# FlowSpec attribute it fills, its params class, and its rows.
+SECTIONS: dict[str, tuple[str, type, Rows]] = {
     "cubic": ("cubic", CubicParams, (
         ("c_scale", "c_scale", None, float),
         ("beta_mult", "beta_mult", None, float),
@@ -105,9 +157,19 @@ SECTIONS: dict[str, tuple[str, type, tuple[tuple[str, str, float | None, type], 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
 
-def _check_type(value: Any, typ: type, where: str) -> None:
+def _check_type(value: Any, typ, where: str) -> None:
     """Refuse a value that is not of the stored type. A float takes an int
     too, kept as given; no number takes a bool; a float must be finite."""
+    if type(typ) is not type:
+        args = typ.__args__
+        if type(None) not in args:  # tuple[T, ...]
+            if type(value) is not tuple:
+                raise ScenarioError(f"{where} must be a tuple, got {value!r}")
+            for v in value:
+                _check_type(v, args[0], where)
+        elif value is not None:  # T | None
+            _check_type(value, args[0], where)
+        return
     if typ is float:
         ok = type(value) is int or (type(value) is float and math.isfinite(value))
     else:
@@ -124,25 +186,52 @@ def _check_keys(obj: Any, allowed: set[str], where: str) -> None:
         raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _section_from_dict(d: dict, rows, base, where: str):
-    """`base` with the keys of one controller section of a file applied."""
-    _check_keys(d, {key for _, key, _, _ in rows}, where)
-    changes = {}
-    for attr, key, scale, _ in rows:
-        if key in d:
-            value = d[key]
-            if scale is not None:
-                _check_type(value, float, f"{where}.{key}")
-                value = round(value * scale)
-            changes[attr] = value
-    return replace(base, **changes)
+def _from_file(value: Any, scale: float | None, typ, where: str) -> Any:
+    """A file value in its stored form. A scaled value must be a finite
+    number here; `ScenarioSpec.validate` checks the stored types."""
+    if type(typ) is not type:
+        args = typ.__args__
+        if type(None) in args:  # T | None
+            return None if value is None else _from_file(value, scale, args[0], where)
+        if not isinstance(value, list):  # tuple[T, ...]
+            raise ScenarioError(f"{where} must be a list, got {value!r}")
+        return tuple(_from_file(v, scale, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    if scale is None:
+        return value
+    _check_type(value, float, where)
+    return round(value * scale)
 
 
-def _section_to_dict(params, rows) -> dict:
+def _fields(d: Any, rows: Rows, where: str, others=(), required=()) -> dict:
+    """The stored value of each key of `rows` that the file object `d`
+    gives, by attribute. `d` may also hold the keys `others`."""
+    _check_keys(d, {key for _, key, _, _ in rows}.union(others), where)
+    if not all(key in d for key in required):
+        raise ScenarioError(f"{where}: {' and '.join(required)} are required")
     return {
-        key: getattr(params, attr) if scale is None else getattr(params, attr) / scale
-        for attr, key, scale, _ in rows
+        attr: _from_file(d[key], scale, typ, f"{where}.{key}")
+        for attr, key, scale, typ in rows
+        if key in d
     }
+
+
+def _get(obj: Any, attr: Any) -> Any:
+    return obj[attr] if type(attr) is int else getattr(obj, attr)
+
+
+def _to_file(value: Any, scale: float | None) -> Any:
+    if type(value) is tuple:
+        return [_to_file(v, scale) for v in value]
+    return value if scale is None or value is None else value / scale
+
+
+def _to_dict(obj: Any, rows: Rows) -> dict:
+    return {key: _to_file(_get(obj, attr), scale) for attr, key, scale, _ in rows}
+
+
+def _check_rows(obj: Any, rows: Rows, where: str) -> None:
+    for attr, _, _, typ in rows:
+        _check_type(_get(obj, attr), typ, f"{where}{attr}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,50 +247,44 @@ class ScenarioSpec:
     name: str = "custom"
 
     def validate(self, require_flows: bool = True) -> None:
-        _check_type(self.name, str, "name")
-        _check_type(self.seed, int, "seed")
-        _check_type(self.buffer_bdp, float, "buffer_bdp")
-        _check_type(self.link.mtu_bytes, int, "link.mtu_bytes")
+        _check_rows(self, SCENARIO_KEYS, "")
+        _check_rows(self.link, LINK_KEYS, "link.")
+        for i, step in enumerate(self.link.rate_schedule[1:], start=1):
+            _check_rows(step, STEP_KEYS, f"link.rate_schedule.{i}.")
         self.link.validate()
-        if self.buffer_bdp < 0.25:
-            raise ScenarioError(
-                f"buffer_bdp must be >= 0.25, got {self.buffer_bdp}"
-            )
+        if self.loss is not None:
+            _check_rows(self.loss, LOSS_KEYS, "loss.")
+            self.loss.validate()
+        if not 0.25 <= self.buffer_bdp <= 1e6:
+            raise ScenarioError(f"buffer_bdp must be in [0.25, 1e6], got {self.buffer_bdp}")
         if require_flows and not self.flows:
             raise ScenarioError("scenario needs at least one flow")
         checked: set[int] = set()  # builtin flows share their params objects
         for f in self.flows:
-            _check_type(f.flow_id, str, "flow id")
+            where = f"flow {f.flow_id}: "
+            _check_rows(f, FLOW_KEYS, where)
+            _check_rows(f.source, FLOW_TIMES + SOURCE_KEYS, f"{where}source.")
             if f.algo not in ("reno", "cubic", "roccet", "probe_rate"):
-                raise ScenarioError(f"flow {f.flow_id}: unknown algo {f.algo!r}")
+                raise ScenarioError(f"{where}unknown algo {f.algo!r}")
             for section, (attr, _, rows) in SECTIONS.items():
                 params = getattr(f, attr)
                 if id(params) not in checked:
                     checked.add(id(params))
-                    for name, _, _, typ in rows:
-                        _check_type(
-                            getattr(params, name), typ, f"flow {f.flow_id}: {section}.{name}"
-                        )
+                    _check_rows(params, rows, f"{where}{section}.")
                     params.validate()
             if f.source.kind not in ("greedy", "app_limited"):
-                raise ScenarioError(f"flow {f.flow_id}: unknown source kind {f.source.kind!r}")
-            if f.source.kind == "app_limited" and (
-                f.source.rate_bps is None or f.source.rate_bps <= 0
-            ):
-                raise ScenarioError(f"flow {f.flow_id}: app_limited source needs rate > 0")
-            if f.sndbuf_segs is not None:
-                _check_type(f.sndbuf_segs, int, f"flow {f.flow_id}: sndbuf_segs")
-                if f.sndbuf_segs < 1:
-                    raise ScenarioError(
-                        f"flow {f.flow_id}: sndbuf_segs must be >= 1, got {f.sndbuf_segs}"
-                    )
+                raise ScenarioError(f"{where}unknown source kind {f.source.kind!r}")
+            if f.source.kind == "app_limited" and not (f.source.rate_bps or 0) > 0:
+                raise ScenarioError(f"{where}app_limited source needs rate > 0")
+            if f.sndbuf_segs is not None and f.sndbuf_segs < 1:
+                raise ScenarioError(f"{where}sndbuf_segs must be >= 1, got {f.sndbuf_segs}")
+            if f.source.start_us < 0 or (f.source.duration_us or 0) < 0:
+                raise ScenarioError(f"{where}start_s and duration_s must be >= 0")
             end = f.source.start_us + (f.source.duration_us or 0)
             if f.source.duration_us is not None and end >= self.horizon_us:
-                raise ScenarioError(
-                    f"flow {f.flow_id}: ends at {end} us, at or past the horizon"
-                )
+                raise ScenarioError(f"{where}ends at {end} us, at or past the horizon")
             if f.source.start_us >= self.horizon_us:
-                raise ScenarioError(f"flow {f.flow_id}: starts past the horizon")
+                raise ScenarioError(f"{where}starts past the horizon")
         ids = [f.flow_id for f in self.flows]
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"duplicate flow ids: {ids}")
@@ -213,62 +296,26 @@ class ScenarioSpec:
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
-        d: dict[str, Any] = {
-            "name": self.name,
-            "seed": self.seed,
-            "horizon_s": self.horizon_us / 1e6,
-            "sample_ms": self.sample_us / 1e3,
-            "buffer_bdp": self.buffer_bdp,
+        return {
+            **_to_dict(self, SCENARIO_KEYS),
             "link": {
-                "rate_mbps": self.link.initial_rate_bps / 1e6,
-                "rtt_ms": self.link.base_rtt_us / 1e3,
-                "mtu_bytes": self.link.mtu_bytes,
-                "schedule": [
-                    {"at_s": t / 1e6, "rate_mbps": r / 1e6}
-                    for t, r in self.link.rate_schedule[1:]
-                ],
+                **_to_dict(self.link, LINK_KEYS),
+                "schedule": [_to_dict(step, STEP_KEYS) for step in self.link.rate_schedule[1:]],
             },
-            "loss": None,
-            "flows": [],
-        }
-        if self.loss is not None:
-            d["loss"] = {
-                "drop_at_s": [t / 1e6 for t in self.loss.drop_at_us],
-                "drop_prob": self.loss.drop_prob,
-                "window_s": (
-                    [self.loss.window_us[0] / 1e6, self.loss.window_us[1] / 1e6]
-                    if self.loss.window_us
-                    else None
-                ),
-                "jitter_ms": self.loss.jitter_us / 1e3,
-            }
-        for f in self.flows:
-            d["flows"].append(
+            "loss": None if self.loss is None else _to_dict(self.loss, LOSS_KEYS),
+            "flows": [
                 {
-                    "id": f.flow_id,
-                    "algo": f.algo,
-                    "start_s": f.source.start_us / 1e6,
-                    "duration_s": (
-                        f.source.duration_us / 1e6
-                        if f.source.duration_us is not None
-                        else None
-                    ),
-                    "source": {
-                        "kind": f.source.kind,
-                        "rate_mbps": (
-                            f.source.rate_bps / 1e6
-                            if f.source.rate_bps is not None
-                            else None
-                        ),
-                    },
-                    "sndbuf_segs": f.sndbuf_segs,
+                    **_to_dict(f, FLOW_KEYS),
+                    **_to_dict(f.source, FLOW_TIMES),
+                    "source": _to_dict(f.source, SOURCE_KEYS),
                     **{
-                        section: _section_to_dict(getattr(f, attr), rows)
+                        section: _to_dict(getattr(f, attr), rows)
                         for section, (attr, _, rows) in SECTIONS.items()
                     },
                 }
-            )
-        return d
+                for f in self.flows
+            ],
+        }
 
 
 # -- dict / file parsing ---------------------------------------------------
@@ -292,98 +339,44 @@ def scenario_from_dict(d: dict) -> ScenarioSpec:
 
 
 def _parse_scenario(d: dict) -> ScenarioSpec:
-    _check_keys(
-        d,
-        {"name", "seed", "horizon_s", "sample_ms", "buffer_bdp", "link", "loss", "flows", *SECTIONS},
-        "scenario",
-    )
-    link_d = d.get("link")
-    if not isinstance(link_d, dict):
-        raise ScenarioError("scenario: missing link section")
-    _check_keys(link_d, {"rate_mbps", "rtt_ms", "mtu_bytes", "schedule"}, "link")
-    if "rate_mbps" not in link_d or "rtt_ms" not in link_d:
-        raise ScenarioError("link: rate_mbps and rtt_ms are required")
-    prop_us = ms_to_us(link_d["rtt_ms"]) // 2
-    schedule: list[tuple[int, int]] = [(0, mbps_to_bps(link_d["rate_mbps"]))]
-    for i, entry in enumerate(link_d.get("schedule", [])):
-        _check_keys(entry, {"at_s", "rate_mbps"}, f"link.schedule[{i}]")
-        if "at_s" not in entry or "rate_mbps" not in entry:
-            raise ScenarioError(f"link.schedule[{i}]: at_s and rate_mbps are required")
-        schedule.append((s_to_us(entry["at_s"]), mbps_to_bps(entry["rate_mbps"])))
+    top = _fields(d, SCENARIO_KEYS, "scenario", ("link", "loss", "flows", *SECTIONS))
+    link = _fields(d.get("link"), LINK_KEYS, "link", ("schedule",), ("rate_mbps", "rtt_ms"))
+    steps = [
+        _fields(entry, STEP_KEYS, f"link.schedule[{i}]", required=("at_s", "rate_mbps"))
+        for i, entry in enumerate(d["link"].get("schedule", []))
+    ]
     link = LinkSpec(
-        rate_schedule=tuple(schedule),
-        prop_delay_us=prop_us,
-        mtu_bytes=link_d.get("mtu_bytes", 1500),
+        rate_schedule=((0, link.pop("initial_rate_bps")), *((s[0], s[1]) for s in steps)),
+        # The one key that is not a scale: the file gives the round trip and
+        # the link keeps the one-way delay, so an odd microsecond is dropped
+        # here and the echo doubles what is kept.
+        prop_delay_us=link.pop("base_rtt_us") // 2,
+        **link,
     )
-
-    loss = None
-    loss_d = d.get("loss")
-    if loss_d is not None:
-        _check_keys(loss_d, {"drop_at_s", "drop_prob", "window_s", "jitter_ms"}, "loss")
-        window = loss_d.get("window_s")
-        if window and len(window) != 2:
-            raise ScenarioError(f"loss.window_s must be [start, end], got {window!r}")
-        loss = LossSpec(
-            drop_at_us=tuple(s_to_us(t) for t in loss_d.get("drop_at_s", [])),
-            drop_prob=loss_d.get("drop_prob", 0.0),
-            window_us=(s_to_us(window[0]), s_to_us(window[1])) if window else None,
-            jitter_us=ms_to_us(loss_d.get("jitter_ms", 0.0)),
-        )
+    loss = None if d.get("loss") is None else LossSpec(**_fields(d["loss"], LOSS_KEYS, "loss"))
 
     defaults = {
-        section: _section_from_dict(d.get(section, {}), rows, cls(), section)
+        section: replace(cls(), **_fields(d.get(section, {}), rows, section))
         for section, (_, cls, rows) in SECTIONS.items()
     }
-
     flows: list[FlowSpec] = []
     for i, fd in enumerate(d.get("flows", [])):
         where = f"flows[{i}]"
-        _check_keys(
-            fd,
-            {"id", "algo", "start_s", "duration_s", "source", "sndbuf_segs", *SECTIONS},
-            where,
-        )
-        if "id" not in fd or "algo" not in fd:
-            raise ScenarioError(f"{where}: id and algo are required")
-        src_d = fd.get("source", {"kind": "greedy"})
-        _check_keys(src_d, {"kind", "rate_mbps"}, f"{where}.source")
-        rate = src_d.get("rate_mbps")
+        flow = _fields(fd, FLOW_KEYS + FLOW_TIMES, where, ("source", *SECTIONS), ("id", "algo"))
         source = SourceSpec(
-            kind=src_d.get("kind", "greedy"),
-            rate_bps=mbps_to_bps(rate) if rate is not None else None,
-            start_us=s_to_us(fd.get("start_s", 0.0)),
-            duration_us=(
-                s_to_us(fd["duration_s"]) if fd.get("duration_s") is not None else None
-            ),
+            **{attr: flow.pop(attr) for attr, _, _, _ in FLOW_TIMES if attr in flow},
+            **_fields(fd.get("source", {}), SOURCE_KEYS, f"{where}.source"),
         )
         params = {
-            attr: (
-                _section_from_dict(fd[section], rows, defaults[section], f"{where}.{section}")
-                if section in fd
-                else defaults[section]
-            )
+            attr: replace(defaults[section], **_fields(fd[section], rows, f"{where}.{section}"))
+            if section in fd else defaults[section]
             for section, (attr, _, rows) in SECTIONS.items()
         }
-        flows.append(
-            FlowSpec(
-                flow_id=fd["id"],
-                algo=fd["algo"],
-                source=source,
-                sndbuf_segs=fd.get("sndbuf_segs"),
-                **params,
-            )
-        )
+        flows.append(FlowSpec(source=source, **flow, **params))
 
-    return ScenarioSpec(
-        link=link,
-        buffer_bdp=d.get("buffer_bdp", 1.0),
-        flows=tuple(flows),
-        horizon_us=s_to_us(d.get("horizon_s", 60.0)),
-        seed=d.get("seed", 1),
-        sample_us=ms_to_us(d.get("sample_ms", 10.0)),
-        loss=loss,
-        name=d.get("name", "custom"),
-    )
+    # The file's defaults for the two fields that ScenarioSpec requires.
+    top = {"buffer_bdp": 1.0, "horizon_us": s_to_us(60.0), **top}
+    return ScenarioSpec(link=link, flows=tuple(flows), loss=loss, **top)
 
 
 def load_scenario(path: str) -> ScenarioSpec:
@@ -608,8 +601,7 @@ def sweep_from_dict(d: dict) -> SweepSpec:
         raise ScenarioError("sweep: scenario is required")
     spec = SweepSpec(**d)
     _check_type(spec.scenario, str, "sweep: scenario")
-    if spec.algo is not None:
-        _check_type(spec.algo, str, "sweep: algo")
+    _check_type(spec.algo, str | None, "sweep: algo")
     _check_type(spec.repetitions, int, "sweep: repetitions")
     _check_type(spec.seed, int, "sweep: seed")
     for key in ("axes", "options"):

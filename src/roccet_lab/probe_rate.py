@@ -36,9 +36,12 @@ class ProbeRateParams:
     def validate(self) -> None:
         if self.min_rtt_window_us <= 0 or self.probe_rtt_duration_us <= 0:
             raise ScenarioError("probe_rate durations must be > 0")
-        if not self.startup_pacing_gain > 0:
+        # Below 1 startup cannot probe for bandwidth; far above, the drain
+        # phase's gain (its inverse) paces at a rate too small to time.
+        if not 1 <= self.startup_pacing_gain <= 100:
             raise ScenarioError(
-                f"probe_rate startup_pacing_gain must be > 0, got {self.startup_pacing_gain}"
+                "probe_rate startup_pacing_gain must be in [1, 100], "
+                f"got {self.startup_pacing_gain}"
             )
 
 

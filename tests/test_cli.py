@@ -234,6 +234,16 @@ BAD_INPUTS = [
     ["run", "--builtin", "steady", "--set", "flows.0.sndbuf_segs=2.5"],
     ["run", "--builtin", "steady", "--set", "link.schedule=[{}]"],
     ["run", "--builtin", "steady", "--set", 'loss={"window_s":[1]}'],
+    ["run", "--builtin", "steady", "--set", 'loss={"drop_prob":"x"}'],
+    ["run", "--builtin", "steady", "--set", 'loss={"drop_prob":2}'],
+    ["run", "--builtin", "steady", "--set", 'loss={"jitter_ms":-5}'],
+    ["run", "--builtin", "steady", "--set", 'loss={"window_s":[5,1],"drop_prob":0.1}'],
+    ["run", "--builtin", "steady", "--set", "link.rate_mbps=true"],
+    ["run", "--builtin", "steady", "--set", "horizon_s=true"],
+    ["run", "--builtin", "steady", "--set", "sample_ms=true"],
+    ["run", "--builtin", "steady", "--set", "flows.0.start_s=true"],
+    ["run", "--builtin", "steady",
+     "--set", 'flows.0.source={"kind":"app_limited","rate_mbps":true}'],
     ["sweep", "--sweep", {"scenario": "steady", "repetitions": "x"}],
     ["sweep", "--sweep", {"scenario": "steady", "options": [1]}],
     ["sweep", "--sweep", {"scenario": "steady", "axes": [1]}],

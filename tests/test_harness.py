@@ -2,6 +2,7 @@ import gc
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,14 @@ from hypothesis import strategies as st
 from roccet_lab.errors import ScenarioError
 from roccet_lab.harness import (
     BUILTINS,
+    FLOW_KEYS,
+    FLOW_TIMES,
+    LINK_KEYS,
+    LOSS_KEYS,
+    SCENARIO_KEYS,
+    SECTIONS,
+    SOURCE_KEYS,
+    STEP_KEYS,
     SweepSpec,
     builtin_scenario,
     derive_seed,
@@ -110,6 +119,25 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="orbiter_interval_rtts must be an integer"):
             replace(spec, flows=(flow,)).validate()
 
+    def test_readme_example_has_every_key(self):
+        # The README's scenario-file example shows every key of the field
+        # tables in its place, and parses.
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        example = json.loads(readme.split("## Scenario files")[1].split("```")[1][len("json"):])
+        flow = example["flows"][0]
+        places = [
+            (example, SCENARIO_KEYS),
+            (example["link"], LINK_KEYS),
+            (example["link"]["schedule"][0], STEP_KEYS),
+            (example["loss"], LOSS_KEYS),
+            (flow, FLOW_KEYS + FLOW_TIMES),
+            (flow["source"], SOURCE_KEYS),
+            *((example[section], rows) for section, (_, _, rows) in SECTIONS.items()),
+        ]
+        for obj, rows in places:
+            assert {key for _, key, _, _ in rows} <= set(obj)
+        scenario_from_dict(example)
+
     def test_bad_params_rejected(self):
         d = builtin_scenario("steady").to_dict()
         d["flows"][0]["roccet"]["orbiter_deviation"] = 1.5
@@ -150,7 +178,9 @@ class TestScenarioFuzz:
         data=st.data(),
     )
     def test_mutated_leaf_parses_or_raises_scenario_error(self, name, algo, data):
-        d = builtin_scenario(name, algo=algo).to_dict()
+        # A value that parses must round-trip through the echo, and, outside
+        # `link` (whose rates and MTU set how much a run does), must run.
+        d = builtin_scenario(name, algo=algo, horizon_s=0.1).to_dict()
         paths = list(_leaf_paths(d))
         path = data.draw(st.sampled_from(paths), label="path")
         node = d
@@ -158,9 +188,12 @@ class TestScenarioFuzz:
             node = node[key]
         node[path[-1]] = data.draw(_ANY_LEAF, label="value")
         try:
-            scenario_from_dict(d)
+            spec = scenario_from_dict(d)
         except ScenarioError:
-            pass
+            return
+        assert scenario_from_dict(spec.to_dict()) == spec
+        if path[0] != "link":
+            run(replace(spec, horizon_us=min(spec.horizon_us, 100_000)))
 
 
 class TestSeeds:
