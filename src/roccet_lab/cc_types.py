@@ -73,7 +73,6 @@ class CcState:
     cwnd_epoch: float = 0.0
     w_est: float = 0.0
     phase: Phase = Phase.SLOW_START
-    algo_tag: str = "cubic"
     ca_acked: float = 0.0
 
 

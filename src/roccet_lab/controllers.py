@@ -7,17 +7,18 @@ exposes the current window, an optional pacing rate, and a log of
 congestion events for the trace.
 
 The CUBIC and ROCCET controllers hold their state field by field and run
-the per-ACK path in place as straight-line code: the scalar steps
-(`cubic.cubic_ca_step`, `roccet.rtt_min_step`, `roccet.srrtt_step`,
-`roccet.interval_step`) are written out here with the same operations in
-the same order, so every float comes out bit for bit as the step's would.
-The steps and their state-value wrappers stay the reference:
-`tests/test_controller_lockstep.py` replays recorded runs through these
-controllers and through a driver built from the wrappers, and checks
-that both hold the same state after every call. The `cc` (and `roc`)
-attributes read and assign whole `CcState` / `RoccetState` values, which
-is how the rarer transitions (congestion events, LAUNCH/ORBITER checks)
-are applied.
+the per-ACK path in place as straight-line code: the congestion-avoidance
+step of `cubic.cubic_on_ack` and ROCCET's signal updates
+(`roccet.update_rtt_min`, `update_srrtt`, `accumulate_interval`) are
+written out here with the same operations in the same order, so every
+float comes out bit for bit as the state-value function's would. Those
+functions stay the reference: `tests/test_controller_lockstep.py` replays
+recorded runs through these controllers and through a driver built from
+them, and checks that both hold the same state, and the same congestion
+events, after every call. The `cc` (and `roc`) attributes read and assign
+whole `CcState` / `RoccetState` values, which is how the rarer
+transitions (congestion events, LAUNCH/ORBITER checks) are applied.
+`ce_events` is each controller's one log of congestion events.
 """
 
 from __future__ import annotations
@@ -47,10 +48,10 @@ class _InPlaceCubic:
 
     pacing_rate_bps = None
 
-    def __init__(self, cubic_params: CubicParams, algo_tag: str):
+    def __init__(self, cubic_params: CubicParams):
         self.cubic_params = cubic_params
         self._aimd_inc = cubic.aimd_increment(cubic_params)
-        self.cc = CcState(algo_tag=algo_tag)
+        self.cc = CcState()
         self.ce_events: list[tuple[int, str]] = []
 
     @property
@@ -63,15 +64,11 @@ class _InPlaceCubic:
             setattr(self, name, getattr(value, name))
         self._epoch = None
 
-    @property
-    def state(self) -> CcState:
-        return self.cc
-
     def _cubic_on_ack(self, ack: AckInfo) -> None:
         """`cubic.cubic_on_ack` in place: congestion avoidance with an
-        anchored epoch runs `cubic.cubic_ca_step` written out, with the
-        epoch's K and origin kept from its start; anything else goes
-        through the state-value function."""
+        anchored epoch runs its step written out, with the epoch's K and
+        origin kept from its start; anything else goes through the
+        state-value function."""
         params = self.cubic_params
         if params.app_limited_freeze and ack.is_app_limited:
             return
@@ -99,9 +96,6 @@ class _InPlaceCubic:
 class CubicController(_InPlaceCubic):
     __slots__ = ()
 
-    def __init__(self, params: CubicParams):
-        super().__init__(params, "cubic")
-
     def on_ack(
         self, ack: AckInfo, in_flight: float, round_start: bool, in_recovery: bool = False
     ) -> None:
@@ -118,7 +112,7 @@ class RenoController:
     pacing_rate_bps = None
 
     def __init__(self):
-        self.state = CcState(algo_tag="reno")
+        self.state = CcState()
         self.ce_events: list[tuple[int, str]] = []
 
     @property
@@ -141,7 +135,7 @@ class ProbeRateController:
     def __init__(self, params: probe_rate.ProbeRateParams, mss_bytes: int):
         self.params = params
         self.mss_bytes = mss_bytes
-        self.state = CcState(algo_tag="probe_rate")
+        self.state = CcState()
         self.model = probe_rate.ProbeRateState()
         self.pacing_rate_bps: float | None = None
         self.ce_events: list[tuple[int, str]] = []
@@ -190,7 +184,7 @@ class RoccetController(_InPlaceCubic):
     __slots__ = _ROC_FIELDS + ("params", "_srtt_us", "_next_tick_us", "launch_exits")
 
     def __init__(self, cubic_params: CubicParams, params: RoccetParams):
-        super().__init__(cubic_params, "roccet")
+        super().__init__(cubic_params)
         self.params = params
         self.roc = RoccetState()
         self._srtt_us: float | None = None
@@ -219,7 +213,7 @@ class RoccetController(_InPlaceCubic):
         params = self.params
         sample = ack.rtt_sample_us
 
-        # roccet.rtt_min_step
+        # roccet.update_rtt_min
         rtt_min = self.rtt_min_us
         if rtt_min is None or sample < rtt_min:
             self.rtt_min_us = rtt_min = sample
@@ -237,7 +231,7 @@ class RoccetController(_InPlaceCubic):
         else:
             srtt += EWMA_SRTT_WEIGHT * (sample - srtt)
         self._srtt_us = srtt
-        # roccet.srrtt_step
+        # roccet.update_srrtt
         x = (round(srtt) - rtt_min) / rtt_min
         if x < 0.0:
             x = 0.0
@@ -246,7 +240,7 @@ class RoccetController(_InPlaceCubic):
 
         if self.interval_start_us is None:
             self._reset_interval(now)
-        # roccet.interval_step. Each boundary re-anchors on the ACK that
+        # roccet.accumulate_interval. Each boundary re-anchors on the ACK that
         # crossed it: windows are self-timed per flow, drifting with ACK
         # quantization the way an ACK-clocked kernel timer would.
         next_tick = self._next_tick_us
@@ -289,16 +283,12 @@ class RoccetController(_InPlaceCubic):
         self._cubic_on_ack(ack)
 
     def on_loss(self, now_us: int, origin: str) -> None:
-        if self.phase is Phase.SLOW_START:
-            # Loss during slow start is ignored: retransmission is still
-            # the transport's job, but the window is left untouched.
+        # Loss during slow start is ignored: retransmission is still the
+        # transport's job, but the window is left untouched.
+        if self.phase is Phase.SLOW_START or self.params.ignore_loss:
             return
-        before = len(self.ce_log)
-        self.roc, self.cc = roccet.orbiter_on_loss(
-            self.roc, self.cc, self.params, self.cubic_params, now_us
-        )
-        if len(self.ce_log) > before:
-            self.ce_events.append((now_us, CeKind.LOSS_CE.value))
+        self.cc = roccet.orbiter_on_loss(self.cc, self.params, self.cubic_params, now_us)
+        self.ce_events.append((now_us, CeKind.LOSS_CE.value))
 
 
 def make_controller(

@@ -20,8 +20,9 @@ window (K = 0). The curve plateaus near w_max (cautious close to the last
 congestion point) and accelerates the further the window is from it.
 
 K and the curve's origin are fixed for an epoch (`cubic_epoch`), as in
-RFC 9438, which computes K once when the epoch begins; the per-ACK step
-takes them, and the Reno-equivalent increment, as arguments.
+RFC 9438, which computes K once when the epoch begins; the controllers'
+in-place per-ACK path (`controllers`) keeps them from the epoch's start,
+and `cubic_on_ack` is the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -74,52 +75,25 @@ def aimd_increment(params: CubicParams) -> float:
     return 3.0 * (1.0 - params.beta_mult) / (1.0 + params.beta_mult)
 
 
-def cubic_ca_step(
-    cwnd: float,
-    w_est: float,
-    epoch_start_us: int,
-    now_us: int,
-    newly_acked: int,
-    k: float,
-    origin: float,
-    c_scale: float,
-    aimd_inc: float,
-) -> tuple[float, float]:
-    """One congestion-avoidance ACK; returns the new (cwnd, w_est).
-
-    `k` and `origin` are the epoch's (`cubic_epoch`), `aimd_inc` is
-    `aimd_increment` of the parameters.
-
-    The window steps toward the growth target by at most
-    (target - cwnd) / cwnd and never shrinks; the target is the cubic
-    curve floored by the Reno-equivalent companion window, which keeps
-    small-window flows converging toward each other instead of being
-    starved by large-w_max neighbours.
-    """
-    t = (now_us - epoch_start_us) / 1e6
-    # The companion window updated by this ACK floors the *next* step,
-    # keeping the epoch-start window exactly continuous.
-    target = max(_curve(t, k, origin, c_scale), w_est)
-    w_est = w_est + aimd_inc * newly_acked / cwnd
-    if target > cwnd:
-        cwnd = cwnd + (target - cwnd) / cwnd
-    return cwnd, w_est
-
-
 def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
     """Advance the window for one cumulative ACK.
 
     Slow start grows by the newly acked segment count (doubling per round
-    with per-segment ACKs), capped at ssthresh when one is set. Congestion
-    avoidance takes one `cubic_ca_step`. If the flow is app-limited and
-    the freeze knob is on, the window is left untouched in any phase.
+    with per-segment ACKs), capped at ssthresh when one is set. In
+    congestion avoidance the window steps toward the growth target by at
+    most (target - cwnd) / cwnd and never shrinks; the target is the cubic
+    curve of the epoch (`cubic_epoch`) floored by the Reno-equivalent
+    companion window, which keeps small-window flows converging toward
+    each other instead of being starved by large-w_max neighbours. If the
+    flow is app-limited and the freeze knob is on, the window is left
+    untouched in any phase.
 
     The CUBIC and ROCCET controllers run this per ACK in place
     (`controllers._InPlaceCubic._cubic_on_ack`): inside an anchored
-    congestion-avoidance epoch they run `cubic_ca_step` written out on
-    their own fields, with the epoch's K kept from its start, and they
-    call this function only outside one. This function and
-    `cubic_ca_step` are the reference that
+    congestion-avoidance epoch they write the congestion-avoidance step
+    out on their own fields, with the epoch's K and the Reno-equivalent
+    increment kept from its start, and call this function only outside
+    one. This function is the reference that
     `tests/test_controller_lockstep.py` checks the folded path against.
     """
     if params.app_limited_freeze and ack.is_app_limited:
@@ -147,17 +121,14 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
                 state, epoch_start_us=ack.now_us, cwnd_epoch=state.cwnd, w_est=state.cwnd
             )
         k, origin = cubic_epoch(state.w_max, state.cwnd_epoch, params)
-        cwnd, w_est = cubic_ca_step(
-            state.cwnd,
-            state.w_est,
-            state.epoch_start_us,
-            ack.now_us,
-            ack.newly_acked,
-            k,
-            origin,
-            params.c_scale,
-            aimd_increment(params),
-        )
+        t = (ack.now_us - state.epoch_start_us) / 1e6
+        cwnd = state.cwnd
+        # The companion window updated by this ACK floors the *next* step,
+        # keeping the epoch-start window exactly continuous.
+        target = max(_curve(t, k, origin, params.c_scale), state.w_est)
+        w_est = state.w_est + aimd_increment(params) * ack.newly_acked / cwnd
+        if target > cwnd:
+            cwnd = cwnd + (target - cwnd) / cwnd
         return replace(state, cwnd=cwnd, w_est=w_est)
 
     return state

@@ -257,6 +257,7 @@ class ScenarioSpec:
             self.loss.validate()
         if not 0.25 <= self.buffer_bdp <= 1e6:
             raise ScenarioError(f"buffer_bdp must be in [0.25, 1e6], got {self.buffer_bdp}")
+        self.link.queue_capacity(self.buffer_bdp)  # raises unless finite, as the run would
         if require_flows and not self.flows:
             raise ScenarioError("scenario needs at least one flow")
         checked: set[int] = set()  # builtin flows share their params objects

@@ -1,9 +1,8 @@
 """Per-flow and cross-flow statistics.
 
-Bandwidth share, Jain's fairness index, the throughput-harm metric used to
-argue deployability, and nearest-rank percentile summaries. Everything here
-is a pure function over immutable trace data; by default statistics exclude
-the first 10 % of the run as warm-up.
+Bandwidth share, Jain's fairness index and nearest-rank percentile
+summaries. Everything here is a pure function over immutable trace data;
+by default statistics exclude the first 10 % of the run as warm-up.
 """
 
 from __future__ import annotations
@@ -104,19 +103,6 @@ def bandwidth_share(
         per_flow_fraction=fractions,
         jain_index=jain_index([float(b) for b in bytes_by_flow.values()]),
         window_ms=(lo / 1000, hi / 1000),
-    )
-
-
-def harm(solo: FlowMetrics, competing: FlowMetrics) -> float:
-    """Relative goodput a flow loses when a competitor is added, clamped at
-    zero. Solo and competing runs must use the same link and scenario apart
-    from the added competitor."""
-    if solo.total_goodput_mbps <= 0.0:
-        raise MetricsError("harm undefined: solo goodput is zero")
-    return max(
-        0.0,
-        (solo.total_goodput_mbps - competing.total_goodput_mbps)
-        / solo.total_goodput_mbps,
     )
 
 

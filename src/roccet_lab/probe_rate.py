@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cc_types import AckInfo, CcState, Phase
+from .cc_types import MIN_CWND, AckInfo, CcState, Phase
 from .errors import ScenarioError
 
 PROBE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -43,6 +43,12 @@ class ProbeRateParams:
                 "probe_rate startup_pacing_gain must be in [1, 100], "
                 f"got {self.startup_pacing_gain}"
             )
+        if not self.min_cwnd >= MIN_CWND:
+            raise ScenarioError(
+                f"probe_rate min_cwnd must be >= {MIN_CWND}, got {self.min_cwnd}"
+            )
+        if not self.cwnd_gain > 0:
+            raise ScenarioError(f"probe_rate cwnd_gain must be > 0, got {self.cwnd_gain}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,6 +21,14 @@ ACK deficit over five RTTs exceeds 20 % of cum_cwnd and srrtt is at least
 100 %; afterwards the window is held constant for a 100 ms drain period so
 the standing queue can empty. Loss in congestion avoidance falls back to
 the normal CUBIC reaction (unless configured to be ignored entirely).
+
+Everything here is a pure transition over `RoccetState` / `CcState`
+values. `controllers.RoccetController` runs the per-ACK signal updates
+(`update_rtt_min`, `update_srrtt`, `accumulate_interval`) written out on
+its own fields; these functions are the reference that
+`tests/test_controller_lockstep.py` checks it against. The checks and the
+transitions they trigger run through here directly. The transitions
+record no congestion event: the controller's `ce_events` is the one log.
 """
 
 from __future__ import annotations
@@ -109,82 +117,48 @@ class RoccetState:
     rtts_elapsed_in_interval: int = 0
     drain_until_us: int | None = None
     is_initial_slow_start: bool = True
-    ce_log: tuple[tuple[int, CeKind], ...] = ()
 
 
-def rtt_min_step(
-    rtt_min_us: int | None,
-    updated_at_us: int,
-    sample_us: int,
-    now_us: int,
-    params: RoccetParams,
-) -> tuple[int, int]:
-    """Track the minimum per-ACK RTT sample; returns the new
-    (rtt_min_us, rtt_min_updated_at_us) pair.
+def update_rtt_min(
+    state: RoccetState, sample_us: int, now_us: int, params: RoccetParams
+) -> RoccetState:
+    """Track the minimum per-ACK RTT sample.
 
     A lower sample always replaces the minimum. With refresh enabled, a
     minimum that has not been updated for longer than the refresh age is
     blended toward the current sample by EWMA, so the baseline can follow
     a path whose floor genuinely moved.
     """
+    rtt_min_us = state.rtt_min_us
     if rtt_min_us is None or sample_us < rtt_min_us:
-        return sample_us, now_us
-    if params.rtt_min_refresh and now_us - updated_at_us > params.rtt_min_refresh_age_us:
+        return replace(state, rtt_min_us=sample_us, rtt_min_updated_at_us=now_us)
+    if (
+        params.rtt_min_refresh
+        and now_us - state.rtt_min_updated_at_us > params.rtt_min_refresh_age_us
+    ):
         a = params.rtt_min_refresh_alpha
-        return round(a * sample_us + (1.0 - a) * rtt_min_us), now_us
-    return rtt_min_us, updated_at_us
+        return replace(
+            state,
+            rtt_min_us=round(a * sample_us + (1.0 - a) * rtt_min_us),
+            rtt_min_updated_at_us=now_us,
+        )
+    return state
 
 
-def update_rtt_min(
-    state: RoccetState, sample_us: int, now_us: int, params: RoccetParams
-) -> RoccetState:
-    """`rtt_min_step` over a state value. `controllers.RoccetController.on_ack`
-    runs the step written out; this function is the reference the lockstep
-    test (`tests/test_controller_lockstep.py`) checks it against."""
-    rtt_min, updated_at = rtt_min_step(
-        state.rtt_min_us, state.rtt_min_updated_at_us, sample_us, now_us, params
-    )
-    return replace(state, rtt_min_us=rtt_min, rtt_min_updated_at_us=updated_at)
-
-
-def srrtt_step(srrtt: float, srtt_now_us: int, rtt_min_us: int, alpha: float) -> float:
-    """EWMA the relative inflation of the smoothed RTT over the minimum.
+def update_srrtt(state: RoccetState, srtt_now_us: int, params: RoccetParams) -> RoccetState:
+    """EWMA the relative inflation of the smoothed RTT over the minimum;
+    needs an rtt_min sample first.
 
     The inflation term is floored at zero: with rtt_min tracking raw
     minima it is never negative, but the refresh option can lift rtt_min
     above a transiently low smoothed RTT.
     """
-    x = (srtt_now_us - rtt_min_us) / rtt_min_us
-    if x < 0.0:
-        x = 0.0
-    return alpha * x + (1.0 - alpha) * srrtt
-
-
-def update_srrtt(state: RoccetState, srtt_now_us: int, params: RoccetParams) -> RoccetState:
-    """`srrtt_step` over a state value; needs an rtt_min sample first.
-    `controllers.RoccetController.on_ack` runs the step written out; this
-    function is the reference the lockstep test checks it against."""
     if state.rtt_min_us is None:
         raise RoccetLabError("update_srrtt called before any rtt_min sample")
-    return replace(
-        state, srrtt=srrtt_step(state.srrtt, srtt_now_us, state.rtt_min_us, params.alpha)
-    )
-
-
-def interval_step(
-    acks: float,
-    cum_cwnd: float,
-    rtts_elapsed: int,
-    newly_acked: float,
-    current_cwnd: float,
-    rtt_boundary_crossed: bool,
-) -> tuple[float, float, int]:
-    """Fold one ACK (and, when flagged, one RTT boundary) into the interval
-    counters (acks, cum_cwnd, rtts_elapsed). At each boundary the current
-    window joins cum_cwnd."""
-    if rtt_boundary_crossed:
-        return acks + newly_acked, cum_cwnd + current_cwnd, rtts_elapsed + 1
-    return acks + newly_acked, cum_cwnd, rtts_elapsed
+    x = (srtt_now_us - state.rtt_min_us) / state.rtt_min_us
+    if x < 0.0:
+        x = 0.0
+    return replace(state, srrtt=params.alpha * x + (1.0 - params.alpha) * state.srrtt)
 
 
 def accumulate_interval(
@@ -193,23 +167,15 @@ def accumulate_interval(
     current_cwnd: float,
     rtt_boundary_crossed: bool,
 ) -> RoccetState:
-    """`interval_step` over a state value.
-    `controllers.RoccetController.on_ack` runs the step written out; this
-    function is the reference the lockstep test checks it against."""
-    acks, cum, rtts = interval_step(
-        state.acks_in_interval,
-        state.cum_cwnd_in_interval,
-        state.rtts_elapsed_in_interval,
-        newly_acked,
-        current_cwnd,
-        rtt_boundary_crossed,
-    )
-    return replace(
-        state,
-        acks_in_interval=acks,
-        cum_cwnd_in_interval=cum,
-        rtts_elapsed_in_interval=rtts,
-    )
+    """Fold one ACK (and, when flagged, one RTT boundary) into the interval
+    counters. At each boundary the current window joins cum_cwnd."""
+    if rtt_boundary_crossed:
+        state = replace(
+            state,
+            cum_cwnd_in_interval=state.cum_cwnd_in_interval + current_cwnd,
+            rtts_elapsed_in_interval=state.rtts_elapsed_in_interval + 1,
+        )
+    return replace(state, acks_in_interval=state.acks_in_interval + newly_acked)
 
 
 def reset_interval(state: RoccetState, now_us: int) -> RoccetState:
@@ -276,12 +242,7 @@ def apply_launch_exit(
         new_cc = cubic_on_congestion_event(cc, cubic_params, now_us)
     else:
         return state, cc
-    new_state = replace(
-        state,
-        is_initial_slow_start=False,
-        ce_log=state.ce_log + ((now_us, CeKind.LAUNCH_EXIT),),
-    )
-    return new_state, new_cc
+    return replace(state, is_initial_slow_start=False), new_cc
 
 
 def orbiter_check(
@@ -330,28 +291,17 @@ def apply_roccet_ce(
         w_est=cwnd,
         phase=Phase.CONGESTION_AVOIDANCE,
     )
-    new_state = replace(
-        state,
-        drain_until_us=now_us + params.drain_duration_us,
-        ce_log=state.ce_log + ((now_us, CeKind.ROCCET_CE),),
-    )
-    return new_state, new_cc
+    return replace(state, drain_until_us=now_us + params.drain_duration_us), new_cc
 
 
 def orbiter_on_loss(
-    state: RoccetState,
-    cc: CcState,
-    params: RoccetParams,
-    cubic_params: CubicParams,
-    now_us: int,
-) -> tuple[RoccetState, CcState]:
+    cc: CcState, params: RoccetParams, cubic_params: CubicParams, now_us: int
+) -> CcState:
     """Loss outside slow start: behave like CUBIC (including fast
     convergence), unless loss is configured to be ignored. The drain window
     does not shield against loss."""
     from .cubic import cubic_on_congestion_event
 
     if params.ignore_loss:
-        return state, cc
-    new_cc = cubic_on_congestion_event(cc, cubic_params, now_us)
-    new_state = replace(state, ce_log=state.ce_log + ((now_us, CeKind.LOSS_CE),))
-    return new_state, new_cc
+        return cc
+    return cubic_on_congestion_event(cc, cubic_params, now_us)

@@ -26,7 +26,7 @@ import heapq
 import itertools
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -186,6 +186,18 @@ class LinkSpec:
     def base_rtt_us(self) -> int:
         return 2 * self.prop_delay_us
 
+    def queue_capacity(self, buffer_bdp: float) -> int:
+        """The droptail queue's size in segments: `buffer_bdp` times the
+        bandwidth-delay product at the initial rate, rounded up."""
+        try:
+            bdp = bdp_segments(self.initial_rate_bps, self.base_rtt_us, self.mtu_bytes)
+            return math.ceil(buffer_bdp * bdp)
+        except OverflowError:
+            raise ScenarioError(
+                f"queue capacity buffer_bdp x BDP is not finite: rate "
+                f"{self.initial_rate_bps:.3g} bps, base RTT {self.base_rtt_us:.3g} us"
+            ) from None
+
     def validate(self) -> None:
         if not self.rate_schedule:
             raise ScenarioError("rate_schedule must have at least one entry")
@@ -208,15 +220,6 @@ class Packet(NamedTuple):
     seq: int
     sent_at_us: int
     is_retransmit: bool
-
-
-@dataclass(slots=True)
-class QueueState:
-    """Droptail FIFO occupancy accounting."""
-
-    capacity: int
-    occupancy: int = 0
-    drops: int = 0
 
 
 class LossInjector:
@@ -281,7 +284,8 @@ class Bottleneck:
     """Serializing droptail bottleneck: one packet in service at a time,
     service time mss_bytes / current rate, then one-way propagation to the
     receiver. A packet already in service completes at the rate that was
-    current when its service began."""
+    current when its service began. `occupancy` counts the packets waiting
+    in the FIFO, at most `capacity`; the one in service is not among them."""
 
     def __init__(
         self,
@@ -294,16 +298,17 @@ class Bottleneck:
         debug: bool = False,
     ) -> None:
         self.loop = loop
-        self.queue = QueueState(capacity=capacity_segs)
+        self.capacity = capacity_segs
+        self.occupancy = 0
         self._fifo: deque[Packet] = deque()
         self.rate_bps = rate_bps
         self.prop_delay_us = prop_delay_us
         self.mss_bytes = mss_bytes
         self.injector = injector
-        # Nothing is in service exactly when the FIFO is empty.
+        # The FIFO is empty whenever nothing is in service; a packet can be
+        # in service with the FIFO empty.
         self.in_service: Packet | None = None
         self.deliver_cb: dict[str, Callable[[Packet], None]] = {}
-        self.drops_by_flow: dict[str, int] = {}
         self.drop_log: list[tuple[int, str, str]] = []
         self.rate_log: list[tuple[int, int]] = [(0, rate_bps)]
         self.debug_log: list | None = [] if debug else None
@@ -326,10 +331,6 @@ class Bottleneck:
         self._service_us = self._service_time_us()
         self.rate_log.append((self.loop.now_us, rate_bps))
 
-    def _record_drop(self, pkt: Packet, cause: str) -> None:
-        self.drops_by_flow[pkt.flow_id] = self.drops_by_flow.get(pkt.flow_id, 0) + 1
-        self.drop_log.append((self.loop.now_us, pkt.flow_id, cause))
-
     def submit(self, pkt: Packet) -> bool:
         """Sender hands over one segment; returns False when dropped."""
         now = self.loop.now_us
@@ -338,7 +339,7 @@ class Bottleneck:
             dropped = injector.should_drop(now)
             self._drops_from_us = injector.quiet_until_us(now)
             if dropped:
-                self._record_drop(pkt, "injected")
+                self.drop_log.append((now, pkt.flow_id, "injected"))
                 return False
         if self.in_service is None:  # an idle link serves it at once
             if self.debug_log is not None:
@@ -346,15 +347,13 @@ class Bottleneck:
             self.in_service = pkt
             _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
             return True
-        queue = self.queue
-        if queue.occupancy < queue.capacity:  # droptail: a full queue drops
-            queue.occupancy += 1
+        if self.occupancy < self.capacity:  # droptail: a full queue drops
+            self.occupancy += 1
             self._fifo.append(pkt)
             if self.debug_log is not None:
                 self._debug_enq[id(pkt)] = (now, -1)
             return True
-        queue.drops += 1
-        self._record_drop(pkt, "queue_full")
+        self.drop_log.append((now, pkt.flow_id, "queue_full"))
         return False
 
     def _service_done(self, pkt: Packet) -> None:
@@ -378,16 +377,12 @@ class Bottleneck:
             return
         # Start serving the next queued packet: on a busy link this is where
         # nearly every service starts.
-        self.queue.occupancy -= 1
+        self.occupancy -= 1
         pkt = self.in_service = self._fifo.popleft()
         if self.debug_log is not None:
             enq, _ = self._debug_enq[id(pkt)]
             self._debug_enq[id(pkt)] = (enq, now)
         _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
-
-    @property
-    def occupancy(self) -> int:
-        return self.queue.occupancy
 
     def in_network_total(self, flow_id: str) -> int:
         """The flow's segments this bottleneck accepted and has not yet
@@ -405,8 +400,7 @@ class Bottleneck:
         """Round trip a minimal control packet would measure right now:
         both propagation legs plus the wait behind the current backlog."""
         backlog = self.occupancy + (1 if self.in_service is not None else 0)
-        wait_us = backlog * round(self.mss_bytes * 8_000_000 / self.rate_bps)
-        return 2 * self.prop_delay_us + wait_us + 1
+        return 2 * self.prop_delay_us + backlog * self._service_us + 1
 
 
 class AppSource:
@@ -921,21 +915,13 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     key stays so that `events v1` keeps its shape.
     """
     scenario.validate(require_flows=False)
-    traces = TraceSet(
-        mss_bytes=scenario.link.mtu_bytes,
-        horizon_us=scenario.horizon_us,
-        sample_us=scenario.sample_us,
-        config=scenario.to_dict(),
-    )
+    traces = TraceSet(horizon_us=scenario.horizon_us, config=scenario.to_dict())
     if not scenario.flows:
         return traces
 
     loop = EventLoop()
     rng = random.Random(scenario.seed)
     mss = scenario.link.mtu_bytes
-    base_rtt = scenario.link.base_rtt_us
-    bdp = bdp_segments(scenario.link.initial_rate_bps, base_rtt, mss)
-    capacity = math.ceil(scenario.buffer_bdp * bdp)
 
     injector = None
     if scenario.loss is not None:
@@ -949,7 +935,7 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
 
     bottleneck = Bottleneck(
         loop,
-        capacity_segs=capacity,
+        capacity_segs=scenario.link.queue_capacity(scenario.buffer_bdp),
         rate_bps=scenario.link.initial_rate_bps,
         prop_delay_us=scenario.link.prop_delay_us,
         injector=injector,
@@ -982,7 +968,7 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
         loop.schedule(f.source.start_us, sender.start)
 
     def record_samples(t_us: int) -> None:
-        queue_now = bottleneck.queue.occupancy
+        queue_now = bottleneck.occupancy
         for row in rows:
             start_us, sender, receiver, append, last_delivered, last_t = row
             if t_us < start_us:
@@ -1016,12 +1002,13 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
             record_samples(scenario.horizon_us)
 
         audit: dict[str, dict[str, int]] = {}
+        dropped = Counter(fid for _, fid, _ in bottleneck.drop_log)
         for f in scenario.flows:
             fid = f.flow_id
             sender = senders[fid]
             receiver = receivers[fid]
             in_net = bottleneck.in_network_total(fid)
-            drops = bottleneck.drops_by_flow.get(fid, 0)
+            drops = dropped[fid]
             sent = sender.snd_nxt + sender.retransmits
             entry = {
                 "segments_sent": sent,

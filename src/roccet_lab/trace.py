@@ -48,9 +48,7 @@ class FlowTrace:
 
 @dataclass(slots=True)
 class TraceSet:
-    mss_bytes: int
     horizon_us: int
-    sample_us: int
     config: dict
     flows: dict[str, FlowTrace] = field(default_factory=dict)
     drops: list[tuple[int, str, str]] = field(default_factory=list)

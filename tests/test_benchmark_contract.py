@@ -1,0 +1,57 @@
+"""What the benchmark in `perfbench/` needs of the package, checked in
+tier 1 so that a renamed or deleted name, or a moved artifact byte, fails
+here rather than only in the benchmark. Reads `perfbench/` and changes
+nothing in it."""
+
+import importlib
+import importlib.util
+import inspect
+import json
+from pathlib import Path
+
+import pytest
+
+from roccet_lab.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load("tracing")
+checks = _load("checks")
+
+
+@pytest.mark.parametrize("owner_path, attr, layer", tracing.SPANS)
+def test_every_span_resolves(owner_path, attr, layer):
+    # `Tracer.install` looks each one up the same way and raises without it.
+    module, *classes = owner_path.split(".")
+    owner = importlib.import_module(f"roccet_lab.{module}")
+    for name in classes:
+        owner = getattr(owner, name)
+    assert callable(inspect.getattr_static(owner, attr))
+
+
+@pytest.mark.parametrize("module", sorted(tracing.MODULE_LAYERS))
+def test_every_module_layer_resolves(module):
+    assert importlib.import_module(f"roccet_lab.{module}")
+
+
+@pytest.mark.parametrize(
+    "workload, scenario, algo",
+    [("bw-halving-roccet", "bw-halving", "roccet"), ("frozen-cwnd-cubic", "frozen-cwnd", "cubic")],
+)
+def test_single_run_workloads_match_pinned_hashes(workload, scenario, algo, tmp_path):
+    # The same command and digests as the benchmark's single-run rounds.
+    expected = json.loads((PERFBENCH / "hashes.json").read_text(encoding="utf-8"))[workload]
+    argv = ["run", "--builtin", scenario, "--algo", algo, "--seed", "1", "-o", str(tmp_path)]
+    assert main(argv) == 0
+    trace_text = (tmp_path / "trace.csv").read_text(encoding="utf-8")
+    events_text = (tmp_path / "events.json").read_text(encoding="utf-8")
+    assert checks.sha256(trace_text.encode("utf-8")) == expected["trace_csv"]
+    assert checks.events_digest(events_text) == expected["events_json"]

@@ -244,6 +244,10 @@ BAD_INPUTS = [
     ["run", "--builtin", "steady", "--set", "flows.0.start_s=true"],
     ["run", "--builtin", "steady",
      "--set", 'flows.0.source={"kind":"app_limited","rate_mbps":true}'],
+    ["run", "--builtin", "steady", "--set", "horizon_s=0.5", "--set", "link.rate_mbps=1e300"],
+    ["run", "--builtin", "steady", "--set", "horizon_s=0.5", "--set", "link.rtt_ms=1e300"],
+    ["run", "--builtin", "steady", "--algo", "probe_rate", "--set", "probe_rate.min_cwnd=-5"],
+    ["run", "--builtin", "steady", "--algo", "probe_rate", "--set", "probe_rate.cwnd_gain=-1"],
     ["sweep", "--sweep", {"scenario": "steady", "repetitions": "x"}],
     ["sweep", "--sweep", {"scenario": "steady", "options": [1]}],
     ["sweep", "--sweep", {"scenario": "steady", "axes": [1]}],

@@ -10,8 +10,10 @@ reference driver. The reference is built only from the state-value
 functions of `cubic.py` and `roccet.py` (`update_rtt_min`,
 `update_srrtt`, `accumulate_interval`, `cubic_on_ack` and the LAUNCH /
 ORBITER checks and transitions) and imports nothing from
-`controllers.py`. After every call both must hold exactly the same state:
-the same values of the same types, compared through `repr`.
+`controllers.py`. After every call both must hold exactly the same state,
+the same values of the same types compared through `repr`, and the
+controller's `ce_events` must equal the congestion events the reference
+logged itself.
 """
 
 from dataclasses import replace
@@ -42,11 +44,13 @@ SRTT_WEIGHT = 1 / 8  # the smoothed RTT that feeds srRTT
 
 class ReferenceCubic:
     """CUBIC through the state-value functions: growth outside loss
-    repair, a congestion event on every loss the transport reports."""
+    repair, a congestion event on every loss the transport reports.
+    `ce_log` is its own log of congestion events, (time, kind) pairs."""
 
-    def __init__(self, cubic_params, algo_tag="cubic"):
+    def __init__(self, cubic_params):
         self.cubic_params = cubic_params
-        self.cc = CcState(algo_tag=algo_tag)
+        self.cc = CcState()
+        self.ce_log = []
 
     def on_ack(self, ack, in_flight, round_start, in_recovery):
         if not in_recovery:
@@ -54,6 +58,7 @@ class ReferenceCubic:
 
     def on_loss(self, now_us, origin):
         self.cc = cubic_on_congestion_event(self.cc, self.cubic_params, now_us)
+        self.ce_log.append((now_us, CeKind.LOSS_CE.value))
 
     def snapshot(self):
         return self.cc, self.cc.cwnd
@@ -63,7 +68,7 @@ class ReferenceRoccet(ReferenceCubic):
     """ROCCET's per-ACK decision flow, one state value at a time."""
 
     def __init__(self, cubic_params, params):
-        super().__init__(cubic_params, "roccet")
+        super().__init__(cubic_params)
         self.params = params
         self.roc = RoccetState()
         self.srtt = None
@@ -98,6 +103,7 @@ class ReferenceRoccet(ReferenceCubic):
                     self.roc, self.cc = apply_launch_exit(
                         self.roc, self.cc, now, decision, self.cubic_params
                     )
+                    self.ce_log.append((now, CeKind.LAUNCH_EXIT.value))
                     return
         else:
             drain = self.roc.drain_until_us
@@ -110,15 +116,16 @@ class ReferenceRoccet(ReferenceCubic):
                     self.roc, self.cc = apply_roccet_ce(
                         self.roc, self.cc, now, params, self.cubic_params
                     )
+                    self.ce_log.append((now, CeKind.ROCCET_CE.value))
                     return
         self.cc = cubic_on_ack(self.cc, ack, self.cubic_params)
 
     def on_loss(self, now_us, origin):
         if self.cc.phase is Phase.SLOW_START:
             return
-        self.roc, self.cc = orbiter_on_loss(
-            self.roc, self.cc, self.params, self.cubic_params, now_us
-        )
+        self.cc = orbiter_on_loss(self.cc, self.params, self.cubic_params, now_us)
+        if not self.params.ignore_loss:
+            self.ce_log.append((now_us, CeKind.LOSS_CE.value))
 
     def snapshot(self):
         return self.cc, self.roc, self.srtt, self.cc.cwnd
@@ -202,6 +209,7 @@ def _replay(rec):
             ctl.on_loss(call[1], call[2])
             ref.on_loss(call[1], call[2])
         assert repr(_folded_snapshot(ctl)) == repr(ref.snapshot()), (rec.algo, i, call)
+        assert ctl.ce_events == ref.ce_log, (rec.algo, i, call)
     return ref
 
 
@@ -238,8 +246,8 @@ def _refreshes(calls, params):
 def test_bw_halving_in_lockstep(monkeypatch):
     (rec,) = _record(_bw_halving(), monkeypatch)
     ref = _replay(rec)
-    kinds = {kind for _, kind in ref.roc.ce_log}
-    assert {CeKind.LAUNCH_EXIT, CeKind.ROCCET_CE} <= kinds
+    kinds = {kind for _, kind in ref.ce_log}
+    assert {CeKind.LAUNCH_EXIT.value, CeKind.ROCCET_CE.value} <= kinds
     assert any(call[0] == "ack" and call[1][3] for call in rec.calls)  # app-limited ACKs
 
 

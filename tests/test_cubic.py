@@ -105,7 +105,7 @@ class TestProperties:
     def test_cwnd_floor_over_random_event_sequences(self):
         rng = random.Random(21)
         for _ in range(200):
-            state = CcState(algo_tag="cubic")
+            state = CcState()
             now = 0
             for _ in range(60):
                 now += rng.randint(1_000, 200_000)

@@ -6,24 +6,12 @@ import pytest
 from roccet_lab.errors import MetricsError
 from roccet_lab.harness import builtin_scenario
 from roccet_lab.metrics import (
-    FlowMetrics,
     bandwidth_share,
-    harm,
     jain_index,
     percentile_nearest_rank,
     summarize,
 )
 from roccet_lab.simulator import run
-
-
-def _metrics(goodput=10.0, flow_id="f", algo="cubic"):
-    return FlowMetrics(
-        flow_id=flow_id,
-        algo=algo,
-        total_goodput_mbps=goodput,
-        delivered_bytes=0,
-        ce_counts={},
-    )
 
 
 class TestJain:
@@ -78,21 +66,6 @@ class TestShare:
         traces = run(builtin_scenario("steady", horizon_s=5.0))
         report = bandwidth_share(traces)
         assert report.window_ms[0] == pytest.approx(500.0)
-
-
-class TestHarm:
-    def test_identical_runs_harmless(self):
-        assert harm(_metrics(10.0), _metrics(10.0)) == 0.0
-
-    def test_formula(self):
-        assert harm(_metrics(10.0), _metrics(6.0)) == pytest.approx(0.4)
-
-    def test_clamped_at_zero(self):
-        assert harm(_metrics(10.0), _metrics(12.0)) == 0.0
-
-    def test_zero_solo_rejected(self):
-        with pytest.raises(MetricsError):
-            harm(_metrics(0.0), _metrics(5.0))
 
 
 class TestPercentiles:

@@ -21,23 +21,23 @@ def ack(newly=1, now_us=0, rtt_us=40_000):
 
 class TestReno:
     def test_full_window_acked_adds_one(self):
-        state = CcState(cwnd=10.0, phase=Phase.CONGESTION_AVOIDANCE, algo_tag="reno")
+        state = CcState(cwnd=10.0, phase=Phase.CONGESTION_AVOIDANCE)
         for _ in range(10):
             state = reno_on_ack(state, ack())
         assert state.cwnd == 11.0
 
     def test_halving_on_congestion(self):
-        state = CcState(cwnd=20.0, algo_tag="reno")
+        state = CcState(cwnd=20.0)
         out = reno_on_congestion_event(state, now_us=1)
         assert out.cwnd == 10.0
         assert out.ssthresh == 10.0
 
     def test_slow_start_step(self):
-        state = CcState(cwnd=1.0, algo_tag="reno")
+        state = CcState(cwnd=1.0)
         assert reno_on_ack(state, ack()).cwnd == 2.0
 
     def test_ssthresh_crossover_enters_avoidance(self):
-        state = CcState(cwnd=7.0, ssthresh=8.0, algo_tag="reno")
+        state = CcState(cwnd=7.0, ssthresh=8.0)
         out = reno_on_ack(state, ack(newly=4))
         assert out.cwnd == 8.0
         assert out.phase is Phase.CONGESTION_AVOIDANCE
@@ -46,7 +46,7 @@ class TestReno:
 class TestProbeRate:
     def test_startup_doubles_per_round(self):
         params = ProbeRateParams()
-        cc = CcState(cwnd=10.0, algo_tag="probe_rate")
+        cc = CcState(cwnd=10.0)
         pr = ProbeRateState()
         now = 0
         for _ in range(10):  # one round of per-segment ACKs
@@ -56,7 +56,7 @@ class TestProbeRate:
 
     def test_probe_rtt_entered_after_quiet_window(self):
         params = ProbeRateParams()
-        cc = CcState(cwnd=40.0, algo_tag="probe_rate")
+        cc = CcState(cwnd=40.0)
         pr = ProbeRateState(mode=PROBE_BW, min_rtt_us=40_000, min_rtt_stamp_us=0,
                             bw_window=((0, 800.0),), cycle_stamp_us=0)
         cc, pr, _ = probe_rate_on_ack(
@@ -67,7 +67,7 @@ class TestProbeRate:
 
     def test_loss_backoff_floors_at_min_cwnd(self):
         params = ProbeRateParams()
-        cc = CcState(cwnd=5.0, algo_tag="probe_rate")
+        cc = CcState(cwnd=5.0)
         out = probe_rate_on_loss(cc, ProbeRateState(), params, 0)
         assert out.cwnd == 4.0
 
@@ -88,7 +88,7 @@ class TestProbeRate:
         # once the model leaves startup, unity-gain phases pace at the
         # estimated rate, which must sit near the bottleneck rate.
         params = ProbeRateParams()
-        cc = CcState(cwnd=10.0, algo_tag="probe_rate")
+        cc = CcState(cwnd=10.0)
         pr = ProbeRateState()
         now, seq_interval = 0, 1200  # 1500 B at 10 Mbps
         bdp = 10e6 * 0.04 / (8 * 1500)

@@ -214,7 +214,6 @@ class TestOrbiter:
         assert cc.w_max == 120.0
         assert math.isclose(cc.cwnd, 84.0, rel_tol=1e-9)
         assert state.drain_until_us == 50 + RP.drain_duration_us
-        assert state.ce_log[-1][1] is CeKind.ROCCET_CE
 
     def test_apply_ce_keeps_peak_when_below(self):
         _, cc = apply_roccet_ce(
@@ -235,21 +234,27 @@ class TestOrbiter:
             cc = CcState(cwnd=rng.uniform(1, 500), w_max=cc.w_max)
 
     def test_loss_delegates_to_cubic(self):
-        state = RoccetState()
-        _, cc = orbiter_on_loss(state, CcState(cwnd=100.0, w_max=80.0), RP, CP, 9)
+        cc = orbiter_on_loss(CcState(cwnd=100.0, w_max=80.0), RP, CP, 9)
         assert math.isclose(cc.cwnd, 70.0, rel_tol=1e-9)
         assert cc.w_max == 100.0
 
     def test_loss_ignored_when_configured(self):
         params = RoccetParams(ignore_loss=True)
         start = CcState(cwnd=100.0, w_max=80.0)
-        _, cc = orbiter_on_loss(RoccetState(), start, params, CP, 9)
+        cc = orbiter_on_loss(start, params, CP, 9)
         assert cc == start
+        ctl = RoccetController(CP, params)
+        ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=Phase.CONGESTION_AVOIDANCE)
+        ctl.on_loss(9, "fast_retransmit")
+        assert ctl.cwnd == 100.0 and ctl.ce_events == []
 
     def test_loss_during_drain_still_reduces(self):
-        state = RoccetState(drain_until_us=10_000_000)
-        _, cc = orbiter_on_loss(state, CcState(cwnd=100.0, w_max=80.0), RP, CP, 5_000_000)
-        assert math.isclose(cc.cwnd, 70.0, rel_tol=1e-9)
+        ctl = RoccetController(CP, RP)
+        ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=Phase.CONGESTION_AVOIDANCE)
+        ctl.roc = RoccetState(drain_until_us=10_000_000)
+        ctl.on_loss(5_000_000, "fast_retransmit")
+        assert math.isclose(ctl.cwnd, 70.0, rel_tol=1e-9)
+        assert ctl.ce_events == [(5_000_000, CeKind.LOSS_CE.value)]
 
 
 class TestControllerDrain:

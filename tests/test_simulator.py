@@ -72,21 +72,18 @@ class TestQueueOp:
     def test_full_queue_drops(self):
         link = self._link(3)
         assert all(link.submit(self._pkt(seq)) for seq in range(4))
-        assert link.queue.occupancy == 3
+        assert link.occupancy == 3
         assert link.submit(self._pkt(4)) is False
-        assert link.queue.occupancy == 3
-        assert link.queue.drops == 1
-        assert link.drops_by_flow == {"f": 1}
+        assert link.occupancy == 3
         assert link.drop_log == [(0, "f", "queue_full")]
 
     def test_empty_queue_accepts(self):
         link = self._link(3)
         assert link.submit(self._pkt(0))  # into service
-        assert link.queue.occupancy == 0
+        assert link.occupancy == 0
         assert link.submit(self._pkt(1))
-        assert link.queue.occupancy == 1
-        assert link.queue.drops == 0
-        assert link.drops_by_flow == {} and link.drop_log == []
+        assert link.occupancy == 1
+        assert link.drop_log == []
 
     def test_burst_overflow_drops_exactly_k(self):
         capacity, k = 25, 7
@@ -94,9 +91,7 @@ class TestQueueOp:
         assert link.submit(self._pkt(0, "g"))  # the server takes the first
         accepted = [link.submit(self._pkt(seq)) for seq in range(capacity + k)]
         assert accepted == [True] * capacity + [False] * k
-        assert link.queue.occupancy == capacity
-        assert link.queue.drops == k
-        assert link.drops_by_flow == {"f": k}
+        assert link.occupancy == capacity
         assert link.drop_log == [(0, "f", "queue_full")] * k
 
 
