@@ -1,7 +1,8 @@
 """Byte-identity pins: the sha256 of `trace.csv` and of the whole
 `events.json` (`events_processed` included) for every builtin at its
-default algorithm, for `steady` under each algorithm, and for five
-variants that reach source, loss and controller paths no builtin does, at
+default algorithm, for `steady` under each algorithm, for five variants
+that reach source, loss and controller paths no builtin does, and for
+one fairness cell whose drops put ROCCET flows through loss repair, at
 shortened horizons.
 
 A change that only makes the simulator faster must leave every digest
@@ -38,6 +39,14 @@ CASES = {
     "loss-window-jitter": ("fairness-10x40", None, 5.0),
     "roccet-rtt-min-refresh": ("steady", "roccet", 6.0),
     "frozen-cwnd-no-freeze": ("frozen-cwnd", None, 5.0),
+    "fairness-8x1bdp": ("fairness-10x40", None, 6.0),
+}
+
+# Builtin options of the cases that take any: eight ROCCET flows and a
+# CUBIC rival in a one-BDP buffer, where duplicate ACKs during repair
+# move the sender's smoothed RTT that srRTT reads.
+OPTIONS = {
+    "fairness-8x1bdp": {"n_flows": 8, "buffer_bdp": 1.0, "competitor": "cubic"},
 }
 
 
@@ -137,12 +146,18 @@ DIGESTS = {
         "e74671fb09f060ac7a957858e561ec827af66947db749836afc96bf91143bfb1",
         "1bfd58ad230b24a007f75222bee00839a688cba8c1695d63d59a607beb10bc24",
     ),
+    "fairness-8x1bdp": (
+        "5ac8a6cffe2f4db0f4d4dd0fdc9c91413693f722dc4440ecaeec7ffc42582cf7",
+        "57e0e55d4bbd6b6541876ebfb8a915bb3661f699d64e8563e3bad845dbf7a90b",
+    ),
 }
 
 
 def digests(name: str) -> tuple[str, str]:
     builtin, algo, horizon_s = CASES[name]
-    spec = builtin_scenario(builtin, algo=algo, seed=1, horizon_s=horizon_s)
+    spec = builtin_scenario(
+        builtin, algo=algo, seed=1, horizon_s=horizon_s, **OPTIONS.get(name, {})
+    )
     if name in VARIANTS:
         spec = VARIANTS[name](spec)
         spec.validate()
