@@ -1,10 +1,12 @@
-"""Shared congestion-controller state types.
+"""Shared congestion-controller types.
 
-All controllers share the `CcState` record. The transition functions are
-pure: each takes a state value plus event data and returns a new state.
-The CUBIC and ROCCET controllers keep their state field by field and run
-the per-ACK steps in place (see `controllers`). One event loop owns each
-flow's state at a time; nothing here is shared or locked.
+CUBIC, ROCCET and Reno share the `CcState` record, and every controller
+reads one `AckInfo` per ACK; all of them count in segments and
+microseconds. The transition functions are pure: each takes a state value
+plus event data and returns a new state. The CUBIC and ROCCET controllers
+keep their state field by field and run the per-ACK steps in place (see
+`controllers`). One event loop owns each flow's state at a time; nothing
+here is shared or locked.
 """
 
 from __future__ import annotations
@@ -76,15 +78,20 @@ class CcState:
     ca_acked: float = 0.0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, kw_only=True)
 class AckInfo:
     """Everything a controller learns from one cumulative ACK.
 
     `rtt_sample_us` is always present: the receiver echoes each segment's
     send timestamp, so an ACK for a retransmitted copy dates that copy and
-    no sample has to be discarded. `is_app_limited` means the sender could
-    not fill the current window because the application supplied too
-    little data.
+    no sample has to be discarded. `srtt_us` is the sender's RFC 6298
+    smoothed RTT after it took that sample; a controller that needs a
+    smoothed RTT reads it here rather than keeping its own. `in_flight` is
+    the segments still unacknowledged, `round_start` marks the first ACK
+    past the data outstanding at the previous round start (ACK-clocked
+    round counting), and `in_recovery` means the sender is repairing a
+    loss episode. `is_app_limited` means the sender could not fill the
+    current window because the application supplied too little data.
 
     Read-only by convention but not frozen: each sender keeps one and
     refills it for every ACK, which costs less than building a record per
@@ -93,5 +100,9 @@ class AckInfo:
 
     newly_acked: int
     rtt_sample_us: int
+    srtt_us: float
     now_us: int
+    in_flight: int = 0
+    round_start: bool = False
+    in_recovery: bool = False
     is_app_limited: bool = False

@@ -1,10 +1,13 @@
 """Controller adapters binding the transition functions to the
 simulator's per-flow event stream.
 
-Each controller owns one flow's state, consumes `AckInfo` records plus the
-transport extras (in-flight segments, ACK-clocked round boundaries), and
-exposes the current window, an optional pacing rate, and a log of
-congestion events for the trace.
+Every controller has the same contract: `on_ack(ack)` takes the one
+`AckInfo` record the sender refills per ACK (the transport's smoothed
+RTT, in-flight count, round boundaries and recovery flag included), and
+`on_loss(now_us)` reports a loss episode. Each exposes the current window
+in segments, a pacing rate in segments per second (None unless it
+paces), and `ce_events`, its one log of congestion events for the trace.
+`CONTROLLERS` maps each algorithm name to its builder.
 
 The CUBIC and ROCCET controllers hold their state field by field and run
 the per-ACK path in place as straight-line code: the congestion-avoidance
@@ -18,7 +21,6 @@ them, and checks that both hold the same state, and the same congestion
 events, after every call. The `cc` (and `roc`) attributes read and assign
 whole `CcState` / `RoccetState` values, which is how the rarer
 transitions (congestion events, LAUNCH/ORBITER checks) are applied.
-`ce_events` is each controller's one log of congestion events.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from operator import attrgetter
 from .cc_types import MIN_CWND, AckInfo, CcState, CubicParams, Phase
 from . import cubic, probe_rate, reno, roccet
 from .roccet import CeKind, LaunchDecision, OrbiterDecision, RoccetParams, RoccetState
-
-EWMA_SRTT_WEIGHT = 0.125  # transport-style smoothing feeding the srrtt signal
 
 _CC_FIELDS = tuple(f.name for f in fields(CcState))
 _ROC_FIELDS = tuple(f.name for f in fields(RoccetState))
@@ -46,7 +46,7 @@ class _InPlaceCubic:
 
     __slots__ = _CC_FIELDS + ("cubic_params", "ce_events", "_epoch", "_aimd_inc")
 
-    pacing_rate_bps = None
+    pacing_segs_per_s = None
 
     def __init__(self, cubic_params: CubicParams):
         self.cubic_params = cubic_params
@@ -96,20 +96,18 @@ class _InPlaceCubic:
 class CubicController(_InPlaceCubic):
     __slots__ = ()
 
-    def on_ack(
-        self, ack: AckInfo, in_flight: float, round_start: bool, in_recovery: bool = False
-    ) -> None:
-        if in_recovery:
+    def on_ack(self, ack: AckInfo) -> None:
+        if ack.in_recovery:
             return
         self._cubic_on_ack(ack)
 
-    def on_loss(self, now_us: int, origin: str) -> None:
+    def on_loss(self, now_us: int) -> None:
         self.cc = cubic.cubic_on_congestion_event(self.cc, self.cubic_params, now_us)
         self.ce_events.append((now_us, CeKind.LOSS_CE.value))
 
 
 class RenoController:
-    pacing_rate_bps = None
+    pacing_segs_per_s = None
 
     def __init__(self):
         self.state = CcState()
@@ -119,75 +117,65 @@ class RenoController:
     def cwnd(self) -> float:
         return self.state.cwnd
 
-    def on_ack(
-        self, ack: AckInfo, in_flight: float, round_start: bool, in_recovery: bool = False
-    ) -> None:
-        if in_recovery:
+    def on_ack(self, ack: AckInfo) -> None:
+        if ack.in_recovery:
             return
         self.state = reno.reno_on_ack(self.state, ack)
 
-    def on_loss(self, now_us: int, origin: str) -> None:
-        self.state = reno.reno_on_congestion_event(self.state, now_us)
+    def on_loss(self, now_us: int) -> None:
+        self.state = reno.reno_on_congestion_event(self.state)
         self.ce_events.append((now_us, CeKind.LOSS_CE.value))
 
 
 class ProbeRateController:
-    def __init__(self, params: probe_rate.ProbeRateParams, mss_bytes: int):
+    def __init__(self, params: probe_rate.ProbeRateParams):
         self.params = params
-        self.mss_bytes = mss_bytes
-        self.state = CcState()
         self.model = probe_rate.ProbeRateState()
-        self.pacing_rate_bps: float | None = None
+        self.pacing_segs_per_s: float | None = None
         self.ce_events: list[tuple[int, str]] = []
 
     @property
     def cwnd(self) -> float:
-        return self.state.cwnd
+        return self.model.cwnd
 
-    def on_ack(
-        self, ack: AckInfo, in_flight: float, round_start: bool, in_recovery: bool = False
-    ) -> None:
-        if in_recovery:
+    def on_ack(self, ack: AckInfo) -> None:
+        if ack.in_recovery:
             return
-        self.state, self.model, self.pacing_rate_bps = probe_rate.probe_rate_on_ack(
-            self.state, self.model, ack, self.params, in_flight, round_start,
-            self.mss_bytes,
+        self.model, self.pacing_segs_per_s = probe_rate.probe_rate_on_ack(
+            self.model, ack, self.params
         )
 
-    def on_loss(self, now_us: int, origin: str) -> None:
-        self.state = probe_rate.probe_rate_on_loss(
-            self.state, self.model, self.params, now_us
-        )
+    def on_loss(self, now_us: int) -> None:
+        self.model = probe_rate.probe_rate_on_loss(self.model, self.params)
         self.ce_events.append((now_us, CeKind.LOSS_CE.value))
 
 
 class RoccetController(_InPlaceCubic):
     """Per-ACK driver for the ROCCET decision flow.
 
-    Update order per ACK: refresh rtt_min from the raw sample, fold the
-    sample into the internal smoothed RTT (weight 1/8) and recompute srrtt,
-    advance the interval counters (RTT boundaries tick on rtt_min of wall
-    time, so cum_cwnd states what the window promises per uncongested
-    round trip), then route: slow start runs the LAUNCH check each 100 ms
-    interval, congestion avoidance returns immediately while draining,
-    otherwise runs the ORBITER check each five-RTT interval. Whenever no
-    check fires, growth falls through to plain CUBIC. While the transport
-    is repairing a loss episode, signal updates continue but decisions and
-    growth pause, mirroring a kernel suspending the growth hook during
-    recovery.
+    Update order per ACK: refresh rtt_min from the raw sample, recompute
+    srrtt from the sender's smoothed RTT (`ack.srtt_us`, which has already
+    taken this ACK's sample), advance the interval counters (RTT
+    boundaries tick on rtt_min of wall time, so cum_cwnd states what the
+    window promises per uncongested round trip), then route: slow start
+    runs the LAUNCH check each 100 ms interval, congestion avoidance
+    returns immediately while draining, otherwise runs the ORBITER check
+    each five-RTT interval. Whenever no check fires, growth falls through
+    to plain CUBIC. While the transport is repairing a loss episode
+    (`ack.in_recovery`), signal updates continue but decisions and growth
+    pause, mirroring a kernel suspending the growth hook during recovery.
 
     The signal updates and CUBIC growth run in place on this object's
     fields as straight-line code; the checks and the transitions they
     trigger go through the `roccet` state-value functions on `roc` / `cc`.
     """
 
-    __slots__ = _ROC_FIELDS + ("params", "_srtt_us", "_next_tick_us", "launch_exits")
+    __slots__ = _ROC_FIELDS + ("params", "_next_tick_us", "launch_exits")
 
     def __init__(self, cubic_params: CubicParams, params: RoccetParams):
         super().__init__(cubic_params)
         self.params = params
         self.roc = RoccetState()
-        self._srtt_us: float | None = None
         self._next_tick_us: int | None = None
         self.launch_exits: list[tuple[int, float, float]] = []  # (t, before, after)
 
@@ -206,9 +194,7 @@ class RoccetController(_InPlaceCubic):
         self.roc = roccet.reset_interval(self.roc, now_us)
         self._next_tick_us = now_us + (self.rtt_min_us or 0)
 
-    def on_ack(
-        self, ack: AckInfo, in_flight: float, round_start: bool, in_recovery: bool = False
-    ) -> None:
+    def on_ack(self, ack: AckInfo) -> None:
         now = ack.now_us
         params = self.params
         sample = ack.rtt_sample_us
@@ -225,14 +211,8 @@ class RoccetController(_InPlaceCubic):
             a = params.rtt_min_refresh_alpha
             self.rtt_min_us = rtt_min = round(a * sample + (1.0 - a) * rtt_min)
             self.rtt_min_updated_at_us = now
-        srtt = self._srtt_us
-        if srtt is None:
-            srtt = float(sample)
-        else:
-            srtt += EWMA_SRTT_WEIGHT * (sample - srtt)
-        self._srtt_us = srtt
         # roccet.update_srrtt
-        x = (round(srtt) - rtt_min) / rtt_min
+        x = (round(ack.srtt_us) - rtt_min) / rtt_min
         if x < 0.0:
             x = 0.0
         alpha = params.alpha
@@ -250,7 +230,7 @@ class RoccetController(_InPlaceCubic):
             self.rtts_elapsed_in_interval += 1
         self.acks_in_interval += ack.newly_acked
 
-        if in_recovery:
+        if ack.in_recovery:
             return
 
         if self.phase is Phase.SLOW_START:
@@ -258,7 +238,7 @@ class RoccetController(_InPlaceCubic):
                 self.interval_start_us is not None
                 and now - self.interval_start_us >= params.launch_interval_us
             ):
-                decision = roccet.launch_check(self.roc, self.cc, now, params)
+                decision = roccet.launch_check(self.roc, params)
                 self._reset_interval(now)
                 if decision is not LaunchDecision.STAY:
                     before = self.cwnd
@@ -272,7 +252,7 @@ class RoccetController(_InPlaceCubic):
             if self.drain_until_us is not None and now < self.drain_until_us:
                 return
             if self.rtts_elapsed_in_interval >= params.orbiter_interval_rtts:
-                decision = roccet.orbiter_check(self.roc, self.cc, now, params)
+                decision = roccet.orbiter_check(self.roc, now, params)
                 self._reset_interval(now)
                 if decision is OrbiterDecision.ROCCET_CE:
                     self.roc, self.cc = roccet.apply_roccet_ce(
@@ -282,7 +262,7 @@ class RoccetController(_InPlaceCubic):
                     return
         self._cubic_on_ack(ack)
 
-    def on_loss(self, now_us: int, origin: str) -> None:
+    def on_loss(self, now_us: int) -> None:
         # Loss during slow start is ignored: retransmission is still the
         # transport's job, but the window is left untouched.
         if self.phase is Phase.SLOW_START or self.params.ignore_loss:
@@ -291,21 +271,16 @@ class RoccetController(_InPlaceCubic):
         self.ce_events.append((now_us, CeKind.LOSS_CE.value))
 
 
-def make_controller(
-    algo: str,
-    cubic_params: CubicParams,
-    roccet_params: RoccetParams,
-    probe_params: probe_rate.ProbeRateParams,
-    mss_bytes: int,
-):
-    """Build the controller for one flow; `mss_bytes` is the link's
-    segment size, which the rate-based comparator paces in."""
-    if algo == "cubic":
-        return CubicController(cubic_params)
-    if algo == "reno":
-        return RenoController()
-    if algo == "roccet":
-        return RoccetController(cubic_params, roccet_params)
-    if algo == "probe_rate":
-        return ProbeRateController(probe_params, mss_bytes)
-    raise ValueError(f"unknown congestion control algorithm: {algo!r}")
+#: Each algorithm's controller, built from one flow's `harness.FlowSpec`.
+CONTROLLERS = {
+    "cubic": lambda flow: CubicController(flow.cubic),
+    "reno": lambda flow: RenoController(),
+    "roccet": lambda flow: RoccetController(flow.cubic, flow.roccet),
+    "probe_rate": lambda flow: ProbeRateController(flow.probe),
+}
+
+
+def make_controller(flow):
+    """Build the controller of one flow, a `harness.FlowSpec`; the
+    scenario's validation has checked that its algo is in `CONTROLLERS`."""
+    return CONTROLLERS[flow.algo](flow)

@@ -31,6 +31,7 @@ from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from .cc_types import CubicParams
+from .controllers import CONTROLLERS
 from .errors import ScenarioError
 from .metrics import FlowMetrics, ShareReport, bandwidth_share, flow_metrics
 from .probe_rate import ProbeRateParams
@@ -265,7 +266,7 @@ class ScenarioSpec:
             where = f"flow {f.flow_id}: "
             _check_rows(f, FLOW_KEYS, where)
             _check_rows(f.source, FLOW_TIMES + SOURCE_KEYS, f"{where}source.")
-            if f.algo not in ("reno", "cubic", "roccet", "probe_rate"):
+            if f.algo not in CONTROLLERS:
                 raise ScenarioError(f"{where}unknown algo {f.algo!r}")
             for section, (attr, _, rows) in SECTIONS.items():
                 params = getattr(f, attr)
@@ -579,16 +580,15 @@ class SweepSpec:
     repetitions: int = 1
     seed: int = 1
     options: dict = field(default_factory=dict)
-    cell_cap: int = SWEEP_CELL_CAP
 
     def cells(self) -> list[dict]:
         names = sorted(self.axes)
         values = [self.axes[n] for n in names]
         points = [dict(zip(names, combo)) for combo in itertools.product(*values)]
         total = len(points) * self.repetitions
-        if total > self.cell_cap:
+        if total > SWEEP_CELL_CAP:
             raise ScenarioError(
-                f"sweep would run {total} cells, above the cap of {self.cell_cap}"
+                f"sweep would run {total} cells, above the cap of {SWEEP_CELL_CAP}"
             )
         return points
 

@@ -115,10 +115,7 @@ def percentile_nearest_rank(values: list[float], pct: float) -> float:
     return ordered[rank - 1]
 
 
-def summarize(
-    series: dict[str, list[float]] | FlowTrace,
-    warmup_fraction: float = WARMUP_FRACTION,
-) -> dict[str, dict[str, float]]:
+def summarize(series: dict[str, list[float]] | FlowTrace) -> dict[str, dict[str, float]]:
     """p25/p50/p75/max table for sRTT and goodput past the warm-up window.
 
     Accepts either a run's FlowTrace, read sample by sample, or a
@@ -131,7 +128,7 @@ def summarize(
         samples = series.samples
         start = series.start_us / 1000
         end = samples[-1].t_us / 1000 if samples else start
-        cut = start + warmup_fraction * (end - start)
+        cut = start + WARMUP_FRACTION * (end - start)
         srtt_vals = [
             s.srtt_us / 1000 for s in samples if s.srtt_us > 0 and s.t_us / 1000 >= cut
         ]
@@ -140,7 +137,7 @@ def summarize(
         times = series["t_ms"]
         if not times:
             raise MetricsError("summarize: empty trace")
-        cut = times[0] + warmup_fraction * (times[-1] - times[0])
+        cut = times[0] + WARMUP_FRACTION * (times[-1] - times[0])
         srtt_vals = [
             v for t, v in zip(times, series["srtt_ms"]) if t >= cut and v > 0
         ]

@@ -3,16 +3,17 @@
 A model-based controller in the startup / drain / probe-bandwidth /
 probe-RTT mould. It keeps a windowed maximum of the measured delivery rate
 and a minimum-RTT estimate, paces at a cyclic gain over the rate estimate,
-and caps the window at twice the estimated BDP. This is deliberately a
-plumbing-grade stand-in for modern rate-based stacks, not a faithful
-implementation of any of them.
+and caps the window at twice the estimated BDP. It counts in segments:
+the delivery rate and the pacing rate are segments per second. This is
+deliberately a plumbing-grade stand-in for modern rate-based stacks, not
+a faithful implementation of any of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .cc_types import MIN_CWND, AckInfo, CcState, Phase
+from .cc_types import INITIAL_CWND, MIN_CWND, AckInfo
 from .errors import ScenarioError
 
 PROBE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -53,6 +54,7 @@ class ProbeRateParams:
 
 @dataclass(frozen=True, slots=True)
 class ProbeRateState:
+    cwnd: float = INITIAL_CWND
     mode: str = STARTUP
     min_rtt_us: int | None = None
     min_rtt_stamp_us: int = 0
@@ -82,23 +84,17 @@ def _bdp_segments(state: ProbeRateState) -> float:
 
 
 def probe_rate_on_ack(
-    cc: CcState,
-    state: ProbeRateState,
-    ack: AckInfo,
-    params: ProbeRateParams,
-    in_flight: float,
-    round_start: bool,
-    mss_bytes: int,
-) -> tuple[CcState, ProbeRateState, float | None]:
+    state: ProbeRateState, ack: AckInfo, params: ProbeRateParams
+) -> tuple[ProbeRateState, float | None]:
     """Advance the model for one ACK.
 
-    Returns the new controller state plus the pacing rate in bits per
-    second (None before any rate estimate exists). `in_flight` and
-    `round_start` come from the transport (ACK-clocked round counting);
-    `mss_bytes` is the link's segment size.
+    Returns the new state plus the pacing rate in segments per second
+    (None before any rate estimate exists). Rounds are counted by the
+    transport's ACK clock (`ack.round_start`).
     """
     now = ack.now_us
     sample = ack.rtt_sample_us
+    round_start = ack.round_start
 
     if state.min_rtt_us is None or sample < state.min_rtt_us:
         state = replace(state, min_rtt_us=sample, min_rtt_stamp_us=now)
@@ -127,9 +123,10 @@ def probe_rate_on_ack(
         )
 
     bdp = _bdp_segments(state)
+    bdp_cwnd = max(params.min_cwnd, params.cwnd_gain * bdp)
 
     if state.mode == STARTUP:
-        cc = replace(cc, cwnd=cc.cwnd + ack.newly_acked)
+        state = replace(state, cwnd=state.cwnd + ack.newly_acked)
         if round_start and not ack.is_app_limited:
             max_bw = _max_bw(state)
             if max_bw >= state.full_bw * 1.25 or state.full_bw == 0.0:
@@ -139,16 +136,11 @@ def probe_rate_on_ack(
                 if state.full_bw_count >= 3:
                     state = replace(state, mode=DRAIN)
     elif state.mode == DRAIN:
-        if bdp > 0 and in_flight <= bdp:
-            state = replace(state, mode=PROBE_BW, gain_index=0, cycle_stamp_us=now)
-            cc = replace(
-                cc,
-                cwnd=max(params.min_cwnd, params.cwnd_gain * bdp),
-                phase=Phase.CONGESTION_AVOIDANCE,
-            )
+        if bdp > 0 and ack.in_flight <= bdp:
+            state = replace(state, mode=PROBE_BW, gain_index=0, cycle_stamp_us=now, cwnd=bdp_cwnd)
     elif state.mode == PROBE_BW:
-        cap = max(params.min_cwnd, params.cwnd_gain * bdp) if bdp > 0 else cc.cwnd
-        cc = replace(cc, cwnd=min(cc.cwnd + ack.newly_acked, cap))
+        cap = bdp_cwnd if bdp > 0 else state.cwnd
+        state = replace(state, cwnd=min(state.cwnd + ack.newly_acked, cap))
         if state.min_rtt_us is not None and now - state.cycle_stamp_us >= state.min_rtt_us:
             state = replace(
                 state,
@@ -161,36 +153,29 @@ def probe_rate_on_ack(
                 mode=PROBE_RTT,
                 probe_rtt_done_us=now + params.probe_rtt_duration_us,
                 probe_rtt_best_us=None,
+                cwnd=params.min_cwnd,
             )
-            cc = replace(cc, cwnd=params.min_cwnd)
     elif state.mode == PROBE_RTT:
-        cc = replace(cc, cwnd=params.min_cwnd)
+        state = replace(state, cwnd=params.min_cwnd)
         if now >= state.probe_rtt_done_us:
             best = state.probe_rtt_best_us
             if best is not None:
                 state = replace(state, min_rtt_us=best, min_rtt_stamp_us=now)
             else:
                 state = replace(state, min_rtt_stamp_us=now)
-            state = replace(state, mode=PROBE_BW, gain_index=0, cycle_stamp_us=now)
-            cc = replace(cc, cwnd=max(params.min_cwnd, params.cwnd_gain * bdp))
+            state = replace(state, mode=PROBE_BW, gain_index=0, cycle_stamp_us=now, cwnd=bdp_cwnd)
 
-    return cc, state, pacing_rate_bps(state, params, mss_bytes)
+    return state, pacing_segs_per_s(state, params)
 
 
-def probe_rate_on_loss(
-    cc: CcState, state: ProbeRateState, params: ProbeRateParams, now_us: int
-) -> CcState:
+def probe_rate_on_loss(state: ProbeRateState, params: ProbeRateParams) -> ProbeRateState:
     """Mild multiplicative backoff; the rate model does the real work."""
-    return replace(cc, cwnd=max(params.min_cwnd, cc.cwnd * LOSS_BETA))
+    return replace(state, cwnd=max(params.min_cwnd, state.cwnd * LOSS_BETA))
 
 
-def pacing_rate_bps(
-    state: ProbeRateState, params: ProbeRateParams, mss_bytes: int
-) -> float | None:
-    """Current pacing rate, or None until a delivery-rate estimate exists.
-
-    The model counts segments per second; `mss_bytes`, the link's segment
-    size, turns that into bits per second."""
+def pacing_segs_per_s(state: ProbeRateState, params: ProbeRateParams) -> float | None:
+    """Current pacing rate in segments per second, or None until a
+    delivery-rate estimate exists."""
     max_bw = _max_bw(state)
     if max_bw <= 0.0:
         return None
@@ -202,4 +187,4 @@ def pacing_rate_bps(
         gain = 1.0
     else:
         gain = PROBE_GAINS[state.gain_index]
-    return gain * max_bw * mss_bytes * 8.0
+    return gain * max_bw

@@ -32,7 +32,7 @@ def reno_on_ack(state: CcState, ack: AckInfo) -> CcState:
     return state
 
 
-def reno_on_congestion_event(state: CcState, now_us: int) -> CcState:
+def reno_on_congestion_event(state: CcState) -> CcState:
     """Halve the window on any congestion event."""
     cwnd = max(MIN_CWND, state.cwnd / 2.0)
     return replace(
@@ -40,6 +40,5 @@ def reno_on_congestion_event(state: CcState, now_us: int) -> CcState:
         cwnd=cwnd,
         ssthresh=cwnd,
         ca_acked=0.0,
-        epoch_start_us=now_us,
         phase=Phase.CONGESTION_AVOIDANCE,
     )

@@ -1,8 +1,8 @@
 """ROCCET: delay-based extension over CUBIC.
 
 Two signals drive congestion detection. The first is the smoothed relative
-RTT, an EWMA of the relative inflation of the smoothed RTT over the
-measured minimum:
+RTT, an EWMA of the relative inflation of the connection's smoothed RTT
+(the sender's RFC 6298 estimate) over the measured minimum:
 
     x_t     = (rtt_curr - rtt_min) / rtt_min
     srrtt_t = alpha * x_t + (1 - alpha) * srrtt_{t-1}
@@ -190,9 +190,7 @@ def reset_interval(state: RoccetState, now_us: int) -> RoccetState:
     )
 
 
-def launch_check(
-    state: RoccetState, cc: CcState, now_us: int, params: RoccetParams
-) -> LaunchDecision:
+def launch_check(state: RoccetState, params: RoccetParams) -> LaunchDecision:
     """Slow-start exit decision, evaluated once per 100 ms interval.
 
     Exits when the absolute ACK/cum_cwnd difference reaches the margin
@@ -245,9 +243,7 @@ def apply_launch_exit(
     return replace(state, is_initial_slow_start=False), new_cc
 
 
-def orbiter_check(
-    state: RoccetState, cc: CcState, now_us: int, params: RoccetParams
-) -> OrbiterDecision:
+def orbiter_check(state: RoccetState, now_us: int, params: RoccetParams) -> OrbiterDecision:
     """Delay-based congestion decision, evaluated once per five-RTT interval.
 
     Inside the drain window nothing fires. Otherwise a congestion event

@@ -552,7 +552,6 @@ class Sender:
         controller,
         source: AppSource,
         bottleneck: Bottleneck,
-        mss_bytes: int,
         sndbuf_segs: int | None = None,
     ) -> None:
         self.loop = loop
@@ -560,7 +559,6 @@ class Sender:
         self.ctl = controller
         self.source = source
         self.bottleneck = bottleneck
-        self.mss = mss_bytes
         self.sndbuf = sndbuf_segs
 
         self.snd_una = 0
@@ -589,7 +587,7 @@ class Sender:
         self._pending_wake: int | None = None
         self._avail: int | None = None
         self._avail_until: int | float = 0  # ask the source at the first look
-        self._ack = AckInfo(0, 0, 0)
+        self._ack = AckInfo(newly_acked=0, rtt_sample_us=0, srtt_us=0.0, now_us=0)
 
         self.retransmits = 0
         self.started = False
@@ -643,7 +641,7 @@ class Sender:
         self.dup_acks = 0
         self._retransmit(self.snd_una)
         if fresh_episode:
-            self.ctl.on_loss(self.loop.now_us, "rto")
+            self.ctl.on_loss(self.loop.now_us)
         self._arm_rto()
         self.try_send()
 
@@ -662,9 +660,13 @@ class Sender:
         ack = self._ack
         ack.newly_acked = 0
         ack.rtt_sample_us = sample
+        ack.srtt_us = self.srtt_us
         ack.now_us = self.loop.now_us
+        ack.in_flight = 0
+        ack.round_start = False
+        ack.in_recovery = False
         ack.is_app_limited = False
-        self.ctl.on_ack(ack, in_flight=0, round_start=False, in_recovery=False)
+        self.ctl.on_ack(ack)
         self.started = True
         self.try_send()
 
@@ -711,7 +713,7 @@ class Sender:
             ):
                 return
         ctl = self.ctl
-        pacing = ctl.pacing_rate_bps
+        pacing = ctl.pacing_segs_per_s
         # Without SACK the sender cannot tell holes from in-flight data, so
         # while repairing an episode the window is artificially inflated by
         # the duplicate-ACK count (RFC 5681 style); otherwise every lost
@@ -734,7 +736,7 @@ class Sender:
                 if now < self._pace_next_us:
                     wake = self._pace_next_us
                     break
-                interval = max(1, round(self.mss * 8_000_000 / pacing))
+                interval = max(1, round(1_000_000 / pacing))
                 self._pace_next_us = max(self._pace_next_us, now) + interval
             self.snd_nxt = seq + 1
             # _send_segment for new data, inline: once per segment sent
@@ -865,9 +867,13 @@ class Sender:
             ack = self._ack
             ack.newly_acked = newly
             ack.rtt_sample_us = sample
+            ack.srtt_us = srtt
             ack.now_us = now
+            ack.in_flight = in_flight
+            ack.round_start = round_start
+            ack.in_recovery = self.recovery_high is not None
             ack.is_app_limited = app_limited
-            ctl.on_ack(ack, in_flight, round_start, self.recovery_high is not None)
+            ctl.on_ack(ack)
 
             if in_flight > 0:
                 # _arm_rto, inline
@@ -893,7 +899,7 @@ class Sender:
                 self._episode_rtx = {snd_una}
                 self._repair_cursor = snd_una + 1
                 self._retransmit(snd_una)
-                self.ctl.on_loss(self.loop.now_us, "fast_retransmit")
+                self.ctl.on_loss(self.loop.now_us)
                 self.try_send()
 
 
@@ -951,13 +957,11 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     # samples' append, and the delivered bytes and time of its last sample.
     rows: list[list] = []
     for f in scenario.flows:
-        controller = make_controller(f.algo, f.cubic, f.roccet, f.probe, mss)
+        controller = make_controller(f)
         source = AppSource(
             f.source.kind, f.source.rate_bps, f.source.start_us, f.source.duration_us, mss
         )
-        sender = Sender(
-            loop, f.flow_id, controller, source, bottleneck, mss, f.sndbuf_segs
-        )
+        sender = Sender(loop, f.flow_id, controller, source, bottleneck, f.sndbuf_segs)
         receiver = Receiver(loop, f.flow_id, mss, scenario.link.prop_delay_us)
         receiver.ack_sink = sender.on_ack_frame
         bottleneck.deliver_cb[f.flow_id] = receiver.on_segment

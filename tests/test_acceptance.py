@@ -190,7 +190,10 @@ def test_criterion_6_defensiveness_ordering():
 def test_criterion_7_drain_exactness():
     cp, rp = CubicParams(), RoccetParams()
     ctl = RoccetController(cp, rp)
-    ctl.on_ack(AckInfo(1, 40_000, 0, False), in_flight=10, round_start=False)
+    # Each ACK carries the sender's smoothed RTT after its sample: the
+    # first sample seeds it, and later ones move it by 1/8.
+    srtt = 40_000.0
+    ctl.on_ack(AckInfo(newly_acked=1, rtt_sample_us=40_000, srtt_us=srtt, now_us=0))
     from dataclasses import replace
 
     ctl.cc = replace(
@@ -205,7 +208,8 @@ def test_criterion_7_drain_exactness():
     while now + 7_000 < 1_000 + rp.drain_duration_us:
         now += 7_000
         acks += 1
-        ctl.on_ack(AckInfo(1, 95_000, now, False), in_flight=70, round_start=False)
+        srtt += 0.125 * (95_000 - srtt)
+        ctl.on_ack(AckInfo(newly_acked=1, rtt_sample_us=95_000, srtt_us=srtt, now_us=now))
         if ctl.cc.cwnd != held:
             deviations += 1
     _verdict(

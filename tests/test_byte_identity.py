@@ -147,8 +147,8 @@ DIGESTS = {
         "1bfd58ad230b24a007f75222bee00839a688cba8c1695d63d59a607beb10bc24",
     ),
     "fairness-8x1bdp": (
-        "5ac8a6cffe2f4db0f4d4dd0fdc9c91413693f722dc4440ecaeec7ffc42582cf7",
-        "57e0e55d4bbd6b6541876ebfb8a915bb3661f699d64e8563e3bad845dbf7a90b",
+        "f5363a0b973d0d18591d0d537c5e219491d37777dd29587d7e1ccf5c1191daad",
+        "843bd9160e9f3d2b0a2bde8e808ec600e872490587661401a1f86a61b520f65f",
     ),
 }
 

@@ -2,11 +2,11 @@
 controllers.
 
 `controllers.py` runs each ACK as straight-line code: the rtt_min
-tracker, the smoothed RTT, srRTT, the interval counters and the
-anchored-epoch CUBIC step are written out inside `on_ack`. This test
-records every `on_ack` / `on_loss` call the simulator makes in three runs
-and replays each flow's calls into a fresh controller and into a
-reference driver. The reference is built only from the state-value
+tracker, srRTT over the sender's smoothed RTT, the interval counters and
+the anchored-epoch CUBIC step are written out inside `on_ack`. This test
+records every `on_ack` / `on_loss` call the simulator makes in three runs,
+with a copy of each ACK record, and replays each flow's calls into a
+fresh controller and into a reference driver. The reference is built only from the state-value
 functions of `cubic.py` and `roccet.py` (`update_rtt_min`,
 `update_srrtt`, `accumulate_interval`, `cubic_on_ack` and the LAUNCH /
 ORBITER checks and transitions) and imports nothing from
@@ -16,10 +16,11 @@ controller's `ce_events` must equal the congestion events the reference
 logged itself.
 """
 
+from copy import copy
 from dataclasses import replace
 
 from roccet_lab import simulator
-from roccet_lab.cc_types import AckInfo, CcState, Phase
+from roccet_lab.cc_types import CcState, Phase
 from roccet_lab.cubic import cubic_on_ack, cubic_on_congestion_event
 from roccet_lab.harness import builtin_scenario
 from roccet_lab.roccet import (
@@ -39,8 +40,6 @@ from roccet_lab.roccet import (
     update_srrtt,
 )
 
-SRTT_WEIGHT = 1 / 8  # the smoothed RTT that feeds srRTT
-
 
 class ReferenceCubic:
     """CUBIC through the state-value functions: growth outside loss
@@ -52,11 +51,11 @@ class ReferenceCubic:
         self.cc = CcState()
         self.ce_log = []
 
-    def on_ack(self, ack, in_flight, round_start, in_recovery):
-        if not in_recovery:
+    def on_ack(self, ack):
+        if not ack.in_recovery:
             self.cc = cubic_on_ack(self.cc, ack, self.cubic_params)
 
-    def on_loss(self, now_us, origin):
+    def on_loss(self, now_us):
         self.cc = cubic_on_congestion_event(self.cc, self.cubic_params, now_us)
         self.ce_log.append((now_us, CeKind.LOSS_CE.value))
 
@@ -71,33 +70,28 @@ class ReferenceRoccet(ReferenceCubic):
         super().__init__(cubic_params)
         self.params = params
         self.roc = RoccetState()
-        self.srtt = None
         self.next_tick = None
 
     def _reset(self, now):
         self.roc = reset_interval(self.roc, now)
         self.next_tick = now + (self.roc.rtt_min_us or 0)
 
-    def on_ack(self, ack, in_flight, round_start, in_recovery):
-        now, params, sample = ack.now_us, self.params, ack.rtt_sample_us
-        self.roc = update_rtt_min(self.roc, sample, now, params)
-        if self.srtt is None:
-            self.srtt = float(sample)
-        else:
-            self.srtt = self.srtt + SRTT_WEIGHT * (sample - self.srtt)
-        self.roc = update_srrtt(self.roc, round(self.srtt), params)
+    def on_ack(self, ack):
+        now, params = ack.now_us, self.params
+        self.roc = update_rtt_min(self.roc, ack.rtt_sample_us, now, params)
+        self.roc = update_srrtt(self.roc, round(ack.srtt_us), params)
         if self.roc.interval_start_us is None:
             self._reset(now)
         boundary = self.next_tick is not None and now >= self.next_tick
         if boundary:
             self.next_tick = now + self.roc.rtt_min_us
         self.roc = accumulate_interval(self.roc, ack.newly_acked, self.cc.cwnd, boundary)
-        if in_recovery:
+        if ack.in_recovery:
             return
         if self.cc.phase is Phase.SLOW_START:
             start = self.roc.interval_start_us
             if start is not None and now - start >= params.launch_interval_us:
-                decision = launch_check(self.roc, self.cc, now, params)
+                decision = launch_check(self.roc, params)
                 self._reset(now)
                 if decision is not LaunchDecision.STAY:
                     self.roc, self.cc = apply_launch_exit(
@@ -110,7 +104,7 @@ class ReferenceRoccet(ReferenceCubic):
             if drain is not None and now < drain:
                 return
             if self.roc.rtts_elapsed_in_interval >= params.orbiter_interval_rtts:
-                decision = orbiter_check(self.roc, self.cc, now, params)
+                decision = orbiter_check(self.roc, now, params)
                 self._reset(now)
                 if decision is OrbiterDecision.ROCCET_CE:
                     self.roc, self.cc = apply_roccet_ce(
@@ -120,7 +114,7 @@ class ReferenceRoccet(ReferenceCubic):
                     return
         self.cc = cubic_on_ack(self.cc, ack, self.cubic_params)
 
-    def on_loss(self, now_us, origin):
+    def on_loss(self, now_us):
         if self.cc.phase is Phase.SLOW_START:
             return
         self.cc = orbiter_on_loss(self.cc, self.params, self.cubic_params, now_us)
@@ -128,12 +122,12 @@ class ReferenceRoccet(ReferenceCubic):
             self.ce_log.append((now_us, CeKind.LOSS_CE.value))
 
     def snapshot(self):
-        return self.cc, self.roc, self.srtt, self.cc.cwnd
+        return self.cc, self.roc, self.cc.cwnd
 
 
 def _folded_snapshot(ctl):
     if hasattr(ctl, "roc"):
-        return ctl.cc, ctl.roc, ctl._srtt_us, ctl.cwnd
+        return ctl.cc, ctl.roc, ctl.cwnd
     return ctl.cc, ctl.cwnd
 
 
@@ -141,9 +135,8 @@ class _Recorder:
     """Stands in for one flow's controller during a run and records what
     the sender passes it; everything else is the controller's own."""
 
-    def __init__(self, ctl, algo, cubic_params, roccet_params):
-        self.ctl, self.algo = ctl, algo
-        self.cubic_params, self.roccet_params = cubic_params, roccet_params
+    def __init__(self, ctl, flow):
+        self.ctl, self.flow = ctl, flow
         self.calls = []
 
     def __getattr__(self, name):
@@ -153,36 +146,25 @@ class _Recorder:
     def cwnd(self):
         return self.ctl.cwnd
 
-    @property
-    def pacing_rate_bps(self):
-        return self.ctl.pacing_rate_bps
+    def on_ack(self, ack):
+        # The sender refills one record per ACK, so keep a copy.
+        self.calls.append(("ack", copy(ack)))
+        self.ctl.on_ack(ack)
 
-    def on_ack(self, ack, in_flight, round_start, in_recovery=False):
-        self.calls.append(
-            (
-                "ack",
-                (ack.newly_acked, ack.rtt_sample_us, ack.now_us, ack.is_app_limited),
-                in_flight,
-                round_start,
-                in_recovery,
-            )
-        )
-        self.ctl.on_ack(ack, in_flight, round_start, in_recovery)
-
-    def on_loss(self, now_us, origin):
-        self.calls.append(("loss", now_us, origin))
-        self.ctl.on_loss(now_us, origin)
+    def on_loss(self, now_us):
+        self.calls.append(("loss", now_us))
+        self.ctl.on_loss(now_us)
 
 
 def _record(spec, monkeypatch):
     make = simulator.make_controller
     recorders = []
 
-    def recording(algo, cubic_params, roccet_params, probe_params, mss_bytes):
-        ctl = make(algo, cubic_params, roccet_params, probe_params, mss_bytes)
-        if algo not in ("cubic", "roccet"):
+    def recording(flow):
+        ctl = make(flow)
+        if flow.algo not in ("cubic", "roccet"):
             return ctl
-        rec = _Recorder(ctl, algo, cubic_params, roccet_params)
+        rec = _Recorder(ctl, flow)
         recorders.append(rec)
         return rec
 
@@ -195,21 +177,21 @@ def _record(spec, monkeypatch):
 def _replay(rec):
     """Drive a fresh folded controller and the reference with one flow's
     calls; fail at the first call after which their states differ."""
-    ctl = simulator.make_controller(rec.algo, rec.cubic_params, rec.roccet_params, None, 1500)
-    if rec.algo == "roccet":
-        ref = ReferenceRoccet(rec.cubic_params, rec.roccet_params)
+    flow = rec.flow
+    ctl = simulator.make_controller(flow)
+    if flow.algo == "roccet":
+        ref = ReferenceRoccet(flow.cubic, flow.roccet)
     else:
-        ref = ReferenceCubic(rec.cubic_params)
-    for i, call in enumerate(rec.calls):
-        if call[0] == "ack":
-            _, fields, in_flight, round_start, in_recovery = call
-            ctl.on_ack(AckInfo(*fields), in_flight, round_start, in_recovery)
-            ref.on_ack(AckInfo(*fields), in_flight, round_start, in_recovery)
+        ref = ReferenceCubic(flow.cubic)
+    for i, (kind, arg) in enumerate(rec.calls):
+        if kind == "ack":
+            ctl.on_ack(arg)
+            ref.on_ack(arg)
         else:
-            ctl.on_loss(call[1], call[2])
-            ref.on_loss(call[1], call[2])
-        assert repr(_folded_snapshot(ctl)) == repr(ref.snapshot()), (rec.algo, i, call)
-        assert ctl.ce_events == ref.ce_log, (rec.algo, i, call)
+            ctl.on_loss(arg)
+            ref.on_loss(arg)
+        assert repr(_folded_snapshot(ctl)) == repr(ref.snapshot()), (flow.algo, i, arg)
+        assert ctl.ce_events == ref.ce_log, (flow.algo, i, arg)
     return ref
 
 
@@ -234,9 +216,9 @@ def _refreshes(calls, params):
     lower than it restamps it. A minimum not refreshed keeps its stamp,
     which cannot be this ACK's time, as the refresh age is positive."""
     state, fired = RoccetState(), 0
-    for call in calls:
-        if call[0] == "ack":
-            _, sample, now, _ = call[1]
+    for kind, ack in calls:
+        if kind == "ack":
+            sample, now = ack.rtt_sample_us, ack.now_us
             before = state.rtt_min_us
             state = update_rtt_min(state, sample, now, params)
             fired += before is not None and sample >= before and state.rtt_min_updated_at_us == now
@@ -248,21 +230,21 @@ def test_bw_halving_in_lockstep(monkeypatch):
     ref = _replay(rec)
     kinds = {kind for _, kind in ref.ce_log}
     assert {CeKind.LAUNCH_EXIT.value, CeKind.ROCCET_CE.value} <= kinds
-    assert any(call[0] == "ack" and call[1][3] for call in rec.calls)  # app-limited ACKs
+    assert any(kind == "ack" and ack.is_app_limited for kind, ack in rec.calls)
 
 
 def test_fairness_cell_with_drops_in_lockstep(monkeypatch):
     recs = _record(_fairness_with_drops(), monkeypatch)
-    assert sorted(rec.algo for rec in recs) == ["cubic", "roccet", "roccet"]
+    assert sorted(rec.flow.algo for rec in recs) == ["cubic", "roccet", "roccet"]
     for rec in recs:
         _replay(rec)
     calls = [call for rec in recs for call in rec.calls]
-    assert any(call[0] == "loss" for call in calls)
-    assert any(call[0] == "ack" and call[4] for call in calls)  # ACKs during repair
+    assert any(kind == "loss" for kind, _ in calls)
+    assert any(kind == "ack" and ack.in_recovery for kind, ack in calls)
 
 
 def test_rtt_min_refresh_in_lockstep(monkeypatch):
     (rec,) = _record(_steady_refresh(), monkeypatch)
-    assert _refreshes(rec.calls, rec.roccet_params) >= 5
+    assert _refreshes(rec.calls, rec.flow.roccet) >= 5
     _replay(rec)
 

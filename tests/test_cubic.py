@@ -21,6 +21,7 @@ def ack(newly=1, now_us=0, rtt_us=40_000, app_limited=False):
     return AckInfo(
         newly_acked=newly,
         rtt_sample_us=rtt_us,
+        srtt_us=rtt_us,
         now_us=now_us,
         is_app_limited=app_limited,
     )

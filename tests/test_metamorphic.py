@@ -91,3 +91,42 @@ def test_half_horizon_run_is_a_prefix(spec):
     assert all(float(row.split(",")[0]) > cut / 1000 for row in full_rows[len(half_rows):])
     for fid, ft in half.flows.items():
         assert ft.ce_log == [entry for entry in full.flows[fid].ce_log if entry[0] <= cut]
+
+
+def _doubled(spec):
+    """`spec` with twice the segment size, every link rate and every
+    rate-limited source's rate doubled."""
+    link = spec.link
+    return replace(
+        spec,
+        link=replace(
+            link,
+            mtu_bytes=2 * link.mtu_bytes,
+            rate_schedule=tuple((t, 2 * rate) for t, rate in link.rate_schedule),
+        ),
+        flows=tuple(
+            f if f.source.rate_bps is None
+            else replace(f, source=replace(f.source, rate_bps=2 * f.source.rate_bps))
+            for f in spec.flows
+        ),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@example(spec=_BW_HALVING)
+@example(spec=_FAIRNESS)
+@example(spec=_STEADY)
+@given(spec=scenarios())
+def test_scale_changes_no_behaviour_but_bytes(spec):
+    # Twice the bytes per segment over twice the rate is the same service
+    # time, the same buffer in segments and the same source segments, so
+    # the run counts the same segments and only its bytes double. A factor
+    # of 2 keeps every floating-point quotient exact.
+    base, doubled = run(spec), run(_doubled(spec))
+    assert doubled.drops == base.drops
+    for fid, ft in base.flows.items():
+        other = doubled.flows[fid]
+        assert other.ce_log == ft.ce_log
+        assert other.extra == ft.extra
+        assert other.counters["delivered_bytes"] == 2 * ft.counters["delivered_bytes"]
+        assert {**other.counters, "delivered_bytes": 0} == {**ft.counters, "delivered_bytes": 0}

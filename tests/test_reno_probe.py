@@ -15,8 +15,11 @@ from roccet_lab.reno import reno_on_ack, reno_on_congestion_event
 from roccet_lab.simulator import run
 
 
-def ack(newly=1, now_us=0, rtt_us=40_000):
-    return AckInfo(newly_acked=newly, rtt_sample_us=rtt_us, now_us=now_us)
+def ack(newly=1, now_us=0, rtt_us=40_000, in_flight=0, round_start=False):
+    return AckInfo(
+        newly_acked=newly, rtt_sample_us=rtt_us, srtt_us=rtt_us, now_us=now_us,
+        in_flight=in_flight, round_start=round_start,
+    )
 
 
 class TestReno:
@@ -28,7 +31,7 @@ class TestReno:
 
     def test_halving_on_congestion(self):
         state = CcState(cwnd=20.0)
-        out = reno_on_congestion_event(state, now_us=1)
+        out = reno_on_congestion_event(state)
         assert out.cwnd == 10.0
         assert out.ssthresh == 10.0
 
@@ -46,29 +49,25 @@ class TestReno:
 class TestProbeRate:
     def test_startup_doubles_per_round(self):
         params = ProbeRateParams()
-        cc = CcState(cwnd=10.0)
-        pr = ProbeRateState()
+        pr = ProbeRateState(cwnd=10.0)
         now = 0
         for _ in range(10):  # one round of per-segment ACKs
             now += 4_000
-            cc, pr, _ = probe_rate_on_ack(cc, pr, ack(1, now), params, 10.0, False, 1500)
-        assert cc.cwnd == 20.0
+            pr, _ = probe_rate_on_ack(pr, ack(1, now, in_flight=10), params)
+        assert pr.cwnd == 20.0
 
     def test_probe_rtt_entered_after_quiet_window(self):
         params = ProbeRateParams()
-        cc = CcState(cwnd=40.0)
-        pr = ProbeRateState(mode=PROBE_BW, min_rtt_us=40_000, min_rtt_stamp_us=0,
+        pr = ProbeRateState(cwnd=40.0, mode=PROBE_BW, min_rtt_us=40_000, min_rtt_stamp_us=0,
                             bw_window=((0, 800.0),), cycle_stamp_us=0)
-        cc, pr, _ = probe_rate_on_ack(
-            cc, pr, ack(1, now_us=10_100_000, rtt_us=41_000), params, 40.0, False, 1500
+        pr, _ = probe_rate_on_ack(
+            pr, ack(1, now_us=10_100_000, rtt_us=41_000, in_flight=40), params
         )
         assert pr.mode == PROBE_RTT
-        assert cc.cwnd == 4.0
+        assert pr.cwnd == 4.0
 
     def test_loss_backoff_floors_at_min_cwnd(self):
-        params = ProbeRateParams()
-        cc = CcState(cwnd=5.0)
-        out = probe_rate_on_loss(cc, ProbeRateState(), params, 0)
+        out = probe_rate_on_loss(ProbeRateState(cwnd=5.0), ProbeRateParams())
         assert out.cwnd == 4.0
 
     def test_steady_link_pacing_near_bottleneck_rate(self):
@@ -88,18 +87,19 @@ class TestProbeRate:
         # once the model leaves startup, unity-gain phases pace at the
         # estimated rate, which must sit near the bottleneck rate.
         params = ProbeRateParams()
-        cc = CcState(cwnd=10.0)
-        pr = ProbeRateState()
+        pr = ProbeRateState(cwnd=10.0)
         now, seq_interval = 0, 1200  # 1500 B at 10 Mbps
-        bdp = 10e6 * 0.04 / (8 * 1500)
+        rate = 10e6 / (8 * 1500)  # the bottleneck, in segments per second
+        bdp = rate * 0.04
         pacing = None
         unity_rates = []
         for i in range(25_000):
             now += seq_interval
             round_start = i % 33 == 0  # ~one 40 ms round of 33 segments
-            in_flight = min(cc.cwnd, bdp)  # ACK-paced feed keeps one BDP out
-            cc, pr, pacing = probe_rate_on_ack(
-                cc, pr, ack(1, now, rtt_us=40_000), params, in_flight, round_start, 1500
+            in_flight = min(pr.cwnd, bdp)  # ACK-paced feed keeps one BDP out
+            pr, pacing = probe_rate_on_ack(
+                pr, ack(1, now, rtt_us=40_000, in_flight=in_flight, round_start=round_start),
+                params,
             )
             if pr.mode == PROBE_BW and pacing is not None and now > 20e6:
                 from roccet_lab.probe_rate import PROBE_GAINS
@@ -108,11 +108,11 @@ class TestProbeRate:
                     unity_rates.append(pacing)
         assert unity_rates, "model never reached steady probing"
         mean = sum(unity_rates) / len(unity_rates)
-        assert abs(mean - 10e6) / 10e6 < 0.15
+        assert abs(mean - rate) / rate < 0.15
 
     def test_goodput_does_not_depend_on_mtu(self):
-        # The pacing rate is the model's segments per second times the
-        # link's segment size, so jumbo frames pace at the same bit rate.
+        # The model measures and paces in segments per second, so with
+        # jumbo frames it paces at the same bit rate.
         spec = builtin_scenario("steady", algo="probe_rate", horizon_s=20.0)
         goodput = {}
         for mtu in (1500, 9000):

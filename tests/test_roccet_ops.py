@@ -28,6 +28,15 @@ CP = CubicParams()
 RP = RoccetParams()
 
 
+def _ack(ctl, sample_us, now_us, srtt_us):
+    """Hand `ctl` one single-segment ACK the way the sender does, with its
+    smoothed RTT after this sample (the first sample seeds it, then weight
+    1/8); returns that smoothed RTT for the next call."""
+    srtt_us = float(sample_us) if srtt_us is None else srtt_us + 0.125 * (sample_us - srtt_us)
+    ctl.on_ack(AckInfo(newly_acked=1, rtt_sample_us=sample_us, srtt_us=srtt_us, now_us=now_us))
+    return srtt_us
+
+
 class TestRttMin:
     def test_first_sample_initializes(self):
         out = update_rtt_min(RoccetState(), 40_000, now_us=10, params=RP)
@@ -141,7 +150,7 @@ class TestLaunch:
     def test_exit_initial_when_both_conditions_hold(self):
         state = RoccetState(srrtt=1.5, acks_in_interval=100, cum_cwnd_in_interval=125)
         cc = CcState(cwnd=200.0)
-        assert launch_check(state, cc, 0, RP) is LaunchDecision.EXIT_INITIAL
+        assert launch_check(state, RP) is LaunchDecision.EXIT_INITIAL
         _, out = apply_launch_exit(state, cc, 7, LaunchDecision.EXIT_INITIAL, CP)
         assert out.cwnd == 100.0
         assert out.ssthresh == 100.0
@@ -149,17 +158,17 @@ class TestLaunch:
 
     def test_stay_when_srrtt_low(self):
         state = RoccetState(srrtt=0.3, acks_in_interval=0, cum_cwnd_in_interval=500)
-        assert launch_check(state, CcState(), 0, RP) is LaunchDecision.STAY
+        assert launch_check(state, RP) is LaunchDecision.STAY
 
     def test_stay_when_margin_unmet(self):
         state = RoccetState(srrtt=1.2, acks_in_interval=96, cum_cwnd_in_interval=100)
-        assert launch_check(state, CcState(), 0, RP) is LaunchDecision.STAY
+        assert launch_check(state, RP) is LaunchDecision.STAY
 
     def test_later_slow_start_exits_via_congestion_event(self):
         state = RoccetState(srrtt=1.5, acks_in_interval=0, cum_cwnd_in_interval=100,
                             is_initial_slow_start=False)
         cc = CcState(cwnd=100.0, w_max=0.0)
-        decision = launch_check(state, cc, 0, RP)
+        decision = launch_check(state, RP)
         assert decision is LaunchDecision.EXIT_LATER
         _, out = apply_launch_exit(state, cc, 7, decision, CP)
         assert math.isclose(out.cwnd, 70.0, rel_tol=1e-9)
@@ -178,34 +187,34 @@ class TestLaunch:
         cc = CcState(cwnd=300.0)
         ctl = RoccetController(CP, RoccetParams())
         ctl.cc = cc
-        ctl.on_loss(0, "fast_retransmit")
+        ctl.on_loss(0)
         assert ctl.cc == cc
         # plain CUBIC contrast: the same loss costs 30 %
         cubic_cc = cubic_on_congestion_event(cc, CP, 0)
         assert math.isclose(cubic_cc.cwnd, 210.0, rel_tol=1e-9)
         # ignoring twice changes nothing either
-        ctl.on_loss(0, "fast_retransmit")
+        ctl.on_loss(0)
         assert ctl.cc == cc
 
 
 class TestOrbiter:
     def test_fires_on_deficit_and_srrtt(self):
         state = RoccetState(srrtt=1.4, acks_in_interval=350, cum_cwnd_in_interval=500)
-        assert orbiter_check(state, CcState(), 0, RP) is OrbiterDecision.ROCCET_CE
+        assert orbiter_check(state, 0, RP) is OrbiterDecision.ROCCET_CE
 
     def test_no_fire_below_deviation(self):
         state = RoccetState(srrtt=1.4, acks_in_interval=450, cum_cwnd_in_interval=500)
-        assert orbiter_check(state, CcState(), 0, RP) is OrbiterDecision.NONE
+        assert orbiter_check(state, 0, RP) is OrbiterDecision.NONE
 
     def test_no_fire_below_srrtt_threshold(self):
         state = RoccetState(srrtt=0.99, acks_in_interval=0, cum_cwnd_in_interval=500)
-        assert orbiter_check(state, CcState(), 0, RP) is OrbiterDecision.NONE
+        assert orbiter_check(state, 0, RP) is OrbiterDecision.NONE
 
     def test_drain_blocks_unconditionally(self):
         state = RoccetState(srrtt=9.9, acks_in_interval=0, cum_cwnd_in_interval=500,
                             drain_until_us=1_000_000)
-        assert orbiter_check(state, CcState(), 999_999, RP) is OrbiterDecision.NONE
-        assert orbiter_check(state, CcState(), 1_000_000, RP) is OrbiterDecision.ROCCET_CE
+        assert orbiter_check(state, 999_999, RP) is OrbiterDecision.NONE
+        assert orbiter_check(state, 1_000_000, RP) is OrbiterDecision.ROCCET_CE
 
     def test_apply_ce_raises_peak_when_above(self):
         state, cc = apply_roccet_ce(
@@ -245,14 +254,14 @@ class TestOrbiter:
         assert cc == start
         ctl = RoccetController(CP, params)
         ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=Phase.CONGESTION_AVOIDANCE)
-        ctl.on_loss(9, "fast_retransmit")
+        ctl.on_loss(9)
         assert ctl.cwnd == 100.0 and ctl.ce_events == []
 
     def test_loss_during_drain_still_reduces(self):
         ctl = RoccetController(CP, RP)
         ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=Phase.CONGESTION_AVOIDANCE)
         ctl.roc = RoccetState(drain_until_us=10_000_000)
-        ctl.on_loss(5_000_000, "fast_retransmit")
+        ctl.on_loss(5_000_000)
         assert math.isclose(ctl.cwnd, 70.0, rel_tol=1e-9)
         assert ctl.ce_events == [(5_000_000, CeKind.LOSS_CE.value)]
 
@@ -262,17 +271,17 @@ class TestControllerDrain:
         ctl = RoccetController(CP, RP)
         now = 0
         # one sample seeds rtt_min / srtt
-        ctl.on_ack(AckInfo(1, 40_000, now, False), in_flight=10, round_start=False)
+        srtt = _ack(ctl, 40_000, now, None)
         from dataclasses import replace
 
         ctl.cc = replace(
             ctl.cc, cwnd=100.0, w_max=120.0, cwnd_epoch=100.0, w_est=100.0,
             phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=now,
         )
-        return ctl
+        return ctl, srtt
 
     def test_window_constant_through_drain(self):
-        ctl = self._controller_in_avoidance()
+        ctl, srtt = self._controller_in_avoidance()
         from roccet_lab import roccet as ops
 
         ctl.roc, ctl.cc = ops.apply_roccet_ce(ctl.roc, ctl.cc, 1_000, RP, CP)
@@ -280,23 +289,23 @@ class TestControllerDrain:
         now = 1_000
         for _ in range(20):  # 20 ACKs in under 100 ms
             now += 4_000
-            ctl.on_ack(AckInfo(1, 90_000, now, False), in_flight=70, round_start=False)
+            srtt = _ack(ctl, 90_000, now, srtt)
             assert ctl.cc.cwnd == held
         # first ACK past the drain resumes growth
-        ctl.on_ack(AckInfo(1, 90_000, 1_000 + 100_000, False), in_flight=70, round_start=False)
+        _ack(ctl, 90_000, 1_000 + 100_000, srtt)
         assert ctl.cc.cwnd > held
 
     def test_launch_exit_records_exact_halving(self):
         ctl = RoccetController(CP, RP)
         now = 0
-        ctl.on_ack(AckInfo(1, 40_000, now, False), in_flight=1, round_start=False)
+        srtt = _ack(ctl, 40_000, now, None)
         # inflate srrtt and the deficit, then cross the interval boundary
         for i in range(30):
             now += 10_000
-            ctl.on_ack(AckInfo(1, 120_000, now, False), in_flight=10, round_start=False)
+            srtt = _ack(ctl, 120_000, now, srtt)
         if not ctl.launch_exits:
             now += 200_000
-            ctl.on_ack(AckInfo(1, 120_000, now, False), in_flight=10, round_start=False)
+            _ack(ctl, 120_000, now, srtt)
         assert ctl.launch_exits, "controller never left slow start"
         _, before, after = ctl.launch_exits[0]
         assert after == max(1.0, before / 2.0)

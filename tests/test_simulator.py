@@ -313,7 +313,7 @@ class TestTransport:
         bottleneck.deliver_cb["f"] = lambda pkt: None  # ACKs come from the list below
         sender = Sender(
             loop, "f", CubicController(CubicParams()),
-            AppSource("greedy", None, 0, None, 1500), bottleneck, 1500,
+            AppSource("greedy", None, 0, None, 1500), bottleneck,
         )
         loop.schedule(0, sender.start)
         first = 2 * prop + 100_000
