@@ -3,7 +3,8 @@
 default algorithm, for `steady` under each algorithm, for five variants
 that reach source, loss and controller paths no builtin does, and for
 one fairness cell whose drops put ROCCET flows through loss repair, at
-shortened horizons.
+shortened horizons; and the sha256 of the debug packet log of two of
+those runs, which the artifacts do not contain.
 
 A change that only makes the simulator faster must leave every digest
 as it is. A change that alters behaviour on purpose re-records them and
@@ -153,22 +154,42 @@ DIGESTS = {
 }
 
 
-def digests(name: str) -> tuple[str, str]:
+# case: sha256 of `repr(traces.debug_packets)` when run with debug=True.
+# The packet log is every segment's (flow, seq, enqueue, service start,
+# service end, delivery, retransmit); these two cover a rate cut, and
+# injected, random and queue drops with delivery jitter.
+PACKET_LOG_DIGESTS = {
+    "bw-halving": "ac63dee054e2efc93169acdbe77480389265d93b5fbc02c07b77d11e28a9d199",
+    "loss-window-jitter": "18ee67bdee2ae6084894b34688dd92cee1ab9de6574c1c01ab7f13f16565dc86",
+}
+
+
+def _run(name: str, debug: bool = False):
     builtin, algo, horizon_s = CASES[name]
     spec = builtin_scenario(
         builtin, algo=algo, seed=1, horizon_s=horizon_s, **OPTIONS.get(name, {})
     )
     if name in VARIANTS:
         spec = VARIANTS[name](spec)
-        spec.validate()
-    traces = run(spec)
+    spec = replace(spec, debug=debug)
+    spec.validate()
+    return run(spec)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def digests(name: str) -> tuple[str, str]:
+    traces = _run(name)
     trace_csv, events_json = io.StringIO(), io.StringIO()
     traces.write_csv(trace_csv)
     traces.write_events_json(events_json)
-    return tuple(
-        hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
-        for buf in (trace_csv, events_json)
-    )
+    return _sha256(trace_csv.getvalue()), _sha256(events_json.getvalue())
+
+
+def packet_log_digest(name: str) -> str:
+    return _sha256(repr(_run(name, debug=True).debug_packets))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -176,6 +197,14 @@ def test_artifacts_byte_identical(name):
     assert digests(name) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(PACKET_LOG_DIGESTS))
+def test_packet_log_identical(name):
+    assert packet_log_digest(name) == PACKET_LOG_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for case in CASES:
         print(f'    "{case}": (\n        "%s",\n        "%s",\n    ),' % digests(case))
+    print()
+    for case in PACKET_LOG_DIGESTS:
+        print(f'    "{case}": "{packet_log_digest(case)}",')
