@@ -284,8 +284,11 @@ class Bottleneck:
     """Serializing droptail bottleneck: one packet in service at a time,
     service time mss_bytes / current rate, then one-way propagation to the
     receiver. A packet already in service completes at the rate that was
-    current when its service began. `occupancy` counts the packets waiting
-    in the FIFO, at most `capacity`; the one in service is not among them."""
+    current when its service began. `occupancy` is the FIFO's length, at
+    most `capacity`; the packet in service is not in the FIFO. The debug
+    log derives each packet's enqueue time, `sent_at_us` (a sender submits
+    a segment as it stamps it), and its service start, the later of that
+    and the previous completion."""
 
     def __init__(
         self,
@@ -299,9 +302,7 @@ class Bottleneck:
     ) -> None:
         self.loop = loop
         self.capacity = capacity_segs
-        self.occupancy = 0
         self._fifo: deque[Packet] = deque()
-        self.rate_bps = rate_bps
         self.prop_delay_us = prop_delay_us
         self.mss_bytes = mss_bytes
         self.injector = injector
@@ -310,11 +311,10 @@ class Bottleneck:
         self.in_service: Packet | None = None
         self.deliver_cb: dict[str, Callable[[Packet], None]] = {}
         self.drop_log: list[tuple[int, str, str]] = []
-        self.rate_log: list[tuple[int, int]] = [(0, rate_bps)]
         self.debug_log: list | None = [] if debug else None
-        self._debug_enq: dict[int, tuple[int, int]] = {}
+        self._last_done_us = 0  # kept for the debug log only
         self._last_delivery_us = 0
-        self._service_us = self._service_time_us()
+        self.set_rate(rate_bps)
         self._heap = loop.heap
         self._deliver = loop.delivery_lane().append
         self._next_seq = loop.reserve_seq
@@ -323,13 +323,12 @@ class Bottleneck:
         self._drops_from_us = _NEVER if injector is None else injector.quiet_until_us(0)
         self._jitters = injector is not None and injector.jitters
 
-    def _service_time_us(self) -> int:
-        return max(1, round(self.mss_bytes * 8_000_000 / self.rate_bps))
+    @property
+    def occupancy(self) -> int:
+        return len(self._fifo)
 
     def set_rate(self, rate_bps: int) -> None:
-        self.rate_bps = rate_bps
-        self._service_us = self._service_time_us()
-        self.rate_log.append((self.loop.now_us, rate_bps))
+        self._service_us = max(1, round(self.mss_bytes * 8_000_000 / rate_bps))
 
     def submit(self, pkt: Packet) -> bool:
         """Sender hands over one segment; returns False when dropped."""
@@ -342,16 +341,12 @@ class Bottleneck:
                 self.drop_log.append((now, pkt.flow_id, "injected"))
                 return False
         if self.in_service is None:  # an idle link serves it at once
-            if self.debug_log is not None:
-                self._debug_enq[id(pkt)] = (now, now)
             self.in_service = pkt
             _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
             return True
-        if self.occupancy < self.capacity:  # droptail: a full queue drops
-            self.occupancy += 1
-            self._fifo.append(pkt)
-            if self.debug_log is not None:
-                self._debug_enq[id(pkt)] = (now, -1)
+        fifo = self._fifo
+        if len(fifo) < self.capacity:  # droptail: a full queue drops
+            fifo.append(pkt)
             return True
         self.drop_log.append((now, pkt.flow_id, "queue_full"))
         return False
@@ -367,21 +362,19 @@ class Bottleneck:
             deliver_at = self._last_delivery_us + 1
         self._last_delivery_us = deliver_at
         if self.debug_log is not None:
-            enq, svc_start = self._debug_enq.pop(id(pkt))
+            enq = pkt.sent_at_us
             self.debug_log.append(
-                (pkt.flow_id, pkt.seq, enq, svc_start, now, deliver_at, pkt.is_retransmit)
+                (pkt.flow_id, pkt.seq, enq, max(enq, self._last_done_us), now, deliver_at,
+                 pkt.is_retransmit)
             )
+            self._last_done_us = now
         self._deliver((deliver_at, self._next_seq(), self.deliver_cb[pkt[0]], pkt))
         if not self._fifo:
             self.in_service = None
             return
         # Start serving the next queued packet: on a busy link this is where
         # nearly every service starts.
-        self.occupancy -= 1
         pkt = self.in_service = self._fifo.popleft()
-        if self.debug_log is not None:
-            enq, _ = self._debug_enq[id(pkt)]
-            self._debug_enq[id(pkt)] = (enq, now)
         _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
 
     def in_network_total(self, flow_id: str) -> int:
@@ -480,14 +473,11 @@ class AppSource:
 
 
 class Receiver:
-    """In-order reassembly with one cumulative ACK per received segment."""
+    """In-order reassembly with one cumulative ACK per received segment;
+    `rcv_nxt` segments, times the link's MSS, are delivered in order."""
 
-    def __init__(
-        self, loop: EventLoop, flow_id: str, mss_bytes: int, ack_delay_us: int
-    ) -> None:
+    def __init__(self, loop: EventLoop, ack_delay_us: int) -> None:
         self.loop = loop
-        self.flow_id = flow_id
-        self.mss = mss_bytes
         self.ack_delay_us = ack_delay_us
         self.rcv_nxt = 0
         self.ooo: set[int] = set()
@@ -495,11 +485,6 @@ class Receiver:
         self.ack_sink: Callable[[int], None] | None = None
         self._queue_ack = loop.ack_lane(ack_delay_us).append
         self._next_seq = loop.reserve_seq
-
-    @property
-    def delivered_bytes(self) -> int:
-        """Bytes delivered in order to the application."""
-        return self.rcv_nxt * self.mss
 
     def on_segment(self, pkt: Packet) -> None:
         self.rx_count += 1
@@ -541,8 +526,10 @@ class Sender:
     counting each segment.
 
     The source's answer is kept with the instant it stops being true
-    (`_avail`, `_avail_until`), and one `AckInfo` is refilled for every
-    ACK; controllers read it during `on_ack` only.
+    (`_avail`, `_avail_until`). The handshake seeds the RFC 6298
+    estimator, and data flows once it has; every ACK updates it once, and
+    one `AckInfo` is refilled for every ACK that advances `snd_una`;
+    controllers read it during `on_ack` only.
     """
 
     def __init__(
@@ -590,7 +577,6 @@ class Sender:
         self._ack = AckInfo(newly_acked=0, rtt_sample_us=0, srtt_us=0.0, now_us=0)
 
         self.retransmits = 0
-        self.started = False
 
     # -- helpers ---------------------------------------------------------
 
@@ -656,30 +642,21 @@ class Sender:
         self.loop.schedule(self.loop.now_us + sample, self._handshake_done, sample)
 
     def _handshake_done(self, sample: int) -> None:
-        self._note_sample(sample)
-        ack = self._ack
-        ack.newly_acked = 0
-        ack.rtt_sample_us = sample
-        ack.srtt_us = self.srtt_us
-        ack.now_us = self.loop.now_us
-        ack.in_flight = 0
-        ack.round_start = False
-        ack.in_recovery = False
-        ack.is_app_limited = False
-        self.ctl.on_ack(ack)
-        self.started = True
-        self.try_send()
-
-    def _send_segment(self, seq: int, retransmit: bool) -> None:
-        if self._rto_at is None:
-            self._arm_rto()
-        self.bottleneck.submit(
-            _new_tuple(Packet, (self.flow_id, seq, self.loop.now_us, retransmit))
+        # The first sample seeds the estimator (RFC 6298 section 2.2).
+        self.srtt_us = srtt = float(sample)
+        self.rttvar_us = rttvar = sample / 2.0
+        margin = 4 * rttvar
+        self.rto_us = round(srtt + (margin if margin > MIN_RTO_US else MIN_RTO_US))
+        self.ctl.on_ack(
+            AckInfo(newly_acked=0, rtt_sample_us=sample, srtt_us=srtt, now_us=self.loop.now_us)
         )
+        self.try_send()
 
     def _retransmit(self, seq: int) -> None:
         self.retransmits += 1
-        self._send_segment(seq, retransmit=True)
+        if self._rto_at is None:
+            self._arm_rto()
+        self.bottleneck.submit(_new_tuple(Packet, (self.flow_id, seq, self.loop.now_us, True)))
 
     def try_send(self, woken_for: int | None = None) -> None:
         """Send what the window, the source and the pacing allow now.
@@ -694,8 +671,8 @@ class Sender:
             if woken_for != self._pending_wake:
                 return
             self._pending_wake = None
-        if not self.started:
-            return
+        if self.srtt_us is None:
+            return  # the handshake is not done
         now = self.loop.now_us
         if now >= self._avail_until:
             self._avail, self._avail_until = self.source.availability(now)
@@ -739,7 +716,7 @@ class Sender:
                 interval = max(1, round(1_000_000 / pacing))
                 self._pace_next_us = max(self._pace_next_us, now) + interval
             self.snd_nxt = seq + 1
-            # _send_segment for new data, inline: once per segment sent
+            # sent as _retransmit sends, inline: once per segment sent
             if self._rto_at is None:
                 self._arm_rto()
             self.bottleneck.submit(_new_tuple(Packet, (self.flow_id, seq, now, False)))
@@ -775,14 +752,16 @@ class Sender:
         self._repair_cursor = cursor
         return False
 
-    def _note_sample(self, sample: int) -> None:
+    def on_ack_frame(self, frame: tuple[int, int, int]) -> None:
+        ackno, rseq, tsecr = frame
+        loop = self.loop
+        now = loop.now_us
+        # RFC 6298 section 2.3, once per ACK. Timestamp echo dates every ACK,
+        # retransmitted copies' too, so the sample is always unambiguous.
+        sample = now - tsecr
         srtt = self.srtt_us
-        if srtt is None:
-            srtt = float(sample)
-            rttvar = sample / 2.0
-        else:
-            rttvar = self.rttvar_us + 0.25 * (abs(srtt - sample) - self.rttvar_us)
-            srtt += 0.125 * (sample - srtt)
+        rttvar = self.rttvar_us + 0.25 * (abs(srtt - sample) - self.rttvar_us)
+        srtt += 0.125 * (sample - srtt)
         self.srtt_us = srtt
         self.rttvar_us = rttvar
         # Variance term floored at the minimum so the timer keeps a real
@@ -790,11 +769,6 @@ class Sender:
         # to zero and any fluctuation fires spurious timeouts.
         margin = 4 * rttvar
         self.rto_us = round(srtt + (margin if margin > MIN_RTO_US else MIN_RTO_US))
-
-    def on_ack_frame(self, frame: tuple[int, int, int]) -> None:
-        ackno, rseq, tsecr = frame
-        loop = self.loop
-        now = loop.now_us
         snd_una = self.snd_una
         if rseq > self.max_received:
             self.max_received = rseq
@@ -803,20 +777,7 @@ class Sender:
         # not added.
         if rseq >= snd_una and rseq >= ackno:
             self.scoreboard.add(rseq)
-        # Timestamp echo dates every ACK, including ones for retransmitted
-        # copies, so the sample is always unambiguous.
-        sample = now - tsecr
         if ackno > snd_una:
-            # _note_sample, inline. Data is sent only after the handshake
-            # took the first sample, so srtt is set.
-            srtt = self.srtt_us
-            rttvar = self.rttvar_us + 0.25 * (abs(srtt - sample) - self.rttvar_us)
-            srtt += 0.125 * (sample - srtt)
-            self.srtt_us = srtt
-            self.rttvar_us = rttvar
-            margin = 4 * rttvar
-            self.rto_us = round(srtt + (margin if margin > MIN_RTO_US else MIN_RTO_US))
-
             newly = ackno - snd_una
             scoreboard = self.scoreboard
             if scoreboard or self._episode_rtx:
@@ -886,7 +847,6 @@ class Sender:
                 self._rto_at = None  # disarm
             self.try_send()
             return
-        self._note_sample(sample)
         if ackno == snd_una and self.snd_nxt > snd_una:
             self.dup_acks += 1
             if self.recovery_high is not None:
@@ -949,11 +909,9 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
         debug=scenario.debug,
     )
     for at_us, rate in scenario.link.rate_schedule[1:]:
-        loop.schedule(at_us, lambda r: bottleneck.set_rate(r), rate)
+        loop.schedule(at_us, bottleneck.set_rate, rate)
 
-    senders: dict[str, Sender] = {}
-    receivers: dict[str, Receiver] = {}
-    # One row per flow for the sampler: start, sender, receiver, the
+    # One row per flow, in scenario order: start, sender, receiver, the
     # samples' append, and the delivered bytes and time of its last sample.
     rows: list[list] = []
     for f in scenario.flows:
@@ -962,11 +920,9 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
             f.source.kind, f.source.rate_bps, f.source.start_us, f.source.duration_us, mss
         )
         sender = Sender(loop, f.flow_id, controller, source, bottleneck, f.sndbuf_segs)
-        receiver = Receiver(loop, f.flow_id, mss, scenario.link.prop_delay_us)
+        receiver = Receiver(loop, scenario.link.prop_delay_us)
         receiver.ack_sink = sender.on_ack_frame
         bottleneck.deliver_cb[f.flow_id] = receiver.on_segment
-        senders[f.flow_id] = sender
-        receivers[f.flow_id] = receiver
         flow_trace = traces.flows[f.flow_id] = FlowTrace(f.flow_id, f.algo, f.source.start_us)
         rows.append([f.source.start_us, sender, receiver, flow_trace.samples.append, 0, 0])
         loop.schedule(f.source.start_us, sender.start)
@@ -978,7 +934,7 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
             if t_us < start_us:
                 continue
             srtt = sender.srtt_us
-            delivered = receiver.rcv_nxt * mss  # delivered_bytes, less a call
+            delivered = receiver.rcv_nxt * mss
             # Sample(t_us, dt_us, cwnd, srtt_us, delivered_bytes, queue_segs)
             append(
                 Sample(
@@ -1007,10 +963,8 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
 
         audit: dict[str, dict[str, int]] = {}
         dropped = Counter(fid for _, fid, _ in bottleneck.drop_log)
-        for f in scenario.flows:
+        for f, (_, sender, receiver, *_) in zip(scenario.flows, rows):
             fid = f.flow_id
-            sender = senders[fid]
-            receiver = receivers[fid]
             in_net = bottleneck.in_network_total(fid)
             drops = dropped[fid]
             sent = sender.snd_nxt + sender.retransmits
@@ -1021,7 +975,7 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
                 "received": receiver.rx_count,
                 "dropped": drops,
                 "in_network_end": in_net,
-                "delivered_bytes": receiver.delivered_bytes,
+                "delivered_bytes": receiver.rcv_nxt * mss,
                 "window_violations": 0,
                 "conserved": sent == receiver.rx_count + drops + in_net,
             }
@@ -1056,7 +1010,8 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
 
     traces.audit = audit
     traces.drops = list(bottleneck.drop_log)
-    traces.rate_changes = list(bottleneck.rate_log)
+    # The schedule's entries that ran; run_until runs one due at the horizon.
+    traces.rate_changes = [e for e in scenario.link.rate_schedule if e[0] <= scenario.horizon_us]
     traces.events_processed = loop.processed
     traces.debug_packets = bottleneck.debug_log
     return traces

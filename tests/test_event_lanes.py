@@ -243,10 +243,10 @@ def test_receiver_with_another_ack_delay_is_refused():
     # with two delays a later ACK could come due first, so the second
     # delay is refused instead of misordering the ACK lane.
     loop = EventLoop()
-    Receiver(loop, "a", 1500, 20_000)
-    Receiver(loop, "b", 1500, 20_000)
+    Receiver(loop, 20_000)
+    Receiver(loop, 20_000)
     with pytest.raises(SimulationError, match="ACK delay"):
-        Receiver(loop, "c", 1500, 20_001)
+        Receiver(loop, 20_001)
 
 
 def test_second_link_on_one_loop_is_refused():
