@@ -5,7 +5,7 @@ matrix, `report` comparison tables from saved traces, `list-scenarios`.
 Every run writes trace.csv, events.json, and summary.txt into the output
 directory; the resolved configuration is echoed into both summary.txt and
 events.json so each artifact is self-describing and re-runnable. Exit
-codes: 0 success, 1 validation error, 2 runtime fault.
+codes: 0 success, 1 invalid input or unusable output path, 2 runtime fault.
 
 The default output directory is taken from ROCCET_LAB_OUT when set.
 """
@@ -118,8 +118,9 @@ def _resolve_scenario(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    out = args.out or os.environ.get("ROCCET_LAB_OUT") or "out"
-    path = Path(out)
+    """Made once the scenario or sweep is parsed and before it runs, so a
+    bad one leaves no directory and an unusable path fails at once."""
+    path = Path(args.out or os.environ.get("ROCCET_LAB_OUT") or "out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -161,11 +162,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = _resolve_scenario(args)
     except ScenarioError as exc:
         return _fail("invalid-scenario", str(exc), EXIT_VALIDATION)
+    out = _outdir(args)
     try:
         traces = run_scenario(spec)
     except RoccetLabError as exc:
         return _fail("simulation-fault", str(exc), EXIT_RUNTIME)
-    out = _outdir(args)
     with open(out / "trace.csv", "w", encoding="utf-8") as f:
         traces.write_csv(f)
     with open(out / "events.json", "w", encoding="utf-8") as f:
@@ -202,13 +203,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             raise ScenarioError("one of --sweep or --builtin is required")
         spec = sweep_from_dict(data)
-        cells = run_sweep(spec)
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+        return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
+    out = _outdir(args)
+    try:
+        cells = run_sweep(spec)
+    except ScenarioError as exc:  # a bad cell: all are built before the first runs
         return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
     except RoccetLabError as exc:
         return _fail("simulation-fault", str(exc), EXIT_RUNTIME)
-
-    out = _outdir(args)
     axis_names = sorted(spec.axes)
     with open(out / "results.csv", "w", encoding="utf-8") as f:
         cols = axis_names + ["repetition", "seed", "jain", "flow_id", "algo", "goodput_mbps", "fraction"]
@@ -367,6 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OSError as exc:  # inputs are read under their own codes: this is the output
+        return _fail("bad-output", str(exc), EXIT_VALIDATION)
     except RoccetLabError as exc:
         return _fail("unexpected-failure", str(exc), EXIT_RUNTIME)
 

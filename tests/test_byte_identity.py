@@ -164,7 +164,7 @@ PACKET_LOG_DIGESTS = {
 }
 
 
-def _run(name: str, debug: bool = False):
+def run_case(name: str, debug: bool = False):
     builtin, algo, horizon_s = CASES[name]
     spec = builtin_scenario(
         builtin, algo=algo, seed=1, horizon_s=horizon_s, **OPTIONS.get(name, {})
@@ -181,7 +181,7 @@ def _sha256(text: str) -> str:
 
 
 def digests(name: str) -> tuple[str, str]:
-    traces = _run(name)
+    traces = run_case(name)
     trace_csv, events_json = io.StringIO(), io.StringIO()
     traces.write_csv(trace_csv)
     traces.write_events_json(events_json)
@@ -189,7 +189,7 @@ def digests(name: str) -> tuple[str, str]:
 
 
 def packet_log_digest(name: str) -> str:
-    return _sha256(repr(_run(name, debug=True).debug_packets))
+    return _sha256(repr(run_case(name, debug=True).debug_packets))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -277,3 +277,26 @@ def test_list_scenarios(capsys):
     out = capsys.readouterr().out
     for name in ("bw-halving", "frozen-cwnd", "steady"):
         assert name in out
+
+
+# Output paths that cannot be made or written to, each of which once ended
+# in a traceback (the run's only after the whole run): `{file}` stands
+# for an existing file, `{dir}` for a run directory.
+BAD_OUTPUTS = [
+    ["run", "--builtin", "steady", "-o", "{file}"],
+    ["run", "--builtin", "steady", "-o", "{file}/sub"],
+    ["sweep", "--builtin", "steady", "-o", "{file}"],
+    ["report", "{dir}", "-o", "{dir}"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_OUTPUTS, ids=" ".join)
+def test_unusable_output_exits_one_with_one_line(argv, bw_halving_artifacts, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    paths = {"file": str(taken), "dir": str(bw_halving_artifacts["cubic"])}
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith("error: bad-output: ")
+    assert taken.read_text(encoding="utf-8") == "kept\n"

@@ -1,0 +1,75 @@
+"""The code names `README.md` gives resolve, checked in tier 1 so that a
+renamed or deleted name fails here rather than leaving the README to
+describe code that is gone. Among the README's inline code spans:
+
+- every `Class.attr` whose `Class` is a roccet_lab class names an
+  attribute, method or dataclass field of it;
+- every bare `_name` is an attribute of some roccet_lab class or module;
+- every `tests/<file>.py` path exists, and each `::<node>` after it names
+  a class or function nested in the one before.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import roccet_lab
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+# Inline code spans, fenced blocks left out.
+SPANS = sorted(set(re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", README, flags=re.S))))
+
+MODULES = [
+    importlib.import_module(f"roccet_lab.{info.name}")
+    for info in pkgutil.iter_modules(roccet_lab.__path__)
+]
+CLASSES = {
+    name: cls
+    for module in MODULES
+    for name, cls in inspect.getmembers(module, inspect.isclass)
+    if cls.__module__.startswith("roccet_lab.")
+}
+
+QUALIFIED = [
+    m.groups() for s in SPANS
+    if (m := re.fullmatch(r"(\w+)\.(\w+)", s)) and m[1] in CLASSES
+]
+PRIVATE = [s for s in SPANS if re.fullmatch(r"_[a-z]\w*", s)]
+TEST_PATHS = [s for s in SPANS if re.fullmatch(r"tests/\w+\.py(::\w+)*", s)]
+
+
+def _has(owner, attr: str) -> bool:
+    return hasattr(owner, attr) or attr in getattr(owner, "__dataclass_fields__", {})
+
+
+def test_each_kind_of_name_is_found():
+    # An empty list would make its test below check nothing.
+    assert QUALIFIED and PRIVATE and TEST_PATHS
+
+
+@pytest.mark.parametrize("cls, attr", QUALIFIED, ids=".".join)
+def test_class_attribute_resolves(cls, attr):
+    assert _has(CLASSES[cls], attr)
+
+
+@pytest.mark.parametrize("name", PRIVATE)
+def test_private_name_resolves(name):
+    assert any(_has(owner, name) for owner in [*MODULES, *CLASSES.values()])
+
+
+@pytest.mark.parametrize("path", TEST_PATHS)
+def test_test_path_resolves(path):
+    file, *nodes = path.split("::")
+    body = ast.parse((ROOT / file).read_text(encoding="utf-8")).body
+    for node in nodes:
+        (found,) = [
+            n for n in body
+            if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == node
+        ]
+        body = found.body
