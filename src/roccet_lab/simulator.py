@@ -716,7 +716,7 @@ class Sender:
                 interval = max(1, round(1_000_000 / pacing))
                 self._pace_next_us = max(self._pace_next_us, now) + interval
             self.snd_nxt = seq + 1
-            # sent as _retransmit sends, inline: once per segment sent
+            # _retransmit's send, for new data, inline: once per segment sent
             if self._rto_at is None:
                 self._arm_rto()
             self.bottleneck.submit(_new_tuple(Packet, (self.flow_id, seq, now, False)))
