@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roccet_lab.controllers import CONTROLLERS
 from roccet_lab.errors import ScenarioError
 from roccet_lab.harness import (
     BUILTINS,
@@ -79,6 +81,75 @@ class TestBuiltins:
         for name in BUILTINS:
             builtin_scenario(name).validate()
 
+
+def _echo_digest(spec) -> str:
+    return hashlib.sha256(json.dumps(spec.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
+
+
+# The sha256 of each builtin's config echo, `to_dict()` with sorted keys, at
+# seed 7: under every algorithm at its defaults, then with options set. A
+# change to how the registry builds its scenarios must leave every one.
+ECHO_PINS = {
+    ("bw-halving", "cubic"): "09b990120651f1c99bf1661310cb23e15e8dd13959cbff3a9cf57829bc898238",
+    ("bw-halving", "reno"): "33e27d7ba2fc9a2a555da67ae071c0ce0f455e5422413cf80a765b98a054a3ad",
+    ("bw-halving", "roccet"): "f7d8b6c78e2b96302c12cbc1e61b9f8a54a06536027c91769be9b993d2d94ab6",
+    ("bw-halving", "probe_rate"): "e28af22153984485c21ef18178ae6488114253e5c4f9cb0547b974231fbbde6c",
+    ("fairness-10x40", "cubic"): "06e33338418568c5a0ee471c1dc3011b2cd14bf55f8babfd189b68740f221ab1",
+    ("fairness-10x40", "reno"): "79c3442fee5ba57295aacb60c1f98bd3aa8586760987b628eb6b3b3681187900",
+    ("fairness-10x40", "roccet"): "88c48a332145e36df46c22907df4bfa5e4d2c161bbebb368d1f8759a93c440a1",
+    ("fairness-10x40", "probe_rate"): "3bb13ce33661516ad85fb68bb716aaf5b4c5c35da432a890d5bb1e5885d16431",
+    ("fairness-50x30", "cubic"): "7d939920dac17bebf77eab7d1cf6120bcb8a97094511fdd8c9cd7c3f990ab0ac",
+    ("fairness-50x30", "reno"): "0559ec1be90c5010f5309055275235ae0ec9bfa17c22f45577bc9384ab33972f",
+    ("fairness-50x30", "roccet"): "d2ac0dac8fd9335b197303318d025bf8c3e6965e5680c79dc22979646da9cfdd",
+    ("fairness-50x30", "probe_rate"): "510c2cf5d315b51a3386b829573b77dd482b6806cd5025c002570cde898479a9",
+    ("frozen-cwnd", "cubic"): "be4daa1658df6b028a2df998a8671341d3a881693fef1b2d5eb55cd25d03c0aa",
+    ("frozen-cwnd", "reno"): "8a3183e6888a5ce65c178b24e7413ca6ea96a4f8ff48ae3a675f4c1e911627fe",
+    ("frozen-cwnd", "roccet"): "6305b03f1aa4d720e3616a0318231b3ee1607e35f526e0dd81fb722133c7702a",
+    ("frozen-cwnd", "probe_rate"): "22db159ec73b2e66185dde2e9443062dafde211cc0e05c9d826c51157840fa51",
+    ("steady", "cubic"): "cea6a8554396bea80446b76d1685cd2839cdee58d9da4d509a763e18665f8193",
+    ("steady", "reno"): "fbc6b8a17480d6b1c693f7c46772361d1e30ac938d3e78c6a61ad85c9a74a37d",
+    ("steady", "roccet"): "4729b254a55591cbb92eafef9ba825d67d0d62dc87a0a7120b38d7cc1724c191",
+    ("steady", "probe_rate"): "96e4c8b53c6dfe03a89e8560d1f1fecc4453b98ed7db6813d33085e8bd338bd9",
+}
+OPTION_PINS = [
+    (
+        "fairness-10x40", "roccet",
+        {"n_flows": 3, "competitor": "probe_rate", "buffer_bdp": 4.0, "horizon_s": 30.0},
+        "da3dd16ecb5412bbd2fd8d002cbe84af1de2282aac31db60b7aba787d6e9b670",
+    ),
+    (
+        "bw-halving", "cubic", {"sndbuf_segs": 100, "buffer_bdp": 2.0, "horizon_s": 10.0},
+        "0b47ca7289a742e2e7800d75d4fa906de00abd564370dbcbac855627cf87f5c3",
+    ),
+]
+
+UNKNOWN_OPTION_ERRORS = {
+    "steady": "scenario steady: unknown options ['n_flows', 'not_a_knob'];"
+    " allowed: ['buffer_bdp', 'horizon_s']",
+    "bw-halving": "scenario bw-halving: unknown options ['n_flows', 'not_a_knob'];"
+    " allowed: ['buffer_bdp', 'horizon_s', 'sndbuf_segs']",
+}
+
+
+class TestBuiltinEchoes:
+    def test_every_algo_pinned(self):
+        assert sorted(ECHO_PINS) == sorted((n, a) for n in BUILTINS for a in CONTROLLERS)
+
+    @pytest.mark.parametrize("name, algo", sorted(ECHO_PINS), ids="-".join)
+    def test_default_echo(self, name, algo):
+        assert _echo_digest(builtin_scenario(name, algo=algo, seed=7)) == ECHO_PINS[name, algo]
+
+    @pytest.mark.parametrize(
+        "name, algo, options, digest", OPTION_PINS, ids=[pin[0] for pin in OPTION_PINS]
+    )
+    def test_option_echo(self, name, algo, options, digest):
+        assert _echo_digest(builtin_scenario(name, algo=algo, seed=7, **options)) == digest
+
+    @pytest.mark.parametrize("name", sorted(UNKNOWN_OPTION_ERRORS))
+    def test_unknown_option_message(self, name):
+        with pytest.raises(ScenarioError) as info:
+            builtin_scenario(name, not_a_knob=1, n_flows=2)
+        assert str(info.value) == UNKNOWN_OPTION_ERRORS[name]
 
 class TestScenarioFiles:
     def test_round_trip(self, tmp_path):
