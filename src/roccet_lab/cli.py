@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import (
@@ -55,28 +56,25 @@ def _parse_override_value(raw: str):
         return raw
 
 
+def _slot(node, key: str, path: str):
+    """The list index or the existing dict key that `key` names in `node`."""
+    if isinstance(node, list):
+        try:
+            index = int(key)
+            node[index]
+        except (ValueError, IndexError) as exc:
+            raise ScenarioError(f"override {path!r}: bad index {key!r}") from exc
+        return index
+    if isinstance(node, dict) and key in node:
+        return key
+    raise ScenarioError(f"override {path!r}: no such key {key!r}")
+
+
 def _set_path(root, keys: list[str], value, path: str) -> None:
     node = root
     for key in keys[:-1]:
-        if isinstance(node, list):
-            try:
-                node = node[int(key)]
-            except (ValueError, IndexError) as exc:
-                raise ScenarioError(f"override {path!r}: bad index {key!r}") from exc
-        elif isinstance(node, dict) and key in node:
-            node = node[key]
-        else:
-            raise ScenarioError(f"override {path!r}: no such key {key!r}")
-    leaf = keys[-1]
-    if isinstance(node, list):
-        try:
-            node[int(leaf)] = value
-        except (ValueError, IndexError) as exc:
-            raise ScenarioError(f"override {path!r}: bad index {leaf!r}") from exc
-    elif isinstance(node, dict) and leaf in node:
-        node[leaf] = value
-    else:
-        raise ScenarioError(f"override {path!r}: no such key {leaf!r}")
+        node = node[_slot(node, key, path)]
+    node[_slot(node, keys[-1], path)] = value
 
 
 def _apply_overrides(config: dict, overrides: list[str]) -> dict:
@@ -117,12 +115,15 @@ def _resolve_scenario(args: argparse.Namespace) -> ScenarioSpec:
     return scenario_from_dict(config)
 
 
-def _outdir(args: argparse.Namespace) -> Path:
+def _outdir(args: argparse.Namespace) -> tuple[Path, list[Path]]:
     """Made once the scenario or sweep is parsed and before it runs, so a
-    bad one leaves no directory and an unusable path fails at once."""
+    bad one leaves no directory and an unusable path fails at once. Also
+    returns the directories this made, deepest first, for a sweep whose
+    cells fail to build to remove."""
     path = Path(args.out or os.environ.get("ROCCET_LAB_OUT") or "out")
+    made = [p for p in (path, *path.parents) if not p.exists()]
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return path, made
 
 
 def _summary_text(traces, config: dict) -> str:
@@ -162,7 +163,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = _resolve_scenario(args)
     except ScenarioError as exc:
         return _fail("invalid-scenario", str(exc), EXIT_VALIDATION)
-    out = _outdir(args)
+    out, _ = _outdir(args)
     try:
         traces = run_scenario(spec)
     except RoccetLabError as exc:
@@ -205,12 +206,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = sweep_from_dict(data)
     except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
-    out = _outdir(args)
+    out, made = _outdir(args)
     try:
         cells = run_sweep(spec)
-    except ScenarioError as exc:  # a bad cell: all are built before the first runs
-        return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
     except RoccetLabError as exc:
+        for path in made:  # empty: nothing is written before every cell has run
+            path.rmdir()
+        if isinstance(exc, ScenarioError):  # a bad cell: all are built before the first runs
+            return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
         return _fail("simulation-fault", str(exc), EXIT_RUNTIME)
     axis_names = sorted(spec.axes)
     with open(out / "results.csv", "w", encoding="utf-8") as f:
@@ -232,14 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(out / "results.json", "w", encoding="utf-8") as f:
         json.dump(
             {
-                "sweep": {
-                    "scenario": spec.scenario,
-                    "algo": spec.algo,
-                    "axes": spec.axes,
-                    "repetitions": spec.repetitions,
-                    "seed": spec.seed,
-                    "options": spec.options,
-                },
+                "sweep": asdict(spec),
                 "cells": [
                     {
                         "axis": cell.axis,

@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
@@ -403,67 +403,34 @@ def _mk_link(rate_mbps: float, rtt_ms: float, schedule: list[tuple[float, float]
     return LinkSpec(rate_schedule=tuple(entries), prop_delay_us=ms_to_us(rtt_ms) // 2)
 
 
-def _builtin_bw_halving(algo: str, seed: int, **kw) -> ScenarioSpec:
-    # Finite send buffer keeps a frozen-window controller queue-limited
-    # instead of overflowing even a 16 BDP buffer.
+def _builtin_single(
+    link: LinkSpec, source: SourceSpec, loss: LossSpec | None,
+    name: str, algo: str, seed: int, buffer_bdp: float, horizon_s: float,
+    sndbuf_segs: int | None = None,
+) -> ScenarioSpec:
+    """One flow from `source` on `link`, with `loss` injected. Only
+    bw-halving takes `sndbuf_segs`: its finite send buffer keeps a
+    frozen-window controller queue-limited instead of overflowing even a
+    16 BDP buffer."""
     return ScenarioSpec(
-        link=_mk_link(50.0, 40.0, [(15.0, 25.0)]),
-        buffer_bdp=kw.pop("buffer_bdp", 16.0),
-        flows=(
-            FlowSpec(
-                flow_id=f"{algo}0",
-                algo=algo,
-                source=SourceSpec(kind="greedy"),
-                sndbuf_segs=kw.pop("sndbuf_segs", 800),
-            ),
-        ),
-        horizon_us=s_to_us(kw.pop("horizon_s", 35.0)),
+        link=link,
+        buffer_bdp=buffer_bdp,
+        flows=(FlowSpec(flow_id=f"{algo}0", algo=algo, source=source, sndbuf_segs=sndbuf_segs),),
+        horizon_us=s_to_us(horizon_s),
         seed=seed,
-        name="bw-halving",
-        **kw,
+        loss=loss,
+        name=name,
     )
-
-
-def _builtin_frozen_cwnd(algo: str, seed: int, **kw) -> ScenarioSpec:
-    return ScenarioSpec(
-        link=_mk_link(50.0, 40.0),
-        buffer_bdp=kw.pop("buffer_bdp", 16.0),
-        flows=(
-            FlowSpec(
-                flow_id=f"{algo}0",
-                algo=algo,
-                source=SourceSpec(kind="app_limited", rate_bps=mbps_to_bps(20.0)),
-            ),
-        ),
-        horizon_us=s_to_us(kw.pop("horizon_s", 60.0)),
-        seed=seed,
-        loss=LossSpec(drop_at_us=(s_to_us(2.0), s_to_us(4.0))),
-        name="frozen-cwnd",
-        **kw,
-    )
-
-
-_FAIRNESS_OPTIONS = {"n_flows", "competitor", "buffer_bdp", "horizon_s"}
 
 
 def _builtin_fairness(
-    rate_mbps: float,
-    rtt_ms: float,
-    name: str,
-    algo: str,
-    seed: int,
-    n_flows: int = 2,
-    competitor: str | None = None,
-    buffer_bdp: float = 1.0,
-    horizon_s: float = 120.0,
-    **kw,
+    link: LinkSpec, name: str, algo: str, seed: int,
+    n_flows: int, competitor: str | None, buffer_bdp: float, horizon_s: float,
 ) -> ScenarioSpec:
     """n same-algorithm flows starting near-symmetrically (0.5 ms apart
     plus seeded jitter so repetitions differ; close enough that every
     handshake completes before any data loads the queue), optionally
-    against one competitor flow starting 1 s later.
-
-    """
+    against one competitor flow starting 1 s later."""
     rng = random.Random(seed ^ 0x5EED)
     flows = []
     for i in range(n_flows):
@@ -484,60 +451,57 @@ def _builtin_fairness(
             )
         )
     return ScenarioSpec(
-        link=_mk_link(rate_mbps, rtt_ms),
+        link=link,
         buffer_bdp=buffer_bdp,
         flows=tuple(flows),
         horizon_us=s_to_us(horizon_s),
         seed=seed,
         name=name,
-        **kw,
-    )
-
-
-def _builtin_steady(algo: str, seed: int, **kw) -> ScenarioSpec:
-    return ScenarioSpec(
-        link=_mk_link(10.0, 40.0),
-        buffer_bdp=kw.pop("buffer_bdp", 1.0),
-        flows=(
-            FlowSpec(flow_id=f"{algo}0", algo=algo, source=SourceSpec(kind="greedy")),
-        ),
-        horizon_us=s_to_us(kw.pop("horizon_s", 60.0)),
-        seed=seed,
-        name="steady",
-        **kw,
     )
 
 
 class Builtin(NamedTuple):
     """One builtin scenario: its `list-scenarios` line, the algorithm it
-    runs when none is given, the options it takes, and its builder."""
+    runs when none is given, each option it takes with its default, and
+    its builder, called with the name, algorithm, seed and every option."""
 
     doc: str
     default_algo: str
-    options: set[str]
+    defaults: dict[str, Any]
     build: Callable[..., ScenarioSpec]
 
+
+_FAIRNESS_DEFAULTS = {"n_flows": 2, "competitor": None, "buffer_bdp": 1.0, "horizon_s": 120.0}
 
 BUILTINS: dict[str, Builtin] = {
     "bw-halving": Builtin(
         "50->25 Mbps at t=15 s, 40 ms RTT, 16 BDP buffer, 35 s, greedy + 800-segment send buffer",
-        "roccet", {"buffer_bdp", "sndbuf_segs", "horizon_s"}, _builtin_bw_halving,
+        "roccet", {"buffer_bdp": 16.0, "sndbuf_segs": 800, "horizon_s": 35.0},
+        partial(
+            _builtin_single, _mk_link(50.0, 40.0, [(15.0, 25.0)]), SourceSpec(kind="greedy"), None
+        ),
     ),
     "frozen-cwnd": Builtin(
         "app-limited 20 Mbps flow, 50 Mbps x 40 ms, 16 BDP, drops injected at 2 s and 4 s, 60 s",
-        "cubic", {"buffer_bdp", "horizon_s"}, _builtin_frozen_cwnd,
+        "cubic", {"buffer_bdp": 16.0, "horizon_s": 60.0},
+        partial(
+            _builtin_single, _mk_link(50.0, 40.0),
+            SourceSpec(kind="app_limited", rate_bps=mbps_to_bps(20.0)),
+            LossSpec(drop_at_us=(s_to_us(2.0), s_to_us(4.0))),
+        ),
     ),
     "fairness-50x30": Builtin(
         "bandwidth share on 50 Mbps x 30 ms, n flows (+ optional competitor), 2 min",
-        "roccet", _FAIRNESS_OPTIONS, partial(_builtin_fairness, 50.0, 30.0, "fairness-50x30"),
+        "roccet", _FAIRNESS_DEFAULTS, partial(_builtin_fairness, _mk_link(50.0, 30.0)),
     ),
     "fairness-10x40": Builtin(
         "bandwidth share on 10 Mbps x 40 ms, n flows (+ optional competitor), 2 min",
-        "roccet", _FAIRNESS_OPTIONS, partial(_builtin_fairness, 10.0, 40.0, "fairness-10x40"),
+        "roccet", _FAIRNESS_DEFAULTS, partial(_builtin_fairness, _mk_link(10.0, 40.0)),
     ),
     "steady": Builtin(
         "single greedy flow, 10 Mbps x 40 ms, 1 BDP buffer, 60 s",
-        "cubic", {"buffer_bdp", "horizon_s"}, _builtin_steady,
+        "cubic", {"buffer_bdp": 1.0, "horizon_s": 60.0},
+        partial(_builtin_single, _mk_link(10.0, 40.0), SourceSpec(kind="greedy"), None),
     ),
 }
 
@@ -549,10 +513,10 @@ def _builtin(name: str, options) -> Builtin:
             f"unknown scenario {name!r}; known: {', '.join(sorted(BUILTINS))}"
         )
     builtin = BUILTINS[name]
-    unknown = set(options) - builtin.options
+    unknown = set(options) - builtin.defaults.keys()
     if unknown:
         raise ScenarioError(
-            f"scenario {name}: unknown options {sorted(unknown)}; allowed: {sorted(builtin.options)}"
+            f"scenario {name}: unknown options {sorted(unknown)}; allowed: {sorted(builtin.defaults)}"
         )
     return builtin
 
@@ -560,7 +524,9 @@ def _builtin(name: str, options) -> Builtin:
 def builtin_scenario(name: str, algo: str | None = None, seed: int = 1, **kwargs) -> ScenarioSpec:
     builtin = _builtin(name, kwargs)
     try:
-        spec = builtin.build(algo=algo or builtin.default_algo, seed=seed, **kwargs)
+        spec = builtin.build(
+            name=name, algo=algo or builtin.default_algo, seed=seed, **{**builtin.defaults, **kwargs}
+        )
         spec.validate()
     except _BAD_VALUE as exc:
         raise ScenarioError(f"scenario {name}: bad value: {exc}") from exc
@@ -597,7 +563,7 @@ def sweep_from_dict(d: dict) -> SweepSpec:
     """Parse a sweep file's dict (`sweep --builtin` passes its flags as
     one). Field types, and each axis and option name against what the
     builtin takes, are checked before any cell is built."""
-    _check_keys(d, {"scenario", "algo", "axes", "repetitions", "seed", "options"}, "sweep")
+    _check_keys(d, {f.name for f in fields(SweepSpec)}, "sweep")
     if "scenario" not in d:
         raise ScenarioError("sweep: scenario is required")
     spec = SweepSpec(**d)

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from roccet_lab.cli import main
+from roccet_lab.harness import materialize_cell, sweep_from_dict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +56,23 @@ def test_single_run_workloads_match_pinned_hashes(workload, scenario, algo, tmp_
     events_text = (tmp_path / "events.json").read_text(encoding="utf-8")
     assert checks.sha256(trace_text.encode("utf-8")) == expected["trace_csv"]
     assert checks.events_digest(events_text) == expected["events_json"]
+
+
+def test_sweep_workload_builds_eleven_cells(tmp_path, monkeypatch):
+    # The benchmark's three sweep files, written as its rounds write them,
+    # parsed and built as `roccet-lab sweep` does. Its checks key each
+    # cell by its seed, so the seeds must differ too.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py does `import checks`
+    sweep = importlib.import_module("workloads").Sweep()
+    sweep.prepare(1, tmp_path)
+    cells = []
+    for sweep_file in sweep.sweep_files:
+        spec = sweep_from_dict(json.loads(sweep_file.read_text(encoding="utf-8")))
+        assert spec.options == {"horizon_s": sweep.HORIZON_S}
+        cells += [
+            materialize_cell(spec, point, rep)
+            for point in spec.cells()
+            for rep in range(spec.repetitions)
+        ]
+    assert len(cells) == 11
+    assert len({cell.seed for cell in cells}) == 11

@@ -49,6 +49,25 @@ class TestRun:
         assert "no such key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "override, detail",
+        [
+            ("flows.5.algo=cubic", "bad index '5'"),
+            ("flows.x.algo=cubic", "bad index 'x'"),
+            ("flows.1=null", "bad index '1'"),
+            ("link.rate_mbps.x=1", "no such key 'x'"),
+        ],
+    )
+    def test_bad_override_step_rejected(self, override, detail, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("run", "--builtin", "steady", "--set", override, "-o", str(out))
+        assert code == 1
+        path = override.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: invalid-scenario: override {path!r}: {detail}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "override", ['link.rate_mbps="abc"', "flows=5", "buffer_bdp=null"]
     )
     def test_wrong_value_type_exits_one(self, override, tmp_path, capsys):
@@ -213,6 +232,16 @@ class TestSweepCommand:
         assert len(err) == 1
         assert err[0].startswith("error: invalid-sweep: ")
         assert not (tmp_path / "results.csv").exists()
+        assert tmp_path.is_dir()  # it was there before the command, so it stays
+
+    def test_bad_cell_removes_every_directory_it_made(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b"
+        code = run_cli(
+            "sweep", "--builtin", "fairness-10x40", "--axis", "n_flows=abc", "-o", str(out)
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid-sweep: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 # Inputs that once exited 0 or ended in a traceback. A `sweep --sweep`
@@ -253,6 +282,7 @@ BAD_INPUTS = [
     ["sweep", "--sweep", {"scenario": "steady", "axes": [1]}],
     ["sweep", "--builtin", "steady", "--axis", "seed=1"],
     ["sweep", "--builtin", "steady", "--axis", "algo=cubic"],
+    ["sweep", "--builtin", "fairness-10x40", "--axis", "buffer_bdp=abc"],
 ]
 
 

@@ -6,12 +6,16 @@ describe code that is gone. Among the README's inline code spans:
   attribute, method or dataclass field of it;
 - every bare `_name` is an attribute of some roccet_lab class or module;
 - every `tests/<file>.py` path exists, and each `::<node>` after it names
-  a class or function nested in the one before.
+  a class or function nested in the one before;
+
+and its "Builtin scenarios" table lists exactly the registry's builtins,
+each with exactly its options and their defaults.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -19,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import roccet_lab
+from roccet_lab.harness import BUILTINS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -73,3 +78,12 @@ def test_test_path_resolves(path):
             if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == node
         ]
         body = found.body
+
+
+def test_builtin_table_matches_registry():
+    section = README.split("\n## Builtin scenarios\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)` *\|.*\| (.*) \|$", section, flags=re.M))
+    assert rows == {
+        name: ", ".join(f"`{key}={json.dumps(value)}`" for key, value in builtin.defaults.items())
+        for name, builtin in BUILTINS.items()
+    }
