@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ScenarioError
 
@@ -28,8 +29,7 @@ class Phase(Enum):
     CONGESTION_AVOIDANCE = "congestion_avoidance"
 
 
-@dataclass(frozen=True, slots=True)
-class CubicParams:
+class CubicParams(NamedTuple):
     """CUBIC tuning knobs.
 
     `beta_mult` is the multiplicative-decrease *survivor* fraction: after a
@@ -54,8 +54,7 @@ class CubicParams:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class CcState:
+class CcState(NamedTuple):
     """Per-flow congestion controller state.
 
     `ssthresh` is None while still "infinite" (no congestion event or

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .errors import (
@@ -235,7 +234,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(out / "results.json", "w", encoding="utf-8") as f:
         json.dump(
             {
-                "sweep": asdict(spec),
+                "sweep": spec._asdict(),
                 "cells": [
                     {
                         "axis": cell.axis,

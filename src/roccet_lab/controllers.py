@@ -25,15 +25,14 @@ transitions (congestion events, LAUNCH/ORBITER checks) are applied.
 
 from __future__ import annotations
 
-from dataclasses import fields
 from operator import attrgetter
 
 from .cc_types import MIN_CWND, AckInfo, CcState, CubicParams, Phase
 from . import cubic, probe_rate, reno, roccet
 from .roccet import CeKind, LaunchDecision, OrbiterDecision, RoccetParams, RoccetState
 
-_CC_FIELDS = tuple(f.name for f in fields(CcState))
-_ROC_FIELDS = tuple(f.name for f in fields(RoccetState))
+_CC_FIELDS = CcState._fields
+_ROC_FIELDS = RoccetState._fields
 _get_cc = attrgetter(*_CC_FIELDS)
 _get_roc = attrgetter(*_ROC_FIELDS)
 

@@ -27,7 +27,6 @@ and `cubic_on_ack` is the reference it is checked against.
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from .cc_types import AckInfo, CcState, CubicParams, MIN_CWND, Phase
 
@@ -103,8 +102,7 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
         cwnd = state.cwnd + ack.newly_acked
         if state.ssthresh is not None and cwnd >= state.ssthresh:
             capped = min(cwnd, state.ssthresh)
-            return replace(
-                state,
+            return state._replace(
                 cwnd=capped,
                 phase=Phase.CONGESTION_AVOIDANCE,
                 epoch_start_us=ack.now_us,
@@ -112,13 +110,13 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
                 w_est=capped,
                 w_max=max(state.w_max, capped),
             )
-        return replace(state, cwnd=cwnd)
+        return state._replace(cwnd=cwnd)
 
     if state.phase is Phase.CONGESTION_AVOIDANCE:
         if state.epoch_start_us is None:
             # Defensive: anchor a fresh epoch rather than growing blind.
-            return replace(
-                state, epoch_start_us=ack.now_us, cwnd_epoch=state.cwnd, w_est=state.cwnd
+            return state._replace(
+                epoch_start_us=ack.now_us, cwnd_epoch=state.cwnd, w_est=state.cwnd
             )
         k, origin = cubic_epoch(state.w_max, state.cwnd_epoch, params)
         t = (ack.now_us - state.epoch_start_us) / 1e6
@@ -129,7 +127,7 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
         w_est = state.w_est + aimd_increment(params) * ack.newly_acked / cwnd
         if target > cwnd:
             cwnd = cwnd + (target - cwnd) / cwnd
-        return replace(state, cwnd=cwnd, w_est=w_est)
+        return state._replace(cwnd=cwnd, w_est=w_est)
 
     return state
 
@@ -150,8 +148,7 @@ def cubic_on_congestion_event(
     else:
         w_max = state.cwnd
     cwnd = max(MIN_CWND, state.cwnd * params.beta_mult)
-    return replace(
-        state,
+    return state._replace(
         cwnd=cwnd,
         ssthresh=cwnd,
         w_max=w_max,

@@ -26,9 +26,9 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .cc_types import CubicParams
 from .controllers import CONTROLLERS
@@ -43,16 +43,18 @@ from .units import mbps_to_bps, ms_to_us, s_to_us
 SWEEP_CELL_CAP = 4096
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpec:
+class SourceSpec(NamedTuple):
+    """What a flow sends (greedy, or app-limited at `rate_bps`), from when, for how long."""
+
     kind: str = "greedy"  # "greedy" | "app_limited"
     rate_bps: int | None = None
     start_us: int = 0
     duration_us: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class LossSpec:
+class LossSpec(NamedTuple):
+    """Injected loss: drops at fixed times, random drops and delay jitter inside a window."""
+
     drop_at_us: tuple[int, ...] = ()
     drop_prob: float = 0.0
     window_us: tuple[int, int] | None = None
@@ -70,8 +72,9 @@ class LossSpec:
             raise ScenarioError(f"loss drop_at_us must be >= 0, got {self.drop_at_us}")
 
 
-@dataclass(frozen=True, slots=True)
-class FlowSpec:
+class FlowSpec(NamedTuple):
+    """One flow: its id, algorithm, source, send buffer and controller parameters."""
+
     flow_id: str
     algo: str
     source: SourceSpec
@@ -235,8 +238,9 @@ def _check_rows(obj: Any, rows: Rows, where: str) -> None:
         _check_type(_get(obj, attr), typ, f"{where}{attr}")
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioSpec:
+class ScenarioSpec(NamedTuple):
+    """One run: the link, its buffer, the flows, the horizon, seed, sample cadence and loss."""
+
     link: LinkSpec
     buffer_bdp: float
     flows: tuple[FlowSpec, ...]
@@ -358,7 +362,7 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
     loss = None if d.get("loss") is None else LossSpec(**_fields(d["loss"], LOSS_KEYS, "loss"))
 
     defaults = {
-        section: replace(cls(), **_fields(d.get(section, {}), rows, section))
+        section: cls(**_fields(d.get(section, {}), rows, section))
         for section, (_, cls, rows) in SECTIONS.items()
     }
     flows: list[FlowSpec] = []
@@ -370,7 +374,7 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
             **_fields(fd.get("source", {}), SOURCE_KEYS, f"{where}.source"),
         )
         params = {
-            attr: replace(defaults[section], **_fields(fd[section], rows, f"{where}.{section}"))
+            attr: defaults[section]._replace(**_fields(fd[section], rows, f"{where}.{section}"))
             if section in fd else defaults[section]
             for section, (attr, _, rows) in SECTIONS.items()
         }
@@ -536,16 +540,17 @@ def builtin_scenario(name: str, algo: str | None = None, seed: int = 1, **kwargs
 # -- sweeps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SweepSpec:
-    """Cartesian experiment matrix over a builtin scenario's options."""
+class SweepSpec(NamedTuple):
+    """Cartesian experiment matrix over a builtin scenario's options.
+    `axes` and `options` default to one shared read-only empty mapping;
+    `sweep_from_dict` gives each spec dicts of its own."""
 
     scenario: str
     algo: str | None = None
-    axes: dict[str, list] = field(default_factory=dict)
+    axes: Mapping[str, list] = MappingProxyType({})
     repetitions: int = 1
     seed: int = 1
-    options: dict = field(default_factory=dict)
+    options: Mapping[str, Any] = MappingProxyType({})
 
     def cells(self) -> list[dict]:
         names = sorted(self.axes)
@@ -563,10 +568,10 @@ def sweep_from_dict(d: dict) -> SweepSpec:
     """Parse a sweep file's dict (`sweep --builtin` passes its flags as
     one). Field types, and each axis and option name against what the
     builtin takes, are checked before any cell is built."""
-    _check_keys(d, {f.name for f in fields(SweepSpec)}, "sweep")
+    _check_keys(d, set(SweepSpec._fields), "sweep")
     if "scenario" not in d:
         raise ScenarioError("sweep: scenario is required")
-    spec = SweepSpec(**d)
+    spec = SweepSpec(**{"axes": {}, "options": {}, **d})
     _check_type(spec.scenario, str, "sweep: scenario")
     _check_type(spec.algo, str | None, "sweep: algo")
     _check_type(spec.repetitions, int, "sweep: repetitions")
@@ -583,8 +588,7 @@ def sweep_from_dict(d: dict) -> SweepSpec:
     return spec
 
 
-@dataclass(frozen=True, slots=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     """One finished (axis point, repetition) of a sweep: its share report
     and each flow's totals (`FlowMetrics`). It keeps no per-sample data,
     so the cells a sweep has finished hold no traces, however many."""

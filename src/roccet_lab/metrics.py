@@ -8,7 +8,7 @@ by default statistics exclude the first 10 % of the run as warm-up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MetricsError
 from .trace import FlowTrace, TraceSet
@@ -17,8 +17,7 @@ WARMUP_FRACTION = 0.10
 PERCENTILES = (25, 50, 75)
 
 
-@dataclass(frozen=True, slots=True)
-class FlowMetrics:
+class FlowMetrics(NamedTuple):
     """Per-flow totals of one run: scalars only, no per-sample series.
 
     The samples stay in the run's `FlowTrace`; `summarize` reads its
@@ -33,8 +32,9 @@ class FlowMetrics:
     ce_counts: dict[str, int]
 
 
-@dataclass(frozen=True, slots=True)
-class ShareReport:
+class ShareReport(NamedTuple):
+    """Each flow's fraction of the bytes delivered in a window, and their Jain index."""
+
     per_flow_fraction: dict[str, float]
     jain_index: float
     window_ms: tuple[float, float]

@@ -11,7 +11,7 @@ a faithful implementation of any of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .cc_types import INITIAL_CWND, MIN_CWND, AckInfo
 from .errors import ScenarioError
@@ -26,8 +26,9 @@ PROBE_BW = "probe_bw"
 PROBE_RTT = "probe_rtt"
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeRateParams:
+class ProbeRateParams(NamedTuple):
+    """Rate-probing knobs: startup gain, min-RTT window and probe, window floor and gain."""
+
     startup_pacing_gain: float = 2.885
     min_rtt_window_us: int = 10_000_000
     probe_rtt_duration_us: int = 200_000
@@ -52,8 +53,9 @@ class ProbeRateParams:
             raise ScenarioError(f"probe_rate cwnd_gain must be > 0, got {self.cwnd_gain}")
 
 
-@dataclass(frozen=True, slots=True)
-class ProbeRateState:
+class ProbeRateState(NamedTuple):
+    """Per-flow rate-probing state: mode, min RTT, delivery-rate filter and gain cycle."""
+
     cwnd: float = INITIAL_CWND
     mode: str = STARTUP
     min_rtt_us: int | None = None
@@ -97,13 +99,13 @@ def probe_rate_on_ack(
     round_start = ack.round_start
 
     if state.min_rtt_us is None or sample < state.min_rtt_us:
-        state = replace(state, min_rtt_us=sample, min_rtt_stamp_us=now)
+        state = state._replace(min_rtt_us=sample, min_rtt_stamp_us=now)
     if state.mode == PROBE_RTT:
         best = state.probe_rtt_best_us
         if best is None or sample < best:
-            state = replace(state, probe_rtt_best_us=sample)
+            state = state._replace(probe_rtt_best_us=sample)
 
-    state = replace(state, round_acked=state.round_acked + ack.newly_acked)
+    state = state._replace(round_acked=state.round_acked + ack.newly_acked)
     if round_start:
         elapsed = now - state.round_start_us
         if elapsed > 0 and state.round_acked > 0:
@@ -114,9 +116,8 @@ def probe_rate_on_ack(
                 for r, b in window
                 if r > state.round_index - BW_FILTER_ROUNDS
             )
-            state = replace(state, bw_window=window)
-        state = replace(
-            state,
+            state = state._replace(bw_window=window)
+        state = state._replace(
             round_index=state.round_index + 1,
             round_start_us=now,
             round_acked=0.0,
@@ -126,51 +127,49 @@ def probe_rate_on_ack(
     bdp_cwnd = max(params.min_cwnd, params.cwnd_gain * bdp)
 
     if state.mode == STARTUP:
-        state = replace(state, cwnd=state.cwnd + ack.newly_acked)
+        state = state._replace(cwnd=state.cwnd + ack.newly_acked)
         if round_start and not ack.is_app_limited:
             max_bw = _max_bw(state)
             if max_bw >= state.full_bw * 1.25 or state.full_bw == 0.0:
-                state = replace(state, full_bw=max_bw, full_bw_count=0)
+                state = state._replace(full_bw=max_bw, full_bw_count=0)
             else:
-                state = replace(state, full_bw_count=state.full_bw_count + 1)
+                state = state._replace(full_bw_count=state.full_bw_count + 1)
                 if state.full_bw_count >= 3:
-                    state = replace(state, mode=DRAIN)
+                    state = state._replace(mode=DRAIN)
     elif state.mode == DRAIN:
         if bdp > 0 and ack.in_flight <= bdp:
-            state = replace(state, mode=PROBE_BW, gain_index=0, cycle_stamp_us=now, cwnd=bdp_cwnd)
+            state = state._replace(mode=PROBE_BW, gain_index=0, cycle_stamp_us=now, cwnd=bdp_cwnd)
     elif state.mode == PROBE_BW:
         cap = bdp_cwnd if bdp > 0 else state.cwnd
-        state = replace(state, cwnd=min(state.cwnd + ack.newly_acked, cap))
+        state = state._replace(cwnd=min(state.cwnd + ack.newly_acked, cap))
         if state.min_rtt_us is not None and now - state.cycle_stamp_us >= state.min_rtt_us:
-            state = replace(
-                state,
+            state = state._replace(
                 gain_index=(state.gain_index + 1) % len(PROBE_GAINS),
                 cycle_stamp_us=now,
             )
         if now - state.min_rtt_stamp_us > params.min_rtt_window_us:
-            state = replace(
-                state,
+            state = state._replace(
                 mode=PROBE_RTT,
                 probe_rtt_done_us=now + params.probe_rtt_duration_us,
                 probe_rtt_best_us=None,
                 cwnd=params.min_cwnd,
             )
     elif state.mode == PROBE_RTT:
-        state = replace(state, cwnd=params.min_cwnd)
+        state = state._replace(cwnd=params.min_cwnd)
         if now >= state.probe_rtt_done_us:
             best = state.probe_rtt_best_us
             if best is not None:
-                state = replace(state, min_rtt_us=best, min_rtt_stamp_us=now)
+                state = state._replace(min_rtt_us=best, min_rtt_stamp_us=now)
             else:
-                state = replace(state, min_rtt_stamp_us=now)
-            state = replace(state, mode=PROBE_BW, gain_index=0, cycle_stamp_us=now, cwnd=bdp_cwnd)
+                state = state._replace(min_rtt_stamp_us=now)
+            state = state._replace(mode=PROBE_BW, gain_index=0, cycle_stamp_us=now, cwnd=bdp_cwnd)
 
     return state, pacing_segs_per_s(state, params)
 
 
 def probe_rate_on_loss(state: ProbeRateState, params: ProbeRateParams) -> ProbeRateState:
     """Mild multiplicative backoff; the rate model does the real work."""
-    return replace(state, cwnd=max(params.min_cwnd, state.cwnd * LOSS_BETA))
+    return state._replace(cwnd=max(params.min_cwnd, state.cwnd * LOSS_BETA))
 
 
 def pacing_segs_per_s(state: ProbeRateState, params: ProbeRateParams) -> float | None:

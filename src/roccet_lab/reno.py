@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 
 from .cc_types import AckInfo, CcState, MIN_CWND, Phase
 
@@ -14,12 +13,11 @@ def reno_on_ack(state: CcState, ack: AckInfo) -> CcState:
     if state.phase is Phase.SLOW_START:
         cwnd = state.cwnd + ack.newly_acked
         if state.ssthresh is not None and cwnd >= state.ssthresh:
-            return replace(
-                state,
+            return state._replace(
                 cwnd=min(cwnd, state.ssthresh),
                 phase=Phase.CONGESTION_AVOIDANCE,
             )
-        return replace(state, cwnd=cwnd)
+        return state._replace(cwnd=cwnd)
 
     if state.phase is Phase.CONGESTION_AVOIDANCE:
         acked = state.ca_acked + ack.newly_acked
@@ -27,7 +25,7 @@ def reno_on_ack(state: CcState, ack: AckInfo) -> CcState:
         while acked >= cwnd:
             acked -= cwnd
             cwnd += 1.0
-        return replace(state, cwnd=cwnd, ca_acked=acked)
+        return state._replace(cwnd=cwnd, ca_acked=acked)
 
     return state
 
@@ -35,8 +33,7 @@ def reno_on_ack(state: CcState, ack: AckInfo) -> CcState:
 def reno_on_congestion_event(state: CcState) -> CcState:
     """Halve the window on any congestion event."""
     cwnd = max(MIN_CWND, state.cwnd / 2.0)
-    return replace(
-        state,
+    return state._replace(
         cwnd=cwnd,
         ssthresh=cwnd,
         ca_acked=0.0,

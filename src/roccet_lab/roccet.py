@@ -33,8 +33,8 @@ record no congestion event: the controller's `ce_events` is the one log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .cc_types import CcState, CubicParams, MIN_CWND, Phase
 from .errors import RoccetLabError, ScenarioError
@@ -57,8 +57,7 @@ class OrbiterDecision(Enum):
     ROCCET_CE = "roccet_ce"
 
 
-@dataclass(frozen=True, slots=True)
-class RoccetParams:
+class RoccetParams(NamedTuple):
     """Tuning knobs; defaults follow the algorithm description.
 
     `srrtt_threshold` of 1.0 is the "100 %" relative-RTT bound. Raising it
@@ -99,8 +98,7 @@ class RoccetParams:
             raise ScenarioError("rtt_min_refresh_age must be > 0")
 
 
-@dataclass(frozen=True, slots=True)
-class RoccetState:
+class RoccetState(NamedTuple):
     """Per-flow ROCCET bookkeeping on top of the shared CcState.
 
     Interval counters (`acks_in_interval`, `cum_cwnd_in_interval`,
@@ -131,14 +129,13 @@ def update_rtt_min(
     """
     rtt_min_us = state.rtt_min_us
     if rtt_min_us is None or sample_us < rtt_min_us:
-        return replace(state, rtt_min_us=sample_us, rtt_min_updated_at_us=now_us)
+        return state._replace(rtt_min_us=sample_us, rtt_min_updated_at_us=now_us)
     if (
         params.rtt_min_refresh
         and now_us - state.rtt_min_updated_at_us > params.rtt_min_refresh_age_us
     ):
         a = params.rtt_min_refresh_alpha
-        return replace(
-            state,
+        return state._replace(
             rtt_min_us=round(a * sample_us + (1.0 - a) * rtt_min_us),
             rtt_min_updated_at_us=now_us,
         )
@@ -158,7 +155,7 @@ def update_srrtt(state: RoccetState, srtt_now_us: int, params: RoccetParams) -> 
     x = (srtt_now_us - state.rtt_min_us) / state.rtt_min_us
     if x < 0.0:
         x = 0.0
-    return replace(state, srrtt=params.alpha * x + (1.0 - params.alpha) * state.srrtt)
+    return state._replace(srrtt=params.alpha * x + (1.0 - params.alpha) * state.srrtt)
 
 
 def accumulate_interval(
@@ -170,19 +167,17 @@ def accumulate_interval(
     """Fold one ACK (and, when flagged, one RTT boundary) into the interval
     counters. At each boundary the current window joins cum_cwnd."""
     if rtt_boundary_crossed:
-        state = replace(
-            state,
+        state = state._replace(
             cum_cwnd_in_interval=state.cum_cwnd_in_interval + current_cwnd,
             rtts_elapsed_in_interval=state.rtts_elapsed_in_interval + 1,
         )
-    return replace(state, acks_in_interval=state.acks_in_interval + newly_acked)
+    return state._replace(acks_in_interval=state.acks_in_interval + newly_acked)
 
 
 def reset_interval(state: RoccetState, now_us: int) -> RoccetState:
     """Zero the interval counters and start a new interval at `now_us`.
     Applied by the caller after every LAUNCH or ORBITER check."""
-    return replace(
-        state,
+    return state._replace(
         interval_start_us=now_us,
         acks_in_interval=0.0,
         cum_cwnd_in_interval=0.0,
@@ -227,8 +222,7 @@ def apply_launch_exit(
 
     if decision is LaunchDecision.EXIT_INITIAL:
         halved = max(MIN_CWND, cc.cwnd / 2.0)
-        new_cc = replace(
-            cc,
+        new_cc = cc._replace(
             cwnd=halved,
             ssthresh=halved,
             epoch_start_us=now_us,
@@ -240,7 +234,7 @@ def apply_launch_exit(
         new_cc = cubic_on_congestion_event(cc, cubic_params, now_us)
     else:
         return state, cc
-    return replace(state, is_initial_slow_start=False), new_cc
+    return state._replace(is_initial_slow_start=False), new_cc
 
 
 def orbiter_check(state: RoccetState, now_us: int, params: RoccetParams) -> OrbiterDecision:
@@ -278,8 +272,7 @@ def apply_roccet_ce(
     """
     w_max = cc.cwnd if cc.cwnd > cc.w_max else cc.w_max
     cwnd = max(MIN_CWND, cc.cwnd * cubic_params.beta_mult)
-    new_cc = replace(
-        cc,
+    new_cc = cc._replace(
         cwnd=cwnd,
         w_max=w_max,
         epoch_start_us=now_us,
@@ -287,7 +280,7 @@ def apply_roccet_ce(
         w_est=cwnd,
         phase=Phase.CONGESTION_AVOIDANCE,
     )
-    return replace(state, drain_until_us=now_us + params.drain_duration_us), new_cc
+    return state._replace(drain_until_us=now_us + params.drain_duration_us), new_cc
 
 
 def orbiter_on_loss(

@@ -27,7 +27,6 @@ import itertools
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .cc_types import AckInfo
@@ -164,8 +163,7 @@ class EventLoop:
         self.now_us = end_us
 
 
-@dataclass(frozen=True, slots=True)
-class LinkSpec:
+class LinkSpec(NamedTuple):
     """Bottleneck description.
 
     `rate_schedule` lists (time_us, bits_per_second) entries effective from

@@ -22,6 +22,8 @@ CSV_COLUMNS = "time_ms,flow_id,cwnd_seg,srtt_ms,goodput_mbps,queue_seg"
 
 @dataclass(slots=True)
 class Sample:
+    """One flow's state at one sampling instant, and the bytes delivered since the last."""
+
     t_us: int
     dt_us: int
     cwnd: float
@@ -37,6 +39,8 @@ class Sample:
 
 @dataclass(slots=True)
 class FlowTrace:
+    """One flow's samples, congestion-event log and counters over a run."""
+
     flow_id: str
     algo: str
     start_us: int
@@ -48,6 +52,8 @@ class FlowTrace:
 
 @dataclass(slots=True)
 class TraceSet:
+    """Everything one run records: each flow's trace, drops, rate changes and the audit."""
+
     horizon_us: int
     config: dict
     flows: dict[str, FlowTrace] = field(default_factory=dict)

@@ -194,10 +194,9 @@ def test_criterion_7_drain_exactness():
     # first sample seeds it, and later ones move it by 1/8.
     srtt = 40_000.0
     ctl.on_ack(AckInfo(newly_acked=1, rtt_sample_us=40_000, srtt_us=srtt, now_us=0))
-    from dataclasses import replace
 
-    ctl.cc = replace(
-        ctl.cc, cwnd=100.0, w_max=120.0, cwnd_epoch=100.0, w_est=100.0,
+    ctl.cc = ctl.cc._replace(
+        cwnd=100.0, w_max=120.0, cwnd_epoch=100.0, w_est=100.0,
         phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=0,
     )
     ctl.roc, ctl.cc = apply_roccet_ce(ctl.roc, ctl.cc, 1_000, rp, cp)

@@ -3,10 +3,12 @@ tier 1 so that a renamed or deleted name, or a moved artifact byte, fails
 here rather than only in the benchmark. Reads `perfbench/` and changes
 nothing in it."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,19 @@ def test_sweep_workload_builds_eleven_cells(tmp_path, monkeypatch):
         ]
     assert len(cells) == 11
     assert len({cell.seed for cell in cells}) == 11
+
+
+def test_only_the_mutable_records_are_dataclasses():
+    # `setup_s` times a fresh import. A dataclass writes and compiles its
+    # methods while its module imports, about 1 ms for a frozen one, so
+    # each immutable record is a NamedTuple and the dataclasses are the
+    # four records a run fills in place.
+    importlib.import_module("roccet_lab.cli")
+    defined = {
+        name
+        for module in list(sys.modules.values())
+        if module is not None and module.__name__.startswith("roccet_lab")
+        for name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+    }
+    assert defined == {"AckInfo", "Sample", "FlowTrace", "TraceSet"}

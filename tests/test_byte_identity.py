@@ -15,7 +15,6 @@ says so; print the current digests with
 
 import hashlib
 import io
-from dataclasses import replace
 
 import pytest
 
@@ -52,11 +51,11 @@ OPTIONS = {
 
 
 def _one_source(spec, source):
-    return replace(spec, flows=(replace(spec.flows[0], source=source),))
+    return spec._replace(flows=(spec.flows[0]._replace(source=source),))
 
 
 def _each_flow(spec, **changes):
-    return replace(spec, flows=tuple(replace(f, **changes) for f in spec.flows))
+    return spec._replace(flows=tuple(f._replace(**changes) for f in spec.flows))
 
 
 # Paths no builtin reaches, applied on top of the builtin of the same case:
@@ -75,9 +74,8 @@ VARIANTS = {
     "greedy-duration": lambda spec: _one_source(
         spec, SourceSpec(kind="greedy", start_us=100_000, duration_us=2_000_000)
     ),
-    "loss-window-jitter": lambda spec: replace(
-        spec,
-        flows=spec.flows + (replace(spec.flows[0], flow_id="cubic_rival", algo="cubic"),),
+    "loss-window-jitter": lambda spec: spec._replace(
+        flows=spec.flows + (spec.flows[0]._replace(flow_id="cubic_rival", algo="cubic"),),
         loss=LossSpec(
             drop_at_us=(500_000, 4_200_000),
             drop_prob=0.01,
@@ -171,7 +169,7 @@ def run_case(name: str, debug: bool = False):
     )
     if name in VARIANTS:
         spec = VARIANTS[name](spec)
-    spec = replace(spec, debug=debug)
+    spec = spec._replace(debug=debug)
     spec.validate()
     return run(spec)
 

@@ -17,7 +17,6 @@ logged itself.
 """
 
 from copy import copy
-from dataclasses import replace
 
 from roccet_lab import simulator
 from roccet_lab.cc_types import CcState, Phase
@@ -208,7 +207,7 @@ def _fairness_with_drops():
 def _steady_refresh():
     spec = builtin_scenario("steady", algo="roccet", seed=1, horizon_s=6.0)
     params = RoccetParams(rtt_min_refresh=True, rtt_min_refresh_age_us=500_000)
-    return replace(spec, flows=tuple(replace(f, roccet=params) for f in spec.flows))
+    return spec._replace(flows=tuple(f._replace(roccet=params) for f in spec.flows))
 
 
 def _refreshes(calls, params):

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -38,7 +37,7 @@ class TestK:
         # the saddle point is immediate).
         previous = float("inf")
         for eps in (1e-3, 1e-6, 1e-9, 1e-12):
-            k = cubic_k(1000.0, replace(P, beta_mult=1.0 - eps))
+            k = cubic_k(1000.0, P._replace(beta_mult=1.0 - eps))
             assert k < previous
             previous = k
         assert previous < 0.01
@@ -144,7 +143,7 @@ class TestOnAck:
             assert frozen == state
 
     def test_freeze_disabled_grows(self):
-        params = replace(P, app_limited_freeze=False)
+        params = P._replace(app_limited_freeze=False)
         state = CcState(cwnd=10.0)
         grown = cubic_on_ack(state, ack(newly=5, app_limited=True), params)
         assert grown.cwnd == 15.0
@@ -182,7 +181,7 @@ class TestCongestionEvent:
         assert out.cwnd == 1.0
 
     def test_no_fast_convergence_keeps_full_peak(self):
-        params = replace(P, fast_convergence=False)
+        params = P._replace(fast_convergence=False)
         state = CcState(cwnd=60.0, w_max=80.0)
         out = cubic_on_congestion_event(state, params, now_us=1)
         assert out.w_max == 60.0

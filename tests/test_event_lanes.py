@@ -9,7 +9,6 @@ and packet logs under both loops.
 
 import heapq
 import io
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -194,7 +193,7 @@ def test_fixed_scenario_reaches_every_kind_of_event(monkeypatch):
     assert traces.flows["probe_rate2"].counters["new_sent"] > 0
     monkeypatch.undo()
     for debug in (True, False):
-        loop = _assert_same_order(replace(spec, debug=debug))
+        loop = _assert_same_order(spec._replace(debug=debug))
         # The heap-only loop really took every delivery and ACK on its heap.
         assert loop.deliveries.appended > 1_000 and loop.acks.appended > 1_000
 

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -186,9 +185,9 @@ class TestScenarioFiles:
 
     def test_types_checked_for_specs_built_in_code(self):
         spec = builtin_scenario("steady")
-        flow = replace(spec.flows[0], roccet=RoccetParams(orbiter_interval_rtts=2.5))
+        flow = spec.flows[0]._replace(roccet=RoccetParams(orbiter_interval_rtts=2.5))
         with pytest.raises(ScenarioError, match="orbiter_interval_rtts must be an integer"):
-            replace(spec, flows=(flow,)).validate()
+            spec._replace(flows=(flow,)).validate()
 
     def test_readme_example_has_every_key(self):
         # The README's scenario-file example shows every key of the field
@@ -271,7 +270,7 @@ class TestScenarioFuzz:
         link = spec.link
         peak_bps = max(rate for _, rate in link.rate_schedule)
         if peak_bps * 0.1 / (8 * link.mtu_bytes) <= FUZZ_SEGMENTS_PER_100MS:
-            run(replace(spec, horizon_us=min(spec.horizon_us, 100_000)))
+            run(spec._replace(horizon_us=min(spec.horizon_us, 100_000)))
 
 
 class TestSeeds:

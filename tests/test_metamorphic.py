@@ -3,7 +3,6 @@ artifacts, or a stated part of them, as they are, checked by running both
 inputs and comparing."""
 
 import io
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,7 +26,7 @@ def test_debug_changes_no_artifact_byte(name, horizon_s):
     # The packet log only records what the bottleneck does.
     spec = builtin_scenario(name, horizon_s=horizon_s)
     csv, events, no_log = _artifacts(spec)
-    debug_csv, debug_events, log = _artifacts(replace(spec, debug=True))
+    debug_csv, debug_events, log = _artifacts(spec._replace(debug=True))
     assert no_log is None and log
     assert debug_csv == csv
     assert debug_events == events
@@ -59,7 +58,7 @@ def _behaviour(traces):
 def test_sample_cadence_changes_no_behaviour(spec):
     # The sampler only reads state, and the tie-break numbers its events
     # take cannot reorder other events.
-    assert _behaviour(run(replace(spec, sample_us=5 * spec.sample_us))) == _behaviour(run(spec))
+    assert _behaviour(run(spec._replace(sample_us=5 * spec.sample_us))) == _behaviour(run(spec))
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,7 +78,7 @@ def test_half_horizon_run_is_a_prefix(spec):
             for f in spec.flows
         )
     )
-    full, half = run(spec), run(replace(spec, horizon_us=cut))
+    full, half = run(spec), run(spec._replace(horizon_us=cut))
     full_csv, half_csv = io.StringIO(), io.StringIO()
     full.write_csv(full_csv)
     half.write_csv(half_csv)
@@ -97,16 +96,14 @@ def _doubled(spec):
     """`spec` with twice the segment size, every link rate and every
     rate-limited source's rate doubled."""
     link = spec.link
-    return replace(
-        spec,
-        link=replace(
-            link,
+    return spec._replace(
+        link=link._replace(
             mtu_bytes=2 * link.mtu_bytes,
             rate_schedule=tuple((t, 2 * rate) for t, rate in link.rate_schedule),
         ),
         flows=tuple(
             f if f.source.rate_bps is None
-            else replace(f, source=replace(f.source, rate_bps=2 * f.source.rate_bps))
+            else f._replace(source=f.source._replace(rate_bps=2 * f.source.rate_bps))
             for f in spec.flows
         ),
     )

@@ -1,0 +1,146 @@
+"""The immutable records are values: a field cannot be assigned, equal
+fields make equal records with equal hashes, and `_replace` makes a new
+record. They are `typing.NamedTuple`s, so they are tuples too; the tests
+at the end check that no record is taken for a tuple where the scenario
+file form is written."""
+
+import json
+
+import pytest
+
+from roccet_lab.cc_types import CcState, CubicParams
+from roccet_lab.controllers import CONTROLLERS
+from roccet_lab.errors import ScenarioError
+from roccet_lab.harness import (
+    BUILTINS,
+    FlowSpec,
+    LossSpec,
+    ScenarioSpec,
+    SourceSpec,
+    SweepCell,
+    SweepSpec,
+    _check_type,
+    _to_file,
+    builtin_scenario,
+    scenario_from_dict,
+    sweep_from_dict,
+)
+from roccet_lab.metrics import FlowMetrics, ShareReport
+from roccet_lab.probe_rate import ProbeRateParams, ProbeRateState
+from roccet_lab.roccet import RoccetParams, RoccetState
+from roccet_lab.simulator import LinkSpec
+
+
+def _share():
+    return ShareReport(per_flow_fraction={"a": 0.5, "b": 0.5}, jain_index=1.0, window_ms=(0.0, 1.0))
+
+
+def _flow_metrics():
+    return FlowMetrics("a", "roccet", 1.5, 1500, {"roccet_ce": 2})
+
+
+# Each record: a builder that makes a fresh record from the same values,
+# and a field with a value other than the one the builder gives it.
+RECORDS = {
+    CubicParams: (lambda: CubicParams(c_scale=0.5), "beta_mult", 0.5),
+    CcState: (lambda: CcState(cwnd=20.0, ssthresh=15.0), "cwnd", 21.0),
+    RoccetParams: (lambda: RoccetParams(alpha=0.5), "srrtt_threshold", 2.0),
+    RoccetState: (lambda: RoccetState(srrtt=0.5, rtt_min_us=40_000), "rtt_min_us", 41_000),
+    ProbeRateParams: (lambda: ProbeRateParams(min_cwnd=8.0), "cwnd_gain", 3.0),
+    ProbeRateState: (lambda: ProbeRateState(bw_window=((1, 500.0),)), "mode", "drain"),
+    LinkSpec: (lambda: builtin_scenario("bw-halving").link, "mtu_bytes", 1000),
+    SourceSpec: (lambda: SourceSpec(kind="app_limited", rate_bps=20_000_000), "start_us", 5),
+    LossSpec: (lambda: builtin_scenario("frozen-cwnd").loss, "jitter_us", 3),
+    FlowSpec: (lambda: builtin_scenario("frozen-cwnd").flows[0], "flow_id", "other"),
+    ScenarioSpec: (lambda: builtin_scenario("frozen-cwnd"), "seed", 2),
+    SweepSpec: (lambda: SweepSpec("fairness-10x40", axes={"n_flows": [2, 8]}), "repetitions", 3),
+    SweepCell: (
+        lambda: SweepCell({"n_flows": 2}, 0, 7, _share(), {"a": _flow_metrics()}), "seed", 8,
+    ),
+    FlowMetrics: (_flow_metrics, "delivered_bytes", 3000),
+    ShareReport: (_share, "jain_index", 0.5),
+}
+# These hold dicts, so they have no hash; nor had they as frozen dataclasses.
+UNHASHABLE = {SweepSpec, SweepCell, FlowMetrics, ShareReport}
+
+params = pytest.mark.parametrize(
+    "cls, build, name, other", [(cls, *row) for cls, row in RECORDS.items()],
+    ids=[cls.__name__ for cls in RECORDS],
+)
+
+
+@params
+def test_a_field_cannot_be_assigned(cls, build, name, other):
+    record = build()
+    assert type(record) is cls
+    with pytest.raises(AttributeError):
+        setattr(record, name, other)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1  # no instance dict either
+
+
+@params
+def test_equal_fields_make_equal_records(cls, build, name, other):
+    a, b = build(), build()
+    assert a == b and repr(a) == repr(b)
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@params
+def test_replace_makes_a_new_record(cls, build, name, other):
+    record = build()
+    before = getattr(record, name)
+    changed = record._replace(**{name: other})
+    assert type(changed) is cls and changed != record
+    assert getattr(changed, name) == other
+    assert getattr(record, name) == before
+    assert record == build()
+    assert changed._replace(**{name: before}) == record
+
+
+def test_sweep_spec_defaults_are_read_only():
+    # A NamedTuple default is shared by every record that takes it, so it
+    # must not be a dict anyone can fill.
+    with pytest.raises(TypeError):
+        SweepSpec("fairness-10x40").axes["n_flows"] = [2]
+    a = sweep_from_dict({"scenario": "fairness-10x40"})
+    b = sweep_from_dict({"scenario": "fairness-10x40"})
+    assert a.axes == {} and a.options == {}
+    assert a.axes is not b.axes and a.options is not b.options
+    assert json.loads(json.dumps(a._asdict())) == {
+        "scenario": "fairness-10x40", "algo": None, "axes": {},
+        "repetitions": 1, "seed": 1, "options": {},
+    }
+
+
+def _plain(value):
+    """True when `value` holds only what a JSON file holds: no tuple, so
+    no record either."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_plain(v) for v in value)
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_scenario_echo_holds_no_record(name):
+    # json.dumps would write a record out as a list.
+    for algo in CONTROLLERS:
+        config = builtin_scenario(name, algo=algo).to_dict()
+        assert _plain(config)
+        assert _plain(scenario_from_dict(config).to_dict())
+
+
+def test_to_file_keeps_a_record_whole():
+    # `_to_file` turns a plain tuple into a list; a record is a tuple
+    # subclass and must not be taken for one.
+    assert _to_file((1_000_000, 2_000_000), 1e6) == [1.0, 2.0]
+    record = CubicParams()
+    assert _to_file(record, None) is record
+    with pytest.raises(ScenarioError, match="must be a tuple"):
+        _check_type(LossSpec(), tuple[int, ...], "loss.drop_at_us")

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 from roccet_lab.cc_types import AckInfo, CcState, Phase
 from roccet_lab.harness import builtin_scenario
 from roccet_lab.metrics import flow_metrics
@@ -116,7 +114,7 @@ class TestProbeRate:
         spec = builtin_scenario("steady", algo="probe_rate", horizon_s=20.0)
         goodput = {}
         for mtu in (1500, 9000):
-            traces = run(replace(spec, link=replace(spec.link, mtu_bytes=mtu)))
+            traces = run(spec._replace(link=spec.link._replace(mtu_bytes=mtu)))
             goodput[mtu] = flow_metrics(traces)["probe_rate0"].total_goodput_mbps
         assert goodput[1500] > 8.0
         assert abs(goodput[9000] - goodput[1500]) <= 0.1 * goodput[1500]

@@ -272,10 +272,9 @@ class TestControllerDrain:
         now = 0
         # one sample seeds rtt_min / srtt
         srtt = _ack(ctl, 40_000, now, None)
-        from dataclasses import replace
 
-        ctl.cc = replace(
-            ctl.cc, cwnd=100.0, w_max=120.0, cwnd_epoch=100.0, w_est=100.0,
+        ctl.cc = ctl.cc._replace(
+            cwnd=100.0, w_max=120.0, cwnd_epoch=100.0, w_est=100.0,
             phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=now,
         )
         return ctl, srtt

@@ -2,7 +2,6 @@ import gc
 import io
 import sys
 from bisect import bisect_left
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -237,8 +236,7 @@ class TestRateChange:
         # Send-buffer-pinned flow holds a standing queue; halving the rate
         # doubles the standing queue delay (Little's law on the backlog).
         spec = ScenarioSpec(
-            link=replace(
-                _mk_link(50.0, 40.0),
+            link=_mk_link(50.0, 40.0)._replace(
                 rate_schedule=((0, 50_000_000), (s_to_us(10.0), 25_000_000)),
             ),
             buffer_bdp=16.0,
@@ -257,7 +255,7 @@ class TestRateChange:
 
     def test_rate_change_logged(self):
         spec = builtin_scenario("bw-halving", algo="cubic", seed=1)
-        traces = run(replace(spec, horizon_us=s_to_us(16.0)))
+        traces = run(spec._replace(horizon_us=s_to_us(16.0)))
         assert traces.rate_changes[0] == (0, 50_000_000)
         assert traces.rate_changes[1] == (s_to_us(15.0), 25_000_000)
 
@@ -382,10 +380,10 @@ class TestFrozenWindow:
     def test_freeze_off_lets_window_move(self):
         spec = builtin_scenario("frozen-cwnd", seed=1)
         flows = tuple(
-            replace(f, cubic=replace(f.cubic, app_limited_freeze=False))
+            f._replace(cubic=f.cubic._replace(app_limited_freeze=False))
             for f in spec.flows
         )
-        traces = run(replace(spec, flows=flows, horizon_us=s_to_us(30.0)))
+        traces = run(spec._replace(flows=flows, horizon_us=s_to_us(30.0)))
         fm = next(iter(traces.flows.values()))
         tail = [s.cwnd for s in fm.samples if s.t_us >= 10e6]
         assert max(tail) - min(tail) > 1.0

@@ -15,8 +15,6 @@ at an instant where no ACK lands must read `round(srtt)` over the ACKs
 before it, and 0 before the handshake.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from roccet_lab.harness import builtin_scenario
@@ -43,7 +41,7 @@ def _rtt_events(spec, log):
     [("frozen-cwnd", 6.0, 2), ("steady", 4.0, 50), ("bw-halving", 16.0, 0)],
 )
 def test_trace_srtt_is_the_rfc6298_estimate(name, horizon_s, min_drops):
-    spec = replace(builtin_scenario(name, seed=1, horizon_s=horizon_s), debug=True)
+    spec = builtin_scenario(name, seed=1, horizon_s=horizon_s)._replace(debug=True)
     traces = run(spec)
     assert len(traces.drops) >= min_drops
     events = _rtt_events(spec, traces.debug_packets)

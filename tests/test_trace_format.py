@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 from pathlib import Path
 
 from roccet_lab.harness import builtin_scenario
@@ -12,7 +11,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_trace.csv"
 
 def _golden_run():
     spec = builtin_scenario("steady", seed=1)
-    return run(replace(spec, horizon_us=s_to_us(1.0), sample_us=ms_to_us(50)))
+    return run(spec._replace(horizon_us=s_to_us(1.0), sample_us=ms_to_us(50)))
 
 
 def test_trace_csv_matches_golden_file():
