@@ -211,7 +211,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except RoccetLabError as exc:
         for path in made:  # empty: nothing is written before every cell has run
             path.rmdir()
-        if isinstance(exc, ScenarioError):  # a bad cell: all are built before the first runs
+        # A cell that fails to build (all are built before the first runs),
+        # or whose run cannot be measured, is a rejected input.
+        if isinstance(exc, (ScenarioError, MetricsError)):
             return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
         return _fail("simulation-fault", str(exc), EXIT_RUNTIME)
     axis_names = sorted(spec.axes)

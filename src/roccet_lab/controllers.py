@@ -21,6 +21,17 @@ them, and checks that both hold the same state, and the same congestion
 events, after every call. The `cc` (and `roc`) attributes read and assign
 whole `CcState` / `RoccetState` values, which is how the rarer
 transitions (congestion events, LAUNCH/ORBITER checks) are applied.
+
+The per-ACK code reads only instance slots and module constants, the
+kinds of name CPython 3.11 specializes. The two `Phase` members are bound
+once below as `_SLOW_START` and `_CONGESTION_AVOIDANCE`; an `Enum` member
+read through its class goes through `EnumType.__getattr__` each time.
+Every parameter the per-ACK code reads is copied into a slot when the
+controller is built: `_c_scale`, `_freeze` and `_aimd_inc` from
+`cubic_params`, and `_alpha`, `_launch_interval_us`,
+`_orbiter_interval_rtts`, `_refresh`, `_refresh_age_us` and
+`_refresh_alpha` from ROCCET's `params`. `cubic_params` and `params` stay
+the source of truth for the rarer transitions.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ _CC_FIELDS = CcState._fields
 _ROC_FIELDS = RoccetState._fields
 _get_cc = attrgetter(*_CC_FIELDS)
 _get_roc = attrgetter(*_ROC_FIELDS)
+_SLOW_START = Phase.SLOW_START
+_CONGESTION_AVOIDANCE = Phase.CONGESTION_AVOIDANCE
 
 
 class _InPlaceCubic:
@@ -43,13 +56,17 @@ class _InPlaceCubic:
     `cubic.cubic_epoch` of the current fields (None until first needed);
     assigning `cc` clears it."""
 
-    __slots__ = _CC_FIELDS + ("cubic_params", "ce_events", "_epoch", "_aimd_inc")
+    __slots__ = _CC_FIELDS + (
+        "cubic_params", "ce_events", "_epoch", "_aimd_inc", "_c_scale", "_freeze",
+    )
 
     pacing_segs_per_s = None
 
     def __init__(self, cubic_params: CubicParams):
         self.cubic_params = cubic_params
         self._aimd_inc = cubic.aimd_increment(cubic_params)
+        self._c_scale = cubic_params.c_scale
+        self._freeze = cubic_params.app_limited_freeze
         self.cc = CcState()
         self.ce_events: list[tuple[int, str]] = []
 
@@ -64,23 +81,24 @@ class _InPlaceCubic:
         self._epoch = None
 
     def _cubic_on_ack(self, ack: AckInfo) -> None:
-        """`cubic.cubic_on_ack` in place: congestion avoidance with an
-        anchored epoch runs its step written out, with the epoch's K and
-        origin kept from its start; anything else goes through the
-        state-value function."""
-        params = self.cubic_params
-        if params.app_limited_freeze and ack.is_app_limited:
+        """`cubic.cubic_on_ack` in place, paused while the transport
+        repairs a loss: congestion avoidance with an anchored epoch runs its
+        step written out, with the epoch's K and origin kept from its start;
+        anything else goes through the state-value function."""
+        if ack.in_recovery or (self._freeze and ack.is_app_limited):
             return
         start = self.epoch_start_us
-        if self.phase is Phase.CONGESTION_AVOIDANCE and start is not None:
+        if self.phase is _CONGESTION_AVOIDANCE and start is not None:
             epoch = self._epoch
             if epoch is None:
-                epoch = self._epoch = cubic.cubic_epoch(self.w_max, self.cwnd_epoch, params)
+                epoch = self._epoch = cubic.cubic_epoch(
+                    self.w_max, self.cwnd_epoch, self.cubic_params
+                )
             cwnd = self.cwnd
             w_est = self.w_est
             # target = max(max(MIN_CWND, curve), w_est), each comparison
             # keeping the earlier operand on a tie as max() does
-            target = params.c_scale * ((ack.now_us - start) / 1e6 - epoch[0]) ** 3 + epoch[1]
+            target = self._c_scale * ((ack.now_us - start) / 1e6 - epoch[0]) ** 3 + epoch[1]
             if not target > MIN_CWND:
                 target = MIN_CWND
             if w_est > target:
@@ -89,16 +107,14 @@ class _InPlaceCubic:
             if target > cwnd:
                 self.cwnd = cwnd + (target - cwnd) / cwnd
         else:
-            self.cc = cubic.cubic_on_ack(self.cc, ack, params)
+            self.cc = cubic.cubic_on_ack(self.cc, ack, self.cubic_params)
 
 
 class CubicController(_InPlaceCubic):
     __slots__ = ()
 
-    def on_ack(self, ack: AckInfo) -> None:
-        if ack.in_recovery:
-            return
-        self._cubic_on_ack(ack)
+    # The in-place step itself: one Python frame per ACK.
+    on_ack = _InPlaceCubic._cubic_on_ack
 
     def on_loss(self, now_us: int) -> None:
         self.cc = cubic.cubic_on_congestion_event(self.cc, self.cubic_params, now_us)
@@ -169,11 +185,21 @@ class RoccetController(_InPlaceCubic):
     trigger go through the `roccet` state-value functions on `roc` / `cc`.
     """
 
-    __slots__ = _ROC_FIELDS + ("params", "_next_tick_us", "launch_exits")
+    __slots__ = _ROC_FIELDS + (
+        "params", "_next_tick_us", "launch_exits", "_alpha", "_launch_interval_us",
+        "_orbiter_interval_rtts", "_refresh", "_refresh_age_us", "_refresh_alpha",
+    )
 
     def __init__(self, cubic_params: CubicParams, params: RoccetParams):
         super().__init__(cubic_params)
         self.params = params
+        # The per-ACK reads of params, taken once.
+        self._alpha = params.alpha
+        self._launch_interval_us = params.launch_interval_us
+        self._orbiter_interval_rtts = params.orbiter_interval_rtts
+        self._refresh = params.rtt_min_refresh
+        self._refresh_age_us = params.rtt_min_refresh_age_us
+        self._refresh_alpha = params.rtt_min_refresh_alpha
         self.roc = RoccetState()
         self._next_tick_us: int | None = None
         self.launch_exits: list[tuple[int, float, float]] = []  # (t, before, after)
@@ -195,7 +221,6 @@ class RoccetController(_InPlaceCubic):
 
     def on_ack(self, ack: AckInfo) -> None:
         now = ack.now_us
-        params = self.params
         sample = ack.rtt_sample_us
 
         # roccet.update_rtt_min
@@ -203,18 +228,15 @@ class RoccetController(_InPlaceCubic):
         if rtt_min is None or sample < rtt_min:
             self.rtt_min_us = rtt_min = sample
             self.rtt_min_updated_at_us = now
-        elif (
-            params.rtt_min_refresh
-            and now - self.rtt_min_updated_at_us > params.rtt_min_refresh_age_us
-        ):
-            a = params.rtt_min_refresh_alpha
+        elif self._refresh and now - self.rtt_min_updated_at_us > self._refresh_age_us:
+            a = self._refresh_alpha
             self.rtt_min_us = rtt_min = round(a * sample + (1.0 - a) * rtt_min)
             self.rtt_min_updated_at_us = now
         # roccet.update_srrtt
         x = (round(ack.srtt_us) - rtt_min) / rtt_min
         if x < 0.0:
             x = 0.0
-        alpha = params.alpha
+        alpha = self._alpha
         self.srrtt = alpha * x + (1.0 - alpha) * self.srrtt
 
         if self.interval_start_us is None:
@@ -232,12 +254,12 @@ class RoccetController(_InPlaceCubic):
         if ack.in_recovery:
             return
 
-        if self.phase is Phase.SLOW_START:
+        if self.phase is _SLOW_START:
             if (
                 self.interval_start_us is not None
-                and now - self.interval_start_us >= params.launch_interval_us
+                and now - self.interval_start_us >= self._launch_interval_us
             ):
-                decision = roccet.launch_check(self.roc, params)
+                decision = roccet.launch_check(self.roc, self.params)
                 self._reset_interval(now)
                 if decision is not LaunchDecision.STAY:
                     before = self.cwnd
@@ -250,7 +272,8 @@ class RoccetController(_InPlaceCubic):
         else:
             if self.drain_until_us is not None and now < self.drain_until_us:
                 return
-            if self.rtts_elapsed_in_interval >= params.orbiter_interval_rtts:
+            if self.rtts_elapsed_in_interval >= self._orbiter_interval_rtts:
+                params = self.params
                 decision = roccet.orbiter_check(self.roc, now, params)
                 self._reset_interval(now)
                 if decision is OrbiterDecision.ROCCET_CE:
@@ -264,7 +287,7 @@ class RoccetController(_InPlaceCubic):
     def on_loss(self, now_us: int) -> None:
         # Loss during slow start is ignored: retransmission is still the
         # transport's job, but the window is left untouched.
-        if self.phase is Phase.SLOW_START or self.params.ignore_loss:
+        if self.phase is _SLOW_START or self.params.ignore_loss:
             return
         self.cc = roccet.orbiter_on_loss(self.cc, self.params, self.cubic_params, now_us)
         self.ce_events.append((now_us, CeKind.LOSS_CE.value))

@@ -32,7 +32,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from .cc_types import CubicParams
 from .controllers import CONTROLLERS
-from .errors import ScenarioError
+from .errors import MetricsError, ScenarioError
 from .metrics import FlowMetrics, ShareReport, bandwidth_share, flow_metrics
 from .probe_rate import ProbeRateParams
 from .roccet import RoccetParams
@@ -620,7 +620,9 @@ def run_sweep(
     """Execute every (axis point, repetition) cell.
 
     All cells are materialized and validated before the first one runs, so
-    a bad corner of the matrix fails fast. Results are keyed by axis point
+    a bad corner of the matrix fails fast. A cell whose run cannot be
+    measured (no bytes inside the share window, say) raises MetricsError
+    naming its axis point and repetition. Results are keyed by axis point
     and repetition; ordering carries no information.
     """
     points = spec.cells()
@@ -631,12 +633,17 @@ def run_sweep(
     results: list[SweepCell] = []
     for point, rep, scenario in plan:
         traces = runner(scenario)
+        try:
+            share = bandwidth_share(traces)
+        except MetricsError as exc:
+            where = ", ".join(f"{name}={value}" for name, value in point.items())
+            raise MetricsError(f"cell {where or '(no axes)'}, repetition {rep}: {exc}") from None
         results.append(
             SweepCell(
                 axis=point,
                 repetition=rep,
                 seed=scenario.seed,
-                share=bandwidth_share(traces),
+                share=share,
                 flows=flow_metrics(traces),
             )
         )

@@ -17,6 +17,13 @@ Of a segment's three events, two ride FIFO lanes beside the event heap
 makes delivery times strictly increasing, and its ACK, because every
 receiver acknowledges after the same fixed delay. Service completions,
 timers, wake-ups, rate changes and samples stay on the heap.
+
+A segment is a plain `(flow_id, seq, sent_at_us, is_retransmit)` tuple:
+the flow's id, its sequence number, the instant its sender stamped and
+submitted it, and whether it is a retransmitted copy. Every segment is
+the link's MSS long. It is an exact tuple rather than a named record
+because it is built and freed once per segment, and CPython specializes
+the indexing and unpacking of exact tuples only.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ MAX_RTO_US = 60_000_000
 
 
 _heappush = heapq.heappush  # bound once: it runs for every event
-_new_tuple = tuple.__new__  # builds a Packet without a Python-level __new__
 _NEVER = math.inf  # an instant that never comes
 
 
@@ -210,16 +216,6 @@ class LinkSpec(NamedTuple):
             raise ScenarioError("prop_delay and mtu must be > 0")
 
 
-class Packet(NamedTuple):
-    """One segment; every segment is the link's MSS long. The sender
-    builds it with `tuple.__new__(Packet, (...))`, all four fields given."""
-
-    flow_id: str
-    seq: int
-    sent_at_us: int
-    is_retransmit: bool
-
-
 class LossInjector:
     """Abstract stand-in for lower-layer loss and delay jitter.
 
@@ -284,9 +280,9 @@ class Bottleneck:
     receiver. A packet already in service completes at the rate that was
     current when its service began. `occupancy` is the FIFO's length, at
     most `capacity`; the packet in service is not in the FIFO. The debug
-    log derives each packet's enqueue time, `sent_at_us` (a sender submits
-    a segment as it stamps it), and its service start, the later of that
-    and the previous completion."""
+    log derives each packet's enqueue time, its `sent_at_us` stamp (a
+    sender submits a segment as it stamps it), and its service start, the
+    later of that and the previous completion."""
 
     def __init__(
         self,
@@ -300,14 +296,14 @@ class Bottleneck:
     ) -> None:
         self.loop = loop
         self.capacity = capacity_segs
-        self._fifo: deque[Packet] = deque()
+        self._fifo: deque[tuple] = deque()
         self.prop_delay_us = prop_delay_us
         self.mss_bytes = mss_bytes
         self.injector = injector
         # The FIFO is empty whenever nothing is in service; a packet can be
         # in service with the FIFO empty.
-        self.in_service: Packet | None = None
-        self.deliver_cb: dict[str, Callable[[Packet], None]] = {}
+        self.in_service: tuple | None = None
+        self.deliver_cb: dict[str, Callable[[tuple], None]] = {}
         self.drop_log: list[tuple[int, str, str]] = []
         self.debug_log: list | None = [] if debug else None
         self._last_done_us = 0  # kept for the debug log only
@@ -328,7 +324,7 @@ class Bottleneck:
     def set_rate(self, rate_bps: int) -> None:
         self._service_us = max(1, round(self.mss_bytes * 8_000_000 / rate_bps))
 
-    def submit(self, pkt: Packet) -> bool:
+    def submit(self, pkt: tuple) -> bool:
         """Sender hands over one segment; returns False when dropped."""
         now = self.loop.now_us
         if now >= self._drops_from_us:
@@ -336,7 +332,7 @@ class Bottleneck:
             dropped = injector.should_drop(now)
             self._drops_from_us = injector.quiet_until_us(now)
             if dropped:
-                self.drop_log.append((now, pkt.flow_id, "injected"))
+                self.drop_log.append((now, pkt[0], "injected"))
                 return False
         if self.in_service is None:  # an idle link serves it at once
             self.in_service = pkt
@@ -346,10 +342,10 @@ class Bottleneck:
         if len(fifo) < self.capacity:  # droptail: a full queue drops
             fifo.append(pkt)
             return True
-        self.drop_log.append((now, pkt.flow_id, "queue_full"))
+        self.drop_log.append((now, pkt[0], "queue_full"))
         return False
 
-    def _service_done(self, pkt: Packet) -> None:
+    def _service_done(self, pkt: tuple) -> None:
         now = self.loop.now_us
         deliver_at = now + self.prop_delay_us
         if self._jitters:
@@ -360,10 +356,9 @@ class Bottleneck:
             deliver_at = self._last_delivery_us + 1
         self._last_delivery_us = deliver_at
         if self.debug_log is not None:
-            enq = pkt.sent_at_us
+            flow_id, seq, enq, is_retransmit = pkt
             self.debug_log.append(
-                (pkt.flow_id, pkt.seq, enq, max(enq, self._last_done_us), now, deliver_at,
-                 pkt.is_retransmit)
+                (flow_id, seq, enq, max(enq, self._last_done_us), now, deliver_at, is_retransmit)
             )
             self._last_done_us = now
         self._deliver((deliver_at, self._next_seq(), self.deliver_cb[pkt[0]], pkt))
@@ -385,7 +380,7 @@ class Bottleneck:
         deliver = self.deliver_cb.get(flow_id)
         if deliver is not None:
             held += self.loop.pending(deliver)
-        return sum(pkt.flow_id == flow_id for pkt in held)
+        return sum(pkt[0] == flow_id for pkt in held)
 
     def probe_rtt_us(self) -> int:
         """Round trip a minimal control packet would measure right now:
@@ -484,7 +479,7 @@ class Receiver:
         self._queue_ack = loop.ack_lane(ack_delay_us).append
         self._next_seq = loop.reserve_seq
 
-    def on_segment(self, pkt: Packet) -> None:
+    def on_segment(self, pkt: tuple) -> None:
         self.rx_count += 1
         _, seq, sent_at_us, _ = pkt
         rcv_nxt = self.rcv_nxt
@@ -654,7 +649,7 @@ class Sender:
         self.retransmits += 1
         if self._rto_at is None:
             self._arm_rto()
-        self.bottleneck.submit(_new_tuple(Packet, (self.flow_id, seq, self.loop.now_us, True)))
+        self.bottleneck.submit((self.flow_id, seq, self.loop.now_us, True))
 
     def try_send(self, woken_for: int | None = None) -> None:
         """Send what the window, the source and the pacing allow now.
@@ -717,7 +712,7 @@ class Sender:
             # _retransmit's send, for new data, inline: once per segment sent
             if self._rto_at is None:
                 self._arm_rto()
-            self.bottleneck.submit(_new_tuple(Packet, (self.flow_id, seq, now, False)))
+            self.bottleneck.submit((self.flow_id, seq, now, False))
             seq += 1
         else:
             return  # the window is full: the next ACK sends more

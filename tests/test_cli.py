@@ -3,6 +3,7 @@ import json
 import pytest
 
 from roccet_lab.cli import main
+from roccet_lab.simulator import Bottleneck
 
 
 def run_cli(*argv):
@@ -241,6 +242,30 @@ class TestSweepCommand:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: invalid-sweep: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unmeasurable_cell_exits_one_naming_it(self, tmp_path, capsys):
+        # The 10 ms cell ends before anything is delivered inside its share
+        # window: a rejected input, as `run` treats it, not a fault.
+        out = tmp_path / "a" / "b"
+        code = run_cli(
+            "sweep", "--builtin", "steady", "--axis", "horizon_s=0.01,0.02", "-o", str(out)
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: invalid-sweep: cell horizon_s=0.01, repetition 0: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulator_fault_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A failed conservation audit is the simulator's own fault.
+        monkeypatch.setattr(Bottleneck, "in_network_total", lambda self, flow_id: -1)
+        out = tmp_path / "a"
+        code = run_cli("sweep", "--builtin", "steady", "--axis", "horizon_s=0.5", "-o", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: simulation-fault: conservation violated")
         assert list(tmp_path.iterdir()) == []
 
 

@@ -4,9 +4,11 @@ controllers.
 `controllers.py` runs each ACK as straight-line code: the rtt_min
 tracker, srRTT over the sender's smoothed RTT, the interval counters and
 the anchored-epoch CUBIC step are written out inside `on_ack`. This test
-records every `on_ack` / `on_loss` call the simulator makes in three runs,
-with a copy of each ACK record, and replays each flow's calls into a
-fresh controller and into a reference driver. The reference is built only from the state-value
+records every `on_ack` / `on_loss` call the simulator makes in five runs,
+two of them with every parameter the controllers copy into a slot away
+from its default, with a copy of each ACK record, and replays each flow's
+calls into a fresh controller and into a reference driver. The reference
+is built only from the state-value
 functions of `cubic.py` and `roccet.py` (`update_rtt_min`,
 `update_srrtt`, `accumulate_interval`, `cubic_on_ack` and the LAUNCH /
 ORBITER checks and transitions) and imports nothing from
@@ -19,7 +21,7 @@ logged itself.
 from copy import copy
 
 from roccet_lab import simulator
-from roccet_lab.cc_types import CcState, Phase
+from roccet_lab.cc_types import CcState, CubicParams, Phase
 from roccet_lab.cubic import cubic_on_ack, cubic_on_congestion_event
 from roccet_lab.harness import builtin_scenario
 from roccet_lab.roccet import (
@@ -210,6 +212,25 @@ def _steady_refresh():
     return spec._replace(flows=tuple(f._replace(roccet=params) for f in spec.flows))
 
 
+# Every parameter the controllers copy into a slot when they are built,
+# each away from its default.
+_CUBIC_PARAMS = CubicParams(c_scale=0.8, app_limited_freeze=False)
+_ROCCET_PARAMS = RoccetParams(
+    alpha=0.5,
+    launch_interval_us=50_000,
+    orbiter_interval_rtts=3,
+    rtt_min_refresh=True,
+    rtt_min_refresh_age_us=500_000,
+    rtt_min_refresh_alpha=0.25,
+)
+
+
+def _with_params(spec):
+    return spec._replace(
+        flows=tuple(f._replace(cubic=_CUBIC_PARAMS, roccet=_ROCCET_PARAMS) for f in spec.flows)
+    )
+
+
 def _refreshes(calls, params):
     """ACKs at which `update_rtt_min` refreshes the minimum: a sample no
     lower than it restamps it. A minimum not refreshed keeps its stamp,
@@ -247,3 +268,19 @@ def test_rtt_min_refresh_in_lockstep(monkeypatch):
     assert _refreshes(rec.calls, rec.flow.roccet) >= 5
     _replay(rec)
 
+
+
+def test_non_default_params_in_lockstep(monkeypatch):
+    # A ROCCET run and an app-limited CUBIC run: app-limited ACKs reach
+    # the CUBIC step of both with the freeze off, and the ROCCET flow
+    # refreshes rtt_min and takes both kinds of ROCCET event.
+    recs = _record(_with_params(builtin_scenario("bw-halving", seed=1, horizon_s=8.0)), monkeypatch)
+    recs += _record(_with_params(builtin_scenario("frozen-cwnd", seed=1, horizon_s=5.0)), monkeypatch)
+    assert [rec.flow.algo for rec in recs] == ["roccet", "cubic"]
+    roccet_rec, cubic_rec = recs
+    kinds = {kind for _, kind in _replay(roccet_rec).ce_log}
+    assert {CeKind.LAUNCH_EXIT.value, CeKind.ROCCET_CE.value} <= kinds
+    assert _refreshes(roccet_rec.calls, _ROCCET_PARAMS) >= 5
+    assert _replay(cubic_rec).ce_log
+    for rec in recs:
+        assert any(kind == "ack" and ack.is_app_limited for kind, ack in rec.calls)
