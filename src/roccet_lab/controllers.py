@@ -27,11 +27,12 @@ kinds of name CPython 3.11 specializes. The two `Phase` members are bound
 once below as `_SLOW_START` and `_CONGESTION_AVOIDANCE`; an `Enum` member
 read through its class goes through `EnumType.__getattr__` each time.
 Every parameter the per-ACK code reads is copied into a slot when the
-controller is built: `_c_scale`, `_freeze` and `_aimd_inc` from
-`cubic_params`, and `_alpha`, `_launch_interval_us`,
-`_orbiter_interval_rtts`, `_refresh`, `_refresh_age_us` and
-`_refresh_alpha` from ROCCET's `params`. `cubic_params` and `params` stay
-the source of truth for the rarer transitions.
+controller is built: `_c_scale` and `_freeze` from `cubic_params` (beside
+`_aimd_inc`, the Reno-equivalent increment derived from it), and
+`_alpha`, `_launch_interval_us`, `_orbiter_interval_rtts`, `_refresh`,
+`_refresh_age_us` and `_refresh_alpha` from ROCCET's `params`.
+`cubic_params` and `params` stay the source of truth for the rarer
+transitions.
 """
 
 from __future__ import annotations
