@@ -8,11 +8,10 @@ records every `on_ack` / `on_loss` call the simulator makes in five runs,
 two of them with every parameter the controllers copy into a slot away
 from its default, with a copy of each ACK record, and replays each flow's
 calls into a fresh controller and into a reference driver. The reference
-is built only from the state-value
-functions of `cubic.py` and `roccet.py` (`update_rtt_min`,
-`update_srrtt`, `accumulate_interval`, `cubic_on_ack` and the LAUNCH /
-ORBITER checks and transitions) and imports nothing from
-`controllers.py`. After every call both must hold exactly the same state,
+is built only from the state-value functions of `cubic.py` and
+`roccet.py` (`update_rtt_min`, `update_srrtt`, `accumulate_interval`,
+`cubic_on_ack` and the LAUNCH / ORBITER checks and transitions) and
+imports nothing from `controllers.py`. After every call both must hold exactly the same state,
 the same values of the same types compared through `repr`, and the
 controller's `ce_events` must equal the congestion events the reference
 logged itself.
@@ -267,7 +266,6 @@ def test_rtt_min_refresh_in_lockstep(monkeypatch):
     (rec,) = _record(_steady_refresh(), monkeypatch)
     assert _refreshes(rec.calls, rec.flow.roccet) >= 5
     _replay(rec)
-
 
 
 def test_non_default_params_in_lockstep(monkeypatch):
