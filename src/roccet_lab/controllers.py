@@ -32,7 +32,9 @@ controller is built: `_c_scale` and `_freeze` from `cubic_params` (beside
 `_alpha`, `_launch_interval_us`, `_orbiter_interval_rtts`, `_refresh`,
 `_refresh_age_us` and `_refresh_alpha` from ROCCET's `params`.
 `cubic_params` and `params` stay the source of truth for the rarer
-transitions.
+transitions. Likewise `pacing_segs_per_s`, which the sender reads for
+every segment, is an instance attribute of every controller: a read of
+a class attribute through an instance does not specialize in 3.11.
 """
 
 from __future__ import annotations
@@ -58,13 +60,13 @@ class _InPlaceCubic:
     assigning `cc` clears it."""
 
     __slots__ = _CC_FIELDS + (
-        "cubic_params", "ce_events", "_epoch", "_aimd_inc", "_c_scale", "_freeze",
+        "cubic_params", "ce_events", "pacing_segs_per_s", "_epoch", "_aimd_inc", "_c_scale",
+        "_freeze",
     )
-
-    pacing_segs_per_s = None
 
     def __init__(self, cubic_params: CubicParams):
         self.cubic_params = cubic_params
+        self.pacing_segs_per_s = None  # never paces
         self._aimd_inc = cubic.aimd_increment(cubic_params)
         self._c_scale = cubic_params.c_scale
         self._freeze = cubic_params.app_limited_freeze
@@ -123,9 +125,8 @@ class CubicController(_InPlaceCubic):
 
 
 class RenoController:
-    pacing_segs_per_s = None
-
     def __init__(self):
+        self.pacing_segs_per_s = None  # never paces
         self.state = CcState()
         self.ce_events: list[tuple[int, str]] = []
 

@@ -49,6 +49,7 @@ DUP_ACK_THRESHOLD = 3
 MIN_RTO_US = 200_000
 INITIAL_RTO_US = 1_000_000
 MAX_RTO_US = 60_000_000
+_MIN_RTO = float(MIN_RTO_US)  # the RTO update's floor, on floats like the rest of it
 
 
 _heappush = heapq.heappush  # bound once: it runs for every event
@@ -71,6 +72,15 @@ class EventLoop:
     keeps it from running empty. `run_until` runs the smallest of the
     three heads, the event one heap of them all would pop, as long as each
     lane stays sorted: `delivery_lane` and `ack_lane` say why they do.
+
+    To pick it, `run_until` reads each head once and compares integer
+    times, and the tie-break numbers only when two times are equal: a
+    tuple comparison and a `deque` index have no specialized form in
+    CPython 3.11, an integer comparison has. Each queue then has its own
+    branch that pops the event and calls it. A delivery always calls
+    `Receiver.on_segment` and an ACK `Sender.on_ack_frame`, so each of
+    those call sites sees one function and the interpreter specializes
+    it; one shared site would see every kind of event and would not.
     """
 
     __slots__ = (
@@ -145,23 +155,37 @@ class EventLoop:
         try:
             while True:
                 event = heap[0]
-                lane = None
-                if deliveries and deliveries[0] < event:
-                    event = deliveries[0]
-                    lane = deliveries
-                if acks and acks[0] < event:
-                    event = acks[0]
-                    lane = acks
-                at, _, fn, arg = event
+                at = event[0]
+                queue = heap
+                if deliveries:
+                    head = deliveries[0]
+                    head_at = head[0]
+                    if head_at < at or head_at == at and head[1] < event[1]:
+                        event = head
+                        at = head_at
+                        queue = deliveries
+                if acks:
+                    head = acks[0]
+                    head_at = head[0]
+                    if head_at < at or head_at == at and head[1] < event[1]:
+                        event = head
+                        at = head_at
+                        queue = acks
                 if at > end_us:
                     break
-                if lane is None:
-                    pop(heap)
-                else:
-                    lane.popleft()
                 self.now_us = at
                 processed += 1
-                fn(arg)
+                # One call site per queue: a lane's events all call one
+                # function, so the call specializes there.
+                if queue is heap:
+                    pop(heap)
+                    event[2](event[3])
+                elif queue is deliveries:
+                    deliveries.popleft()
+                    event[2](event[3])
+                else:
+                    acks.popleft()
+                    event[2](event[3])
         finally:
             if collecting:
                 gc.enable()
@@ -310,6 +334,8 @@ class Bottleneck:
         self._last_delivery_us = 0
         self.set_rate(rate_bps)
         self._heap = loop.heap
+        # Callables held in attributes are called through a local: a
+        # method-style call `self._next_seq()` does not specialize.
         self._deliver = loop.delivery_lane().append
         self._next_seq = loop.reserve_seq
         # submit asks the injector only from this instant on; _service_done
@@ -336,7 +362,8 @@ class Bottleneck:
                 return False
         if self.in_service is None:  # an idle link serves it at once
             self.in_service = pkt
-            _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
+            next_seq = self._next_seq
+            _heappush(self._heap, (now + self._service_us, next_seq(), self._service_done, pkt))
             return True
         fifo = self._fifo
         if len(fifo) < self.capacity:  # droptail: a full queue drops
@@ -361,14 +388,16 @@ class Bottleneck:
                 (flow_id, seq, enq, max(enq, self._last_done_us), now, deliver_at, is_retransmit)
             )
             self._last_done_us = now
-        self._deliver((deliver_at, self._next_seq(), self.deliver_cb[pkt[0]], pkt))
+        deliver = self._deliver
+        next_seq = self._next_seq
+        deliver((deliver_at, next_seq(), self.deliver_cb[pkt[0]], pkt))
         if not self._fifo:
             self.in_service = None
             return
         # Start serving the next queued packet: on a busy link this is where
         # nearly every service starts.
         pkt = self.in_service = self._fifo.popleft()
-        _heappush(self._heap, (now + self._service_us, self._next_seq(), self._service_done, pkt))
+        _heappush(self._heap, (now + self._service_us, next_seq(), self._service_done, pkt))
 
     def in_network_total(self, flow_id: str) -> int:
         """The flow's segments this bottleneck accepted and has not yet
@@ -476,6 +505,7 @@ class Receiver:
         self.ooo: set[int] = set()
         self.rx_count = 0
         self.ack_sink: Callable[[int], None] | None = None
+        # Called through locals, as in Bottleneck.
         self._queue_ack = loop.ack_lane(ack_delay_us).append
         self._next_seq = loop.reserve_seq
 
@@ -499,10 +529,12 @@ class Receiver:
         # information a one-ACK-per-segment receiver has) and echoes its
         # send timestamp, so RTT samples survive retransmissions the way
         # they do with TCP timestamps.
-        self._queue_ack(
+        queue_ack = self._queue_ack
+        next_seq = self._next_seq
+        queue_ack(
             (
                 self.loop.now_us + self.ack_delay_us,
-                self._next_seq(),
+                next_seq(),
                 self.ack_sink,
                 (rcv_nxt, seq, sent_at_us),
             )
@@ -591,7 +623,8 @@ class Sender:
         loop = self.loop
         at = loop.now_us + self.rto_us
         self._rto_at = at
-        self._rto_seq = loop.reserve_seq()
+        reserve_seq = loop.reserve_seq
+        self._rto_seq = reserve_seq()
         if self._rto_entry_seq is None or self._rto_entry_at > at:
             self._queue_rto()
 
@@ -638,8 +671,8 @@ class Sender:
         # The first sample seeds the estimator (RFC 6298 section 2.2).
         self.srtt_us = srtt = float(sample)
         self.rttvar_us = rttvar = sample / 2.0
-        margin = 4 * rttvar
-        self.rto_us = round(srtt + (margin if margin > MIN_RTO_US else MIN_RTO_US))
+        margin = 4.0 * rttvar
+        self.rto_us = round(srtt + (margin if margin > _MIN_RTO else _MIN_RTO))
         self.ctl.on_ack(
             AckInfo(newly_acked=0, rtt_sample_us=sample, srtt_us=srtt, now_us=self.loop.now_us)
         )
@@ -720,7 +753,8 @@ class Sender:
         if pending is None or pending > wake:
             self._pending_wake = wake
             loop = self.loop
-            _heappush(loop.heap, (wake, loop.reserve_seq(), self.try_send, wake))
+            reserve_seq = loop.reserve_seq
+            _heappush(loop.heap, (wake, reserve_seq(), self.try_send, wake))
 
     # -- receive path ------------------------------------------------------
 
@@ -751,17 +785,21 @@ class Sender:
         now = loop.now_us
         # RFC 6298 section 2.3, once per ACK. Timestamp echo dates every ACK,
         # retransmitted copies' too, so the sample is always unambiguous.
+        # All of it runs on floats, which the interpreter specializes: the
+        # sample, an int below 2**53, converts exactly, so no bit moves.
         sample = now - tsecr
+        rtt = float(sample)
         srtt = self.srtt_us
-        rttvar = self.rttvar_us + 0.25 * (abs(srtt - sample) - self.rttvar_us)
-        srtt += 0.125 * (sample - srtt)
+        rttvar = self.rttvar_us
+        rttvar += 0.25 * (abs(srtt - rtt) - rttvar)
+        srtt += 0.125 * (rtt - srtt)
         self.srtt_us = srtt
         self.rttvar_us = rttvar
         # Variance term floored at the minimum so the timer keeps a real
         # margin over srtt; otherwise a calm standing queue drives rttvar
         # to zero and any fluctuation fires spurious timeouts.
-        margin = 4 * rttvar
-        self.rto_us = round(srtt + (margin if margin > MIN_RTO_US else MIN_RTO_US))
+        margin = 4.0 * rttvar
+        self.rto_us = round(srtt + (margin if margin > _MIN_RTO else _MIN_RTO))
         snd_una = self.snd_una
         if rseq > self.max_received:
             self.max_received = rseq
@@ -833,7 +871,8 @@ class Sender:
                 # _arm_rto, inline
                 at = now + self.rto_us
                 self._rto_at = at
-                self._rto_seq = loop.reserve_seq()
+                reserve_seq = loop.reserve_seq
+                self._rto_seq = reserve_seq()
                 if self._rto_entry_seq is None or self._rto_entry_at > at:
                     self._queue_rto()
             else:

@@ -9,6 +9,7 @@ and packet logs under both loops.
 
 import heapq
 import io
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -264,3 +265,47 @@ def test_pending_scans_the_lanes():
     loop.acks.append((7, loop.reserve_seq(), cb, "ack"))
     loop.acks.append((8, loop.reserve_seq(), print, "other"))
     assert sorted(loop.pending(cb)) == ["ack", "delivery", "heap"]
+
+
+def _run_queued(events, end_us=10):
+    """Queue `(queue, at_us, name)` events, numbered in list order, on
+    `heap`, `deliveries` or `acks`; run them to `end_us`. Returns the loop
+    and the names in the order they ran."""
+    loop = EventLoop()
+    ran = []
+    for queue, at, name in events:
+        event = (at, loop.reserve_seq(), ran.append, name)
+        if queue == "heap":
+            heapq.heappush(loop.heap, event)
+        else:
+            getattr(loop, queue).append(event)
+    loop.run_until(end_us)
+    return loop, ran
+
+
+QUEUES = ("heap", "deliveries", "acks")
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(QUEUES, 2)))
+def test_two_queues_at_one_instant_run_in_tie_break_order(first, second):
+    # The tie-break number decides between equal times, and only there.
+    loop, ran = _run_queued([(first, 5, "a"), (second, 5, "b")])
+    assert ran == ["a", "b"] and loop.processed == 2 and loop.now_us == 10
+    _, ran = _run_queued([(second, 6, "numbered first"), (first, 5, "due first")])
+    assert ran == ["due first", "numbered first"]
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(QUEUES)))
+def test_three_queues_at_one_instant_run_in_tie_break_order(order):
+    loop, ran = _run_queued([(queue, 7, queue) for queue in order])
+    assert ran == list(order)
+    assert not loop.deliveries and not loop.acks and len(loop.heap) == 1  # the sentinel
+
+
+@pytest.mark.parametrize("queue", QUEUES)
+def test_event_due_at_the_end_runs(queue):
+    loop, ran = _run_queued([(queue, 10, "due"), (queue, 11, "after")], end_us=10)
+    assert ran == ["due"] and loop.processed == 1 and loop.now_us == 10
+    assert loop.pending(ran.append) == ["after"]
+    loop.run_until(11)
+    assert ran == ["due", "after"]
