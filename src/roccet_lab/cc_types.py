@@ -11,7 +11,6 @@ here is shared or locked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -77,7 +76,6 @@ class CcState(NamedTuple):
     ca_acked: float = 0.0
 
 
-@dataclass(slots=True, kw_only=True)
 class AckInfo:
     """Everything a controller learns from one cumulative ACK.
 
@@ -97,11 +95,21 @@ class AckInfo:
     ACK, so a controller reads it during `on_ack` and keeps none of it.
     """
 
-    newly_acked: int
-    rtt_sample_us: int
-    srtt_us: float
-    now_us: int
-    in_flight: int = 0
-    round_start: bool = False
-    in_recovery: bool = False
-    is_app_limited: bool = False
+    __slots__ = (
+        "newly_acked", "rtt_sample_us", "srtt_us", "now_us",
+        "in_flight", "round_start", "in_recovery", "is_app_limited",
+    )
+
+    def __init__(
+        self, *, newly_acked: int, rtt_sample_us: int, srtt_us: float, now_us: int,
+        in_flight: int = 0, round_start: bool = False, in_recovery: bool = False,
+        is_app_limited: bool = False,
+    ) -> None:
+        self.newly_acked = newly_acked
+        self.rtt_sample_us = rtt_sample_us
+        self.srtt_us = srtt_us
+        self.now_us = now_us
+        self.in_flight = in_flight
+        self.round_start = round_start
+        self.in_recovery = in_recovery
+        self.is_app_limited = is_app_limited

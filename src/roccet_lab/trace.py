@@ -11,7 +11,6 @@ self-describing and re-runnable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import IO
 
 from .errors import TraceFormatError
@@ -20,16 +19,21 @@ CSV_VERSION_LINE = "# roccet-lab trace v1"
 CSV_COLUMNS = "time_ms,flow_id,cwnd_seg,srtt_ms,goodput_mbps,queue_seg"
 
 
-@dataclass(slots=True)
 class Sample:
     """One flow's state at one sampling instant, and the bytes delivered since the last."""
 
-    t_us: int
-    dt_us: int
-    cwnd: float
-    srtt_us: int
-    delivered_bytes: int
-    queue_segs: int
+    __slots__ = ("t_us", "dt_us", "cwnd", "srtt_us", "delivered_bytes", "queue_segs")
+
+    def __init__(
+        self, t_us: int, dt_us: int, cwnd: float, srtt_us: int,
+        delivered_bytes: int, queue_segs: int,
+    ) -> None:
+        self.t_us = t_us
+        self.dt_us = dt_us
+        self.cwnd = cwnd
+        self.srtt_us = srtt_us
+        self.delivered_bytes = delivered_bytes
+        self.queue_segs = queue_segs
 
     @property
     def goodput_mbps(self) -> float:
@@ -37,31 +41,38 @@ class Sample:
         return self.delivered_bytes * 8.0 / self.dt_us if self.dt_us > 0 else 0.0
 
 
-@dataclass(slots=True)
 class FlowTrace:
     """One flow's samples, congestion-event log and counters over a run."""
 
-    flow_id: str
-    algo: str
-    start_us: int
-    samples: list[Sample] = field(default_factory=list)
-    ce_log: list[tuple[int, str]] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("flow_id", "algo", "start_us", "samples", "ce_log", "counters", "extra")
+
+    def __init__(self, flow_id: str, algo: str, start_us: int) -> None:
+        self.flow_id = flow_id
+        self.algo = algo
+        self.start_us = start_us
+        self.samples: list[Sample] = []
+        self.ce_log: list[tuple[int, str]] = []
+        self.counters: dict[str, int] = {}
+        self.extra: dict = {}
 
 
-@dataclass(slots=True)
 class TraceSet:
     """Everything one run records: each flow's trace, drops, rate changes and the audit."""
 
-    horizon_us: int
-    config: dict
-    flows: dict[str, FlowTrace] = field(default_factory=dict)
-    drops: list[tuple[int, str, str]] = field(default_factory=list)
-    rate_changes: list[tuple[int, int]] = field(default_factory=list)
-    audit: dict = field(default_factory=dict)
-    events_processed: int = 0
-    debug_packets: list | None = None
+    __slots__ = (
+        "horizon_us", "config", "flows", "drops", "rate_changes", "audit",
+        "events_processed", "debug_packets",
+    )
+
+    def __init__(self, horizon_us: int, config: dict) -> None:
+        self.horizon_us = horizon_us
+        self.config = config
+        self.flows: dict[str, FlowTrace] = {}
+        self.drops: list[tuple[int, str, str]] = []
+        self.rate_changes: list[tuple[int, int]] = []
+        self.audit: dict = {}
+        self.events_processed = 0
+        self.debug_packets: list | None = None
 
     def write_csv(self, out: IO[str]) -> None:
         out.write(CSV_VERSION_LINE + "\n")

@@ -3,7 +3,8 @@ renamed or deleted name fails here rather than leaving the README to
 describe code that is gone. Among the README's inline code spans:
 
 - every `Class.attr` whose `Class` is a roccet_lab class names an
-  attribute, method or dataclass field of it;
+  attribute, method or field of it (a slot or a NamedTuple field is a
+  class attribute too);
 - every bare `_name` is an attribute of some roccet_lab class or module;
 - every `tests/<file>.py` path exists, and each `::<node>` after it names
   a class or function nested in the one before;
@@ -49,10 +50,6 @@ PRIVATE = [s for s in SPANS if re.fullmatch(r"_[a-z]\w*", s)]
 TEST_PATHS = [s for s in SPANS if re.fullmatch(r"tests/\w+\.py(::\w+)*", s)]
 
 
-def _has(owner, attr: str) -> bool:
-    return hasattr(owner, attr) or attr in getattr(owner, "__dataclass_fields__", {})
-
-
 def test_each_kind_of_name_is_found():
     # An empty list would make its test below check nothing.
     assert QUALIFIED and PRIVATE and TEST_PATHS
@@ -60,12 +57,12 @@ def test_each_kind_of_name_is_found():
 
 @pytest.mark.parametrize("cls, attr", QUALIFIED, ids=".".join)
 def test_class_attribute_resolves(cls, attr):
-    assert _has(CLASSES[cls], attr)
+    assert hasattr(CLASSES[cls], attr)
 
 
 @pytest.mark.parametrize("name", PRIVATE)
 def test_private_name_resolves(name):
-    assert any(_has(owner, name) for owner in [*MODULES, *CLASSES.values()])
+    assert any(hasattr(owner, name) for owner in [*MODULES, *CLASSES.values()])
 
 
 @pytest.mark.parametrize("path", TEST_PATHS)

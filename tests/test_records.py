@@ -2,13 +2,17 @@
 fields make equal records with equal hashes, and `_replace` makes a new
 record. They are `typing.NamedTuple`s, so they are tuples too; the tests
 at the end check that no record is taken for a tuple where the scenario
-file form is written."""
+file form is written.
+
+The mutable records (`AckInfo` and the trace containers) are plain
+classes with `__slots__` and one `__init__`; the last tests check their
+fields, their defaults and that no two instances share a container."""
 
 import json
 
 import pytest
 
-from roccet_lab.cc_types import CcState, CubicParams
+from roccet_lab.cc_types import AckInfo, CcState, CubicParams
 from roccet_lab.controllers import CONTROLLERS
 from roccet_lab.errors import ScenarioError
 from roccet_lab.harness import (
@@ -29,6 +33,7 @@ from roccet_lab.metrics import FlowMetrics, ShareReport
 from roccet_lab.probe_rate import ProbeRateParams, ProbeRateState
 from roccet_lab.roccet import RoccetParams, RoccetState
 from roccet_lab.simulator import LinkSpec
+from roccet_lab.trace import FlowTrace, Sample, TraceSet
 
 
 def _share():
@@ -144,3 +149,97 @@ def test_to_file_keeps_a_record_whole():
     assert _to_file(record, None) is record
     with pytest.raises(ScenarioError, match="must be a tuple"):
         _check_type(LossSpec(), tuple[int, ...], "loss.drop_at_us")
+
+
+# The mutable records, each with its fields in the order the dataclasses
+# they replace declared them, and a builder.
+MUTABLE = {
+    AckInfo: (
+        ("newly_acked", "rtt_sample_us", "srtt_us", "now_us",
+         "in_flight", "round_start", "in_recovery", "is_app_limited"),
+        lambda: AckInfo(newly_acked=1, rtt_sample_us=2, srtt_us=3.0, now_us=4),
+    ),
+    Sample: (
+        ("t_us", "dt_us", "cwnd", "srtt_us", "delivered_bytes", "queue_segs"),
+        lambda: Sample(100_000, 100_000, 10.0, 40_000, 15_000, 3),
+    ),
+    FlowTrace: (
+        ("flow_id", "algo", "start_us", "samples", "ce_log", "counters", "extra"),
+        lambda: FlowTrace("a", "roccet", 0),
+    ),
+    TraceSet: (
+        ("horizon_us", "config", "flows", "drops", "rate_changes", "audit",
+         "events_processed", "debug_packets"),
+        lambda: TraceSet(1_000_000, {}),
+    ),
+}
+
+mutable = pytest.mark.parametrize(
+    "cls, names, build", [(cls, *row) for cls, row in MUTABLE.items()],
+    ids=[cls.__name__ for cls in MUTABLE],
+)
+
+
+@mutable
+def test_mutable_record_slots_are_its_fields(cls, names, build):
+    assert cls.__slots__ == names
+    record = build()
+    assert type(record) is cls
+    for name in names:
+        getattr(record, name)  # every slot is set by `__init__`
+
+
+@mutable
+def test_a_misspelled_field_is_refused(cls, names, build):
+    record = build()
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.in_recovry = True
+    setattr(record, names[0], getattr(record, names[0]))  # a field can be assigned
+
+
+def test_ack_info_is_keyword_only_with_four_defaults():
+    with pytest.raises(TypeError):
+        AckInfo(1, 2, 3.0, 4)
+    with pytest.raises(TypeError):
+        AckInfo(newly_acked=1, rtt_sample_us=2, srtt_us=3.0)  # now_us is required
+    ack = AckInfo(newly_acked=1, rtt_sample_us=2, srtt_us=3.0, now_us=4)
+    assert (ack.newly_acked, ack.rtt_sample_us, ack.srtt_us, ack.now_us) == (1, 2, 3.0, 4)
+    assert (ack.in_flight, ack.round_start, ack.in_recovery, ack.is_app_limited) == (
+        0, False, False, False,
+    )
+
+
+def test_sample_takes_its_fields_in_order():
+    s = Sample(1, 2, 3.0, 4, 5, 6)
+    assert [getattr(s, name) for name in Sample.__slots__] == [1, 2, 3.0, 4, 5, 6]
+    assert Sample(t_us=1, dt_us=2, cwnd=3.0, srtt_us=4, delivered_bytes=5, queue_segs=6).queue_segs == 6
+
+
+def test_trace_containers_start_empty_and_unshared():
+    # A default written by hand could hand one list to every instance.
+    a, b = FlowTrace("a", "cubic", 5), FlowTrace("b", "roccet", 7)
+    assert (a.flow_id, a.algo, a.start_us) == ("a", "cubic", 5)
+    for name in ("samples", "ce_log", "counters", "extra"):
+        assert getattr(a, name) == type(getattr(a, name))()
+        assert getattr(a, name) is not getattr(b, name)
+    a.samples.append(Sample(1, 1, 1.0, 1, 1, 1))
+    a.counters["acks"] = 1
+    assert b.samples == [] and b.counters == {}
+
+    ta, tb = TraceSet(10, {"seed": 1}), TraceSet(10, {"seed": 1})
+    assert (ta.horizon_us, ta.config) == (10, {"seed": 1})
+    assert (ta.events_processed, ta.debug_packets) == (0, None)
+    for name in ("flows", "drops", "rate_changes", "audit"):
+        assert getattr(ta, name) == type(getattr(ta, name))()
+        assert getattr(ta, name) is not getattr(tb, name)
+
+
+@pytest.mark.parametrize(
+    "delivered, dt_us, expected",
+    [(15_000, 100_000, 1.2), (1_500, 1_000, 12.0), (0, 100_000, 0.0), (15_000, 0, 0.0)],
+)
+def test_sample_goodput(delivered, dt_us, expected):
+    # bytes * 8 / microseconds is Mbit/s; no time elapsed reads 0.0
+    goodput = Sample(0, dt_us, 10.0, 0, delivered, 0).goodput_mbps
+    assert type(goodput) is float and goodput == expected
