@@ -103,7 +103,9 @@ def _resolve_scenario(args: argparse.Namespace) -> ScenarioSpec:
     if args.scenario:
         spec = load_scenario(args.scenario)
     elif args.builtin:
-        spec = builtin_scenario(args.builtin, algo=args.algo, seed=args.seed or 1)
+        spec = builtin_scenario(
+            args.builtin, algo=args.algo, seed=args.seed if args.seed is not None else 1
+        )
     else:
         raise ScenarioError("one of --scenario or --builtin is required")
     config = spec.to_dict()
@@ -198,7 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "algo": args.algo,
                 "axes": _parse_axis(args.axis),
                 "repetitions": args.reps,
-                "seed": args.seed or 1,
+                "seed": args.seed,
             }
         else:
             raise ScenarioError("one of --sweep or --builtin is required")
@@ -348,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--axis", action="append", metavar="NAME=V1,V2,...", help="sweep axis values"
     )
     p_sweep.add_argument("--reps", type=int, default=1, help="repetitions per cell")
-    p_sweep.add_argument("--seed", type=int, help="base seed")
+    p_sweep.add_argument("--seed", type=int, default=1, help="base seed")
     p_sweep.add_argument("-o", "--out", help="output directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 

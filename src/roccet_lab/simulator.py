@@ -5,8 +5,9 @@ One droptail bottleneck carries every flow's forward traffic; the reverse
 reliable transport: cumulative ACKs drive ACK clocking, three duplicate
 ACKs trigger fast retransmit plus one congestion signal per loss episode,
 and a retransmission timer (srtt plus a variance margin of at least
-200 ms) backstops everything. Receivers acknowledge every received
-segment.
+200 ms) backstops everything, opening an episode if none is open. An
+episode ends at the ACK that reaches NewReno's "recover" point (RFC 6582
+section 3.2). Receivers acknowledge every received segment.
 
 The clock is integer microseconds. All event ties break on a monotonically
 increasing sequence number, so two runs of the same scenario and seed
@@ -541,9 +542,29 @@ class Receiver:
         )
 
 
+class _LossEpisode:
+    """A sender's open loss episode: `snd_nxt` at its start (`high`), the
+    window inflation, the segments it retransmitted (read only at or above
+    `snd_una`, so never pruned) and where the hole scan resumes."""
+
+    __slots__ = ("high", "inflation", "repaired", "cursor")
+
+    def __init__(self, high: int, inflation: int, repaired: set[int], cursor: int) -> None:
+        self.high = high
+        self.inflation = inflation
+        self.repaired = repaired
+        self.cursor = cursor
+
+
 class Sender:
     """Window-driven reliable sender with ACK clocking, fast retransmit,
     NewReno-style partial-ACK repair, and an RTO backstop.
+
+    `episode` is the open loss episode or None. Only `_start_episode`
+    opens one, resends `snd_una` and calls `on_loss`: at the third
+    duplicate ACK, or at a timeout with none open (its `by_timeout`
+    branch). The ACK that covers `high` ends it; a timeout inside it only
+    resends `snd_una`.
 
     Sequence numbers are never reused, so the new segments sent so far
     number `snd_nxt`, and all transmissions `snd_nxt + retransmits`; the
@@ -576,14 +597,11 @@ class Sender:
         self.snd_una = 0
         self.snd_nxt = 0
         self.dup_acks = 0
-        self.recovery_high: int | None = None
-        self.recovery_inflation = 0
+        self.episode: _LossEpisode | None = None
         # Scoreboard built from the per-ACK triggering sequence numbers:
         # which segments above snd_una the receiver is known to hold.
         self.scoreboard: set[int] = set()
         self.max_received = -1
-        self._episode_rtx: set[int] = set()
-        self._repair_cursor = 0
         self.srtt_us: float | None = None
         self.rttvar_us: float = 0.0
         self.rto_us = INITIAL_RTO_US
@@ -646,16 +664,22 @@ class Sender:
         if self.in_flight == 0:
             return
         self.rto_us = min(self.rto_us * 2, MAX_RTO_US)
-        fresh_episode = self.recovery_high is None
-        if fresh_episode:
-            self.recovery_high = self.snd_nxt
-            self.recovery_inflation = 0
         self.dup_acks = 0
-        self._retransmit(self.snd_una)
-        if fresh_episode:
-            self.ctl.on_loss(self.loop.now_us)
+        if self.episode is None:
+            self._start_episode(by_timeout=True)
+        else:
+            self._retransmit(self.snd_una)
         self._arm_rto()
         self.try_send()
+
+    def _start_episode(self, by_timeout: bool) -> None:
+        snd_una = self.snd_una
+        if by_timeout:  # no inflation, and snd_una may be resent by a repair
+            self.episode = _LossEpisode(self.snd_nxt, 0, set(), snd_una)
+        else:
+            self.episode = _LossEpisode(self.snd_nxt, DUP_ACK_THRESHOLD, {snd_una}, snd_una + 1)
+        self._retransmit(snd_una)
+        self.ctl.on_loss(self.loop.now_us)
 
     # -- transmit paths ----------------------------------------------------
 
@@ -722,8 +746,8 @@ class Sender:
         # the duplicate-ACK count (RFC 5681 style); otherwise every lost
         # burst would freeze transmission for the whole repair.
         window = int(ctl.cwnd)
-        if self.recovery_high is not None:
-            window += self.recovery_inflation
+        if self.episode is not None:
+            window += self.episode.inflation
         if self.sndbuf is not None and self.sndbuf < window:
             window = self.sndbuf
         # Sending touches neither the controller, snd_una nor the clock, so
@@ -758,25 +782,23 @@ class Sender:
 
     # -- receive path ------------------------------------------------------
 
-    def _repair_one(self) -> bool:
+    def _repair_one(self, episode: _LossEpisode) -> bool:
         """Retransmit the lowest hole deemed lost (three segments received
         above it), at most one per arriving ACK so repairs stay ACK-clocked.
         Returns True when a retransmission went out."""
-        high = self.recovery_high
-        if high is None:
-            return False
-        cursor = max(self._repair_cursor, self.snd_una)
+        high = episode.high
+        cursor = max(episode.cursor, self.snd_una)
         while cursor < high:
-            if cursor in self.scoreboard or cursor in self._episode_rtx:
+            if cursor in self.scoreboard or cursor in episode.repaired:
                 cursor += 1
                 continue
             if self.max_received - cursor >= DUP_ACK_THRESHOLD:
-                self._episode_rtx.add(cursor)
-                self._repair_cursor = cursor + 1
+                episode.repaired.add(cursor)
+                episode.cursor = cursor + 1
                 self._retransmit(cursor)
                 return True
             break
-        self._repair_cursor = cursor
+        episode.cursor = cursor
         return False
 
     def on_ack_frame(self, frame: tuple[int, int, int]) -> None:
@@ -811,10 +833,9 @@ class Sender:
         if ackno > snd_una:
             newly = ackno - snd_una
             scoreboard = self.scoreboard
-            if scoreboard or self._episode_rtx:
+            if scoreboard:
                 for seq in range(snd_una, ackno):
                     scoreboard.discard(seq)
-                    self._episode_rtx.discard(seq)
                 if not scoreboard:
                     # Hand back the table a loss episode grew: a set does
                     # not shrink as its entries are discarded.
@@ -822,17 +843,16 @@ class Sender:
             self.snd_una = ackno
             self.dup_acks = 0
 
-            if self.recovery_high is not None:
-                if ackno >= self.recovery_high:
-                    self.recovery_high = None
-                    self.recovery_inflation = 0
-                    self._episode_rtx.clear()
+            episode = self.episode
+            if episode is not None:
+                if ackno >= episode.high:
+                    self.episode = episode = None
                 else:
                     # Partial ACK: the new front segment is a hole unless a
                     # repair for it is already in flight.
-                    self.recovery_inflation = max(0, self.recovery_inflation - newly + 1)
-                    if ackno not in self._episode_rtx and ackno not in self.scoreboard:
-                        self._episode_rtx.add(ackno)
+                    episode.inflation = max(0, episode.inflation - newly + 1)
+                    if ackno not in episode.repaired and ackno not in scoreboard:
+                        episode.repaired.add(ackno)
                         self._retransmit(ackno)
 
             round_start = False
@@ -863,7 +883,7 @@ class Sender:
             ack.now_us = now
             ack.in_flight = in_flight
             ack.round_start = round_start
-            ack.in_recovery = self.recovery_high is not None
+            ack.in_recovery = episode is not None
             ack.is_app_limited = app_limited
             ctl.on_ack(ack)
 
@@ -881,17 +901,12 @@ class Sender:
             return
         if ackno == snd_una and self.snd_nxt > snd_una:
             self.dup_acks += 1
-            if self.recovery_high is not None:
-                if not self._repair_one():
-                    self.recovery_inflation += 1
+            if self.episode is not None:
+                if not self._repair_one(self.episode):
+                    self.episode.inflation += 1
                     self.try_send()
             elif self.dup_acks == DUP_ACK_THRESHOLD:
-                self.recovery_high = self.snd_nxt
-                self.recovery_inflation = DUP_ACK_THRESHOLD
-                self._episode_rtx = {snd_una}
-                self._repair_cursor = snd_una + 1
-                self._retransmit(snd_una)
-                self.ctl.on_loss(self.loop.now_us)
+                self._start_episode(by_timeout=False)
                 self.try_send()
 
 

@@ -169,11 +169,25 @@ def read_trace_csv(path: str) -> dict[str, dict[str, list[float]]]:
 
 
 def read_events_json(path: str) -> dict:
+    """Load an events file. Raises TraceFormatError naming the file unless
+    `flows` maps each flow id to an object whose `ce_log`, if any, is a
+    list of `[time, kind]` pairs."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict) or "flows" not in data:
+    flows = data.get("flows") if isinstance(data, dict) else None
+    if not isinstance(flows, dict):
         raise TraceFormatError(f"{path}: not an events file")
+    for fid, flow in flows.items():
+        if not isinstance(flow, dict):
+            raise TraceFormatError(f"{path}: flow {fid!r} is not an object")
+        ce_log = flow.get("ce_log", [])
+        if not isinstance(ce_log, list) or not all(
+            isinstance(entry, list) and len(entry) == 2
+            and isinstance(entry[0], (int, float)) and isinstance(entry[1], str)
+            for entry in ce_log
+        ):
+            raise TraceFormatError(f"{path}: flow {fid!r}: ce_log is not a list of [time, kind] pairs")
     return data

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from roccet_lab.cli import main
+from roccet_lab.harness import builtin_scenario
 from roccet_lab.simulator import Bottleneck
 
 
@@ -125,6 +126,16 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path), "-o", str(out)) == 0
         assert (out / "trace.csv").exists()
 
+    def test_seed_zero_builds_the_builtin_at_seed_zero(self, tmp_path):
+        # Seed 0 is a seed like any other: the flow starts are drawn from
+        # it, as the harness draws them, not from the default seed 1.
+        out = tmp_path / "run"
+        argv = ["run", "--builtin", "fairness-10x40", "--seed", "0", "--set", "horizon_s=1.0"]
+        assert run_cli(*argv, "-o", str(out)) == 0
+        config = json.loads((out / "events.json").read_text(encoding="utf-8"))["config"]
+        expected = builtin_scenario("fairness-10x40", seed=0, horizon_s=1.0).to_dict()
+        assert config == json.loads(json.dumps(expected))
+
 
 class TestReport:
     def test_two_trace_comparison(self, bw_halving_artifacts, capsys, tmp_path):
@@ -183,6 +194,24 @@ class TestReport:
         assert code == 1
         assert "warm-up" in capsys.readouterr().err
 
+    # `events.json` contents beside a good trace that once ended in a
+    # traceback.
+    @pytest.mark.parametrize(
+        "events",
+        [{"flows": [1, 2]}, {"flows": {"cubic0": {"ce_log": [[1, 2, 3]]}}}],
+        ids=["flows-not-an-object", "ce_log-entry-not-a-pair"],
+    )
+    def test_malformed_events_exits_one_with_one_line(
+        self, events, bw_halving_artifacts, tmp_path, capsys
+    ):
+        trace = (bw_halving_artifacts["cubic"] / "trace.csv").read_bytes()
+        (tmp_path / "trace.csv").write_bytes(trace)
+        (tmp_path / "events.json").write_text(json.dumps(events), encoding="utf-8")
+        assert run_cli("report", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: bad-trace: ") and "events.json" in err[0]
+
 
 class TestSweepCommand:
     def test_small_sweep_writes_results(self, tmp_path):
@@ -216,6 +245,30 @@ class TestSweepCommand:
         assert code == 0
         rows = (out / "results.csv").read_text(encoding="utf-8").splitlines()
         assert len(rows) == 1 + 2
+
+    def test_seed_zero_runs_base_seed_zero(self, tmp_path):
+        # `--seed 0` gives the same results as a sweep file with seed 0.
+        sweep_file = tmp_path / "sweep.json"
+        sweep_file.write_text(
+            json.dumps(
+                {
+                    "scenario": "fairness-10x40",
+                    "axes": {"horizon_s": [3], "n_flows": [2]},
+                    "repetitions": 1,
+                    "seed": 0,
+                }
+            ),
+            encoding="utf-8",
+        )
+        flags, from_file = tmp_path / "flags", tmp_path / "file"
+        assert run_cli(
+            "sweep", "--builtin", "fairness-10x40", "--seed", "0", "--reps", "1",
+            "--axis", "horizon_s=3", "--axis", "n_flows=2", "-o", str(flags),
+        ) == 0
+        assert run_cli("sweep", "--sweep", str(sweep_file), "-o", str(from_file)) == 0
+        for name in ("results.csv", "results.json"):
+            assert (flags / name).read_bytes() == (from_file / name).read_bytes()
+        assert json.loads((flags / "results.json").read_text(encoding="utf-8"))["sweep"]["seed"] == 0
 
     def test_unknown_sweep_key_rejected(self, tmp_path, capsys):
         sweep_file = tmp_path / "sweep.json"

@@ -32,7 +32,7 @@ from roccet_lab.harness import (
 from roccet_lab.metrics import FlowMetrics, ShareReport
 from roccet_lab.probe_rate import ProbeRateParams, ProbeRateState
 from roccet_lab.roccet import RoccetParams, RoccetState
-from roccet_lab.simulator import LinkSpec
+from roccet_lab.simulator import LinkSpec, _LossEpisode
 from roccet_lab.trace import FlowTrace, Sample, TraceSet
 
 
@@ -151,8 +151,8 @@ def test_to_file_keeps_a_record_whole():
         _check_type(LossSpec(), tuple[int, ...], "loss.drop_at_us")
 
 
-# The mutable records, each with its fields in the order the dataclasses
-# they replace declared them, and a builder.
+# The mutable records, each with its fields (for the first four in the
+# order the dataclasses they replace declared them) and a builder.
 MUTABLE = {
     AckInfo: (
         ("newly_acked", "rtt_sample_us", "srtt_us", "now_us",
@@ -171,6 +171,10 @@ MUTABLE = {
         ("horizon_us", "config", "flows", "drops", "rate_changes", "audit",
          "events_processed", "debug_packets"),
         lambda: TraceSet(1_000_000, {}),
+    ),
+    _LossEpisode: (
+        ("high", "inflation", "repaired", "cursor"),
+        lambda: _LossEpisode(10, 3, {4}, 5),
     ),
 }
 

@@ -480,6 +480,19 @@ class TestPerSegmentCost:
         assert delivered > 15_000
         assert per_segment < 20.9, per_segment
 
+    def test_loss_heavy_calls_per_delivered_segment_within_budget(self):
+        # A 10 s fairness-10x40 cell with two ROCCET flows and a CUBIC
+        # rival at 1 BDP: queue drops open 26 loss episodes, each with its
+        # repairs, where the two runs above open 0 and 2. It makes 21.6
+        # calls per segment; the ceiling leaves about 10% for change.
+        spec = builtin_scenario(
+            "fairness-10x40", seed=1, n_flows=2, buffer_bdp=1.0, competitor="cubic",
+            horizon_s=10.0,
+        )
+        per_segment, delivered = self._calls_per_delivered_segment(spec)
+        assert delivered > 8_000
+        assert per_segment < 24.0, per_segment
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_collector_as_found(self, enabled):
         def set_collector(on):
