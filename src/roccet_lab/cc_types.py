@@ -14,8 +14,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ScenarioError
-
 #: Conventional initial window, in segments.
 INITIAL_CWND = 10.0
 
@@ -43,14 +41,6 @@ class CubicParams(NamedTuple):
     beta_mult: float = 0.7
     fast_convergence: bool = True
     app_limited_freeze: bool = True
-
-    def validate(self) -> None:
-        if not self.c_scale > 0:
-            raise ScenarioError(f"cubic c_scale must be > 0, got {self.c_scale}")
-        if not 0 < self.beta_mult < 1:
-            raise ScenarioError(
-                f"cubic beta_mult must be in (0, 1), got {self.beta_mult}"
-            )
 
 
 class CcState(NamedTuple):

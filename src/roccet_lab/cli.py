@@ -205,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             raise ScenarioError("one of --sweep or --builtin is required")
         spec = sweep_from_dict(data)
-    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail("invalid-sweep", str(exc), EXIT_VALIDATION)
     out, made = _outdir(args)
     try:

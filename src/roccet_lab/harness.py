@@ -26,11 +26,12 @@ import itertools
 import json
 import math
 import random
-from functools import partial
+from functools import cache, partial
+from operator import ge, gt, le, lt
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
-from .cc_types import CubicParams
+from .cc_types import MIN_CWND, CubicParams
 from .controllers import CONTROLLERS
 from .errors import MetricsError, ScenarioError
 from .metrics import FlowMetrics, ShareReport, bandwidth_share, flow_metrics
@@ -60,17 +61,6 @@ class LossSpec(NamedTuple):
     window_us: tuple[int, int] | None = None
     jitter_us: int = 0
 
-    def validate(self) -> None:
-        if not 0 <= self.drop_prob <= 1:
-            raise ScenarioError(f"loss drop_prob must be in [0, 1], got {self.drop_prob}")
-        window = self.window_us
-        if window is not None and not (len(window) == 2 and 0 <= window[0] < window[1]):
-            raise ScenarioError(f"loss window_us must be (start, end), 0 <= start < end: {window}")
-        if self.jitter_us < 0:
-            raise ScenarioError(f"loss jitter_us must be >= 0, got {self.jitter_us}")
-        if any(t < 0 for t in self.drop_at_us):
-            raise ScenarioError(f"loss drop_at_us must be >= 0, got {self.drop_at_us}")
-
 
 class FlowSpec(NamedTuple):
     """One flow: its id, algorithm, source, send buffer and controller parameters."""
@@ -85,76 +75,84 @@ class FlowSpec(NamedTuple):
 
 
 # The keys of one object of a scenario file, one row per key: (attribute,
-# file key, stored units per file unit or None, stored type). A scaled key
-# is a finite number in the file and a rounded int once stored. A stored
-# type `T | None` marks a key that may be null, and `tuple[T, ...]` one
-# that is a list in the file. Parsing, the config echo and the type checks
-# of `ScenarioSpec.validate` all walk these rows.
-Rows = tuple[tuple[Any, str, float | None, Any], ...]
+# file key, stored units per file unit or None, stored type, range or
+# None). A scaled key is a finite number in the file and a rounded int once
+# stored. A stored type `T | None` marks a key that may be null, and
+# `tuple[T, ...]` one that is a list in the file. A range is the text a
+# user reads, `> x`, `>= x` or `in` an interval such as `in (0, 1]`, and
+# bounds the stored value, or each entry of a list. Parsing, the config
+# echo and the type and range checks of `ScenarioSpec.validate` all walk
+# these rows.
+Rows = tuple[tuple[Any, str, float | None, Any, str | None], ...]
 
 SCENARIO_KEYS: Rows = (
-    ("name", "name", None, str),
-    ("seed", "seed", None, int),
-    ("horizon_us", "horizon_s", 1e6, int),
-    ("sample_us", "sample_ms", 1e3, int),
-    ("buffer_bdp", "buffer_bdp", None, float),
+    ("name", "name", None, str, None),
+    ("seed", "seed", None, int, None),
+    ("horizon_us", "horizon_s", 1e6, int, ">= 0"),
+    ("sample_us", "sample_ms", 1e3, int, "> 0"),
+    ("buffer_bdp", "buffer_bdp", None, float, "in [0.25, 1e6]"),
 )
 # `initial_rate_bps` and `base_rtt_us` are read-only LinkSpec properties,
 # stored by `_parse_scenario` as the first schedule entry and the one-way delay.
 LINK_KEYS: Rows = (
-    ("initial_rate_bps", "rate_mbps", 1e6, int),
-    ("base_rtt_us", "rtt_ms", 1e3, int),
-    ("mtu_bytes", "mtu_bytes", None, int),
+    ("initial_rate_bps", "rate_mbps", 1e6, int, "> 0"),
+    ("base_rtt_us", "rtt_ms", 1e3, int, "> 0"),
+    ("mtu_bytes", "mtu_bytes", None, int, "> 0"),
 )
 # An entry of `link.schedule`, stored as a (time, rate) pair.
-STEP_KEYS: Rows = ((0, "at_s", 1e6, int), (1, "rate_mbps", 1e6, int))
+STEP_KEYS: Rows = ((0, "at_s", 1e6, int, None), (1, "rate_mbps", 1e6, int, "> 0"))
 LOSS_KEYS: Rows = (
-    ("drop_at_us", "drop_at_s", 1e6, tuple[int, ...]),
-    ("drop_prob", "drop_prob", None, float),
-    ("window_us", "window_s", 1e6, tuple[int, ...] | None),
-    ("jitter_us", "jitter_ms", 1e3, int),
+    ("drop_at_us", "drop_at_s", 1e6, tuple[int, ...], ">= 0"),
+    ("drop_prob", "drop_prob", None, float, "in [0, 1]"),
+    ("window_us", "window_s", 1e6, tuple[int, ...] | None, ">= 0"),
+    ("jitter_us", "jitter_ms", 1e3, int, ">= 0"),
 )
 FLOW_KEYS: Rows = (
-    ("flow_id", "id", None, str),
-    ("algo", "algo", None, str),
-    ("sndbuf_segs", "sndbuf_segs", None, int | None),
+    ("flow_id", "id", None, str, None),
+    ("algo", "algo", None, str, None),
+    ("sndbuf_segs", "sndbuf_segs", None, int | None, ">= 1"),
 )
 # A flow's start and duration are SourceSpec attributes written beside
 # FLOW_KEYS in the file; SOURCE_KEYS are those of the flow's `source`.
 FLOW_TIMES: Rows = (
-    ("start_us", "start_s", 1e6, int),
-    ("duration_us", "duration_s", 1e6, int | None),
+    ("start_us", "start_s", 1e6, int, ">= 0"),
+    ("duration_us", "duration_s", 1e6, int | None, ">= 0"),
 )
-SOURCE_KEYS: Rows = (("kind", "kind", None, str), ("rate_bps", "rate_mbps", 1e6, int | None))
+SOURCE_KEYS: Rows = (
+    ("kind", "kind", None, str, None),
+    ("rate_bps", "rate_mbps", 1e6, int | None, None),
+)
 
 # Each controller section of a scenario file, top level or per flow: the
 # FlowSpec attribute it fills, its params class, and its rows.
 SECTIONS: dict[str, tuple[str, type, Rows]] = {
     "cubic": ("cubic", CubicParams, (
-        ("c_scale", "c_scale", None, float),
-        ("beta_mult", "beta_mult", None, float),
-        ("fast_convergence", "fast_convergence", None, bool),
-        ("app_limited_freeze", "app_limited_freeze", None, bool),
+        ("c_scale", "c_scale", None, float, "> 0"),
+        ("beta_mult", "beta_mult", None, float, "in (0, 1)"),
+        ("fast_convergence", "fast_convergence", None, bool, None),
+        ("app_limited_freeze", "app_limited_freeze", None, bool, None),
     )),
     "roccet": ("roccet", RoccetParams, (
-        ("alpha", "alpha", None, float),
-        ("srrtt_threshold", "srrtt_threshold", None, float),
-        ("launch_ack_margin", "launch_ack_margin", None, float),
-        ("launch_interval_us", "launch_interval_ms", 1e3, int),
-        ("orbiter_interval_rtts", "orbiter_interval_rtts", None, int),
-        ("orbiter_deviation", "orbiter_deviation", None, float),
-        ("drain_duration_us", "drain_ms", 1e3, int),
-        ("ignore_loss", "ignore_loss", None, bool),
-        ("rtt_min_refresh", "rtt_min_refresh", None, bool),
-        ("rtt_min_refresh_age_us", "rtt_min_refresh_age_s", 1e6, int),
-        ("rtt_min_refresh_alpha", "rtt_min_refresh_alpha", None, float),
+        ("alpha", "alpha", None, float, "in (0, 1]"),
+        ("srrtt_threshold", "srrtt_threshold", None, float, "> 0"),
+        ("launch_ack_margin", "launch_ack_margin", None, float, None),
+        ("launch_interval_us", "launch_interval_ms", 1e3, int, "> 0"),
+        ("orbiter_interval_rtts", "orbiter_interval_rtts", None, int, ">= 1"),
+        ("orbiter_deviation", "orbiter_deviation", None, float, "in (0, 1)"),
+        ("drain_duration_us", "drain_ms", 1e3, int, "> 0"),
+        ("ignore_loss", "ignore_loss", None, bool, None),
+        ("rtt_min_refresh", "rtt_min_refresh", None, bool, None),
+        ("rtt_min_refresh_age_us", "rtt_min_refresh_age_s", 1e6, int, "> 0"),
+        ("rtt_min_refresh_alpha", "rtt_min_refresh_alpha", None, float, "in (0, 1]"),
     )),
     "probe_rate": ("probe", ProbeRateParams, (
-        ("startup_pacing_gain", "startup_pacing_gain", None, float),
-        ("min_rtt_window_us", "min_rtt_window_s", 1e6, int),
-        ("probe_rtt_duration_us", "probe_rtt_duration_ms", 1e3, int),
-        ("min_cwnd", "min_cwnd", None, float),
-        ("cwnd_gain", "cwnd_gain", None, float),
+        # Below 1 startup cannot probe for bandwidth; far above, the drain
+        # phase's gain (its inverse) paces at a rate too small to time.
+        ("startup_pacing_gain", "startup_pacing_gain", None, float, "in [1, 100]"),
+        ("min_rtt_window_us", "min_rtt_window_s", 1e6, int, "> 0"),
+        ("probe_rtt_duration_us", "probe_rtt_duration_ms", 1e3, int, "> 0"),
+        ("min_cwnd", "min_cwnd", None, float, f">= {MIN_CWND:g}"),
+        ("cwnd_gain", "cwnd_gain", None, float, "> 0"),
     )),
 }
 
@@ -209,12 +207,12 @@ def _from_file(value: Any, scale: float | None, typ, where: str) -> Any:
 def _fields(d: Any, rows: Rows, where: str, others=(), required=()) -> dict:
     """The stored value of each key of `rows` that the file object `d`
     gives, by attribute. `d` may also hold the keys `others`."""
-    _check_keys(d, {key for _, key, _, _ in rows}.union(others), where)
+    _check_keys(d, {key for _, key, *_ in rows}.union(others), where)
     if not all(key in d for key in required):
         raise ScenarioError(f"{where}: {' and '.join(required)} are required")
     return {
         attr: _from_file(d[key], scale, typ, f"{where}.{key}")
-        for attr, key, scale, typ in rows
+        for attr, key, scale, typ, _ in rows
         if key in d
     }
 
@@ -230,12 +228,34 @@ def _to_file(value: Any, scale: float | None) -> Any:
 
 
 def _to_dict(obj: Any, rows: Rows) -> dict:
-    return {key: _to_file(_get(obj, attr), scale) for attr, key, scale, _ in rows}
+    return {key: _to_file(_get(obj, attr), scale) for attr, key, scale, *_ in rows}
+
+
+@cache
+def _limits(text: str) -> tuple:
+    """A range text as (low-end test, low end, high-end test, high end).
+    `> x` and `>= x` have no high end; in an interval a `[` or `]` end is
+    closed and a `(` or `)` end open."""
+    if text.startswith("in "):
+        low, high = text[4:-1].split(", ")
+        closed_low, closed_high = text[3] == "[", text[-1] == "]"
+        return (ge if closed_low else gt), float(low), (le if closed_high else lt), float(high)
+    op, low = text.split()
+    return (ge if op == ">=" else gt), float(low), le, math.inf
 
 
 def _check_rows(obj: Any, rows: Rows, where: str) -> None:
-    for attr, _, _, typ in rows:
-        _check_type(_get(obj, attr), typ, f"{where}{attr}")
+    """Refuse a value of `obj` that is not of its row's stored type, or
+    that is, or has a list entry, outside its row's range."""
+    for attr, _, _, typ, limits in rows:
+        value = _get(obj, attr)
+        _check_type(value, typ, f"{where}{attr}")
+        if limits is None or value is None:
+            continue
+        above, low, below, high = _limits(limits)
+        for v in value if type(value) is tuple else (value,):
+            if not (above(v, low) and below(v, high)):
+                raise ScenarioError(f"{where}{attr} must be {limits}, got {v}")
 
 
 class ScenarioSpec(NamedTuple):
@@ -252,16 +272,23 @@ class ScenarioSpec(NamedTuple):
     name: str = "custom"
 
     def validate(self, require_flows: bool = True) -> None:
+        """Refuse a value outside its row's type or range, then check what
+        relates keys to each other, which no single row can say."""
+        schedule = self.link.rate_schedule
+        if not schedule or schedule[0][0] != 0:
+            raise ScenarioError("link.rate_schedule must start with an entry at time 0")
         _check_rows(self, SCENARIO_KEYS, "")
         _check_rows(self.link, LINK_KEYS, "link.")
-        for i, step in enumerate(self.link.rate_schedule[1:], start=1):
+        for i, step in enumerate(schedule[1:], start=1):
             _check_rows(step, STEP_KEYS, f"link.rate_schedule.{i}.")
-        self.link.validate()
+        times = [t for t, _ in schedule]
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ScenarioError("link.rate_schedule times must be strictly increasing")
         if self.loss is not None:
             _check_rows(self.loss, LOSS_KEYS, "loss.")
-            self.loss.validate()
-        if not 0.25 <= self.buffer_bdp <= 1e6:
-            raise ScenarioError(f"buffer_bdp must be in [0.25, 1e6], got {self.buffer_bdp}")
+            window = self.loss.window_us
+            if window is not None and not (len(window) == 2 and window[0] < window[1]):
+                raise ScenarioError(f"loss.window_us must be (start, end), start < end: {window}")
         self.link.queue_capacity(self.buffer_bdp)  # raises unless finite, as the run would
         if require_flows and not self.flows:
             raise ScenarioError("scenario needs at least one flow")
@@ -277,15 +304,10 @@ class ScenarioSpec(NamedTuple):
                 if id(params) not in checked:
                     checked.add(id(params))
                     _check_rows(params, rows, f"{where}{section}.")
-                    params.validate()
             if f.source.kind not in ("greedy", "app_limited"):
                 raise ScenarioError(f"{where}unknown source kind {f.source.kind!r}")
             if f.source.kind == "app_limited" and not (f.source.rate_bps or 0) > 0:
                 raise ScenarioError(f"{where}app_limited source needs rate > 0")
-            if f.sndbuf_segs is not None and f.sndbuf_segs < 1:
-                raise ScenarioError(f"{where}sndbuf_segs must be >= 1, got {f.sndbuf_segs}")
-            if f.source.start_us < 0 or (f.source.duration_us or 0) < 0:
-                raise ScenarioError(f"{where}start_s and duration_s must be >= 0")
             end = f.source.start_us + (f.source.duration_us or 0)
             if f.source.duration_us is not None and end >= self.horizon_us:
                 raise ScenarioError(f"{where}ends at {end} us, at or past the horizon")
@@ -294,10 +316,6 @@ class ScenarioSpec(NamedTuple):
         ids = [f.flow_id for f in self.flows]
         if len(set(ids)) != len(ids):
             raise ScenarioError(f"duplicate flow ids: {ids}")
-        if self.sample_us <= 0:
-            raise ScenarioError("sample cadence must be > 0")
-        if self.horizon_us < 0:
-            raise ScenarioError("horizon must be >= 0")
 
     # -- serialization ---------------------------------------------------
 
@@ -370,7 +388,7 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
         where = f"flows[{i}]"
         flow = _fields(fd, FLOW_KEYS + FLOW_TIMES, where, ("source", *SECTIONS), ("id", "algo"))
         source = SourceSpec(
-            **{attr: flow.pop(attr) for attr, _, _, _ in FLOW_TIMES if attr in flow},
+            **{attr: flow.pop(attr) for attr, *_ in FLOW_TIMES if attr in flow},
             **_fields(fd.get("source", {}), SOURCE_KEYS, f"{where}.source"),
         )
         params = {
@@ -391,7 +409,7 @@ def load_scenario(path: str) -> ScenarioSpec:
             data = json.load(f)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cc_types import INITIAL_CWND, MIN_CWND, AckInfo
-from .errors import ScenarioError
+from .cc_types import INITIAL_CWND, AckInfo
 
 PROBE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 BW_FILTER_ROUNDS = 10  # rounds the delivery-rate filter keeps a maximum for
@@ -34,23 +33,6 @@ class ProbeRateParams(NamedTuple):
     probe_rtt_duration_us: int = 200_000
     min_cwnd: float = 4.0
     cwnd_gain: float = 2.0
-
-    def validate(self) -> None:
-        if self.min_rtt_window_us <= 0 or self.probe_rtt_duration_us <= 0:
-            raise ScenarioError("probe_rate durations must be > 0")
-        # Below 1 startup cannot probe for bandwidth; far above, the drain
-        # phase's gain (its inverse) paces at a rate too small to time.
-        if not 1 <= self.startup_pacing_gain <= 100:
-            raise ScenarioError(
-                "probe_rate startup_pacing_gain must be in [1, 100], "
-                f"got {self.startup_pacing_gain}"
-            )
-        if not self.min_cwnd >= MIN_CWND:
-            raise ScenarioError(
-                f"probe_rate min_cwnd must be >= {MIN_CWND}, got {self.min_cwnd}"
-            )
-        if not self.cwnd_gain > 0:
-            raise ScenarioError(f"probe_rate cwnd_gain must be > 0, got {self.cwnd_gain}")
 
 
 class ProbeRateState(NamedTuple):

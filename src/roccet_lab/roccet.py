@@ -37,7 +37,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .cc_types import CcState, CubicParams, MIN_CWND, Phase
-from .errors import RoccetLabError, ScenarioError
+from .errors import RoccetLabError
 
 
 class CeKind(Enum):
@@ -78,24 +78,6 @@ class RoccetParams(NamedTuple):
     rtt_min_refresh: bool = False
     rtt_min_refresh_age_us: int = 10_000_000
     rtt_min_refresh_alpha: float = 0.5
-
-    def validate(self) -> None:
-        if not 0 < self.alpha <= 1:
-            raise ScenarioError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not self.srrtt_threshold > 0:
-            raise ScenarioError("srrtt_threshold must be > 0")
-        if self.launch_interval_us <= 0 or self.drain_duration_us <= 0:
-            raise ScenarioError("launch_interval and drain_duration must be > 0")
-        if self.orbiter_interval_rtts < 1:
-            raise ScenarioError("orbiter_interval_rtts must be >= 1")
-        if not 0 < self.orbiter_deviation < 1:
-            raise ScenarioError(
-                f"orbiter_deviation must be in (0, 1), got {self.orbiter_deviation}"
-            )
-        if not 0 < self.rtt_min_refresh_alpha <= 1:
-            raise ScenarioError("rtt_min_refresh_alpha must be in (0, 1]")
-        if self.rtt_min_refresh_age_us <= 0:
-            raise ScenarioError("rtt_min_refresh_age must be > 0")
 
 
 class RoccetState(NamedTuple):

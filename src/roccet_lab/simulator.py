@@ -227,19 +227,6 @@ class LinkSpec(NamedTuple):
                 f"{self.initial_rate_bps:.3g} bps, base RTT {self.base_rtt_us:.3g} us"
             ) from None
 
-    def validate(self) -> None:
-        if not self.rate_schedule:
-            raise ScenarioError("rate_schedule must have at least one entry")
-        if self.rate_schedule[0][0] != 0:
-            raise ScenarioError("rate_schedule must start at time 0")
-        times = [t for t, _ in self.rate_schedule]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ScenarioError("rate_schedule times must be strictly increasing")
-        if any(rate <= 0 for _, rate in self.rate_schedule):
-            raise ScenarioError("link rates must be > 0")
-        if self.prop_delay_us <= 0 or self.mtu_bytes <= 0:
-            raise ScenarioError("prop_delay and mtu must be > 0")
-
 
 class LossInjector:
     """Abstract stand-in for lower-layer loss and delay jitter.

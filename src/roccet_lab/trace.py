@@ -122,47 +122,50 @@ def read_trace_csv(path: str) -> dict[str, dict[str, list[float]]]:
     order. Raises TraceFormatError naming the file and row on any problem.
     """
     flows: dict[str, dict[str, list[float]]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.readline().rstrip("\n")
-        if first != CSV_VERSION_LINE:
-            raise TraceFormatError(
-                f"{path}: line 1: expected {CSV_VERSION_LINE!r}, got {first!r}"
-            )
-        header = f.readline().rstrip("\n")
-        if header != CSV_COLUMNS:
-            raise TraceFormatError(f"{path}: line 2: unexpected columns {header!r}")
-        for lineno, line in enumerate(f, start=3):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            first = f.readline().rstrip("\n")
+            if first != CSV_VERSION_LINE:
                 raise TraceFormatError(
-                    f"{path}: line {lineno}: expected 6 fields, got {len(parts)}"
+                    f"{path}: line 1: expected {CSV_VERSION_LINE!r}, got {first!r}"
                 )
-            try:
-                t_ms = float(parts[0])
-                cwnd = float(parts[2])
-                srtt = float(parts[3])
-                goodput = float(parts[4])
-                queue = float(parts[5])
-            except ValueError as exc:
-                raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-            cols = flows.setdefault(
-                parts[1],
-                {
-                    "t_ms": [],
-                    "cwnd_seg": [],
-                    "srtt_ms": [],
-                    "goodput_mbps": [],
-                    "queue_seg": [],
-                },
-            )
-            cols["t_ms"].append(t_ms)
-            cols["cwnd_seg"].append(cwnd)
-            cols["srtt_ms"].append(srtt)
-            cols["goodput_mbps"].append(goodput)
-            cols["queue_seg"].append(queue)
+            header = f.readline().rstrip("\n")
+            if header != CSV_COLUMNS:
+                raise TraceFormatError(f"{path}: line 2: unexpected columns {header!r}")
+            for lineno, line in enumerate(f, start=3):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 6:
+                    raise TraceFormatError(
+                        f"{path}: line {lineno}: expected 6 fields, got {len(parts)}"
+                    )
+                try:
+                    t_ms = float(parts[0])
+                    cwnd = float(parts[2])
+                    srtt = float(parts[3])
+                    goodput = float(parts[4])
+                    queue = float(parts[5])
+                except ValueError as exc:
+                    raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
+                cols = flows.setdefault(
+                    parts[1],
+                    {
+                        "t_ms": [],
+                        "cwnd_seg": [],
+                        "srtt_ms": [],
+                        "goodput_mbps": [],
+                        "queue_seg": [],
+                    },
+                )
+                cols["t_ms"].append(t_ms)
+                cols["cwnd_seg"].append(cwnd)
+                cols["srtt_ms"].append(srtt)
+                cols["goodput_mbps"].append(goodput)
+                cols["queue_seg"].append(queue)
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from exc
     if not flows:
         raise TraceFormatError(f"{path}: no sample rows")
     return flows
@@ -175,7 +178,7 @@ def read_events_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"{path}: {exc}") from exc
     flows = data.get("flows") if isinstance(data, dict) else None
     if not isinstance(flows, dict):

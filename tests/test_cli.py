@@ -212,6 +212,23 @@ class TestReport:
         assert len(err) == 1, err
         assert err[0].startswith("error: bad-trace: ") and "events.json" in err[0]
 
+    @pytest.mark.parametrize("name", ["trace.csv", "events.json"])
+    def test_undecodable_file_exits_one_with_one_line(
+        self, name, bw_halving_artifacts, tmp_path, capsys
+    ):
+        # A file that is not UTF-8 once ended in a traceback: a trace with a
+        # 0xff byte in a row, or an events file that is that one byte.
+        lines = (bw_halving_artifacts["cubic"] / "trace.csv").read_bytes().split(b"\n")
+        if name == "trace.csv":
+            lines[5] += b"\xff"
+        else:
+            (tmp_path / "events.json").write_bytes(b"\xff")
+        (tmp_path / "trace.csv").write_bytes(b"\n".join(lines))
+        assert run_cli("report", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: bad-trace: ") and name in err[0]
+
 
 class TestSweepCommand:
     def test_small_sweep_writes_results(self, tmp_path):
@@ -323,7 +340,8 @@ class TestSweepCommand:
 
 
 # Inputs that once exited 0 or ended in a traceback. A `sweep --sweep`
-# case gives the sweep file's contents; `{file}` stands for its path.
+# case gives the sweep file's contents, and a `run --scenario` or
+# `sweep --sweep` case may give the file's bytes.
 BAD_INPUTS = [
     ["run", "--builtin", "steady", "--set", "roccet.orbiter_interval_rtts=2.5"],
     ["run", "--builtin", "steady", "--set", "cubic.fast_convergence=3"],
@@ -361,16 +379,21 @@ BAD_INPUTS = [
     ["sweep", "--builtin", "steady", "--axis", "seed=1"],
     ["sweep", "--builtin", "steady", "--axis", "algo=cubic"],
     ["sweep", "--builtin", "fairness-10x40", "--axis", "buffer_bdp=abc"],
+    ["run", "--scenario", b"\xff\xfe\x00bad"],
+    ["sweep", "--sweep", b"\xff{}"],
 ]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS, ids=lambda argv: " ".join(map(str, argv[1:])))
 def test_bad_input_exits_one_with_one_line(argv, tmp_path, capsys):
     argv = list(argv)
-    if isinstance(argv[-1], dict):
-        sweep_file = tmp_path / "sweep.json"
-        sweep_file.write_text(json.dumps(argv[-1]), encoding="utf-8")
-        argv[-1] = str(sweep_file)
+    if isinstance(argv[-1], (dict, bytes)):
+        contents = argv[-1]
+        if isinstance(contents, dict):
+            contents = json.dumps(contents).encode("utf-8")
+        input_file = tmp_path / "input.json"
+        input_file.write_bytes(contents)
+        argv[-1] = str(input_file)
     out = tmp_path / "o"
     assert run_cli(*argv, "-o", str(out)) == 1
     err = capsys.readouterr().err.splitlines()

@@ -1,6 +1,10 @@
 import gc
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -8,10 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roccet_lab
+from roccet_lab import harness
 from roccet_lab.controllers import CONTROLLERS
 from roccet_lab.errors import ScenarioError
 from roccet_lab.harness import (
     BUILTINS,
+    _get,
+    _parse_scenario,
     FLOW_KEYS,
     FLOW_TIMES,
     LINK_KEYS,
@@ -205,14 +213,159 @@ class TestScenarioFiles:
             *((example[section], rows) for section, (_, _, rows) in SECTIONS.items()),
         ]
         for obj, rows in places:
-            assert {key for _, key, _, _ in rows} <= set(obj)
+            assert {key for _, key, *_ in rows} <= set(obj)
         scenario_from_dict(example)
+
+    def test_readme_states_every_range(self):
+        # In the README's list of each key's type, unit and range, every
+        # clause that names a key with a range states that range.
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        text = readme.split("Each key's type, unit and range.")[1].split("\nA number in s,")[0]
+        bullets = {
+            item.split(":")[0].split()[0].strip("`"): " ".join(item.split())
+            for item in text.split("\n- ")[1:]
+        }
+        for bullet, _, rows, _ in RANGE_PLACES:
+            for _, key, _, _, limits in rows:
+                if limits is not None:
+                    clauses = [c for c in bullets[bullet].split(";") if f"`{key}`" in c]
+                    assert clauses and all(limits in c for c in clauses), (bullet, key, limits)
 
     def test_bad_params_rejected(self):
         d = builtin_scenario("steady").to_dict()
         d["flows"][0]["roccet"]["orbiter_deviation"] = 1.5
         with pytest.raises(ScenarioError):
             scenario_from_dict(d)
+
+
+# Where each table's keys sit: the README bullet that lists them, the path
+# to their object in a scenario file, the table, and how to reach the
+# stored object from the parsed spec.
+RANGE_PLACES = [
+    ("top", (), SCENARIO_KEYS, lambda spec: spec),
+    ("link", ("link",), LINK_KEYS, lambda spec: spec.link),
+    ("link", ("link", "schedule", 0), STEP_KEYS, lambda spec: spec.link.rate_schedule[1]),
+    ("loss", ("loss",), LOSS_KEYS, lambda spec: spec.loss),
+    ("each", ("flows", 0), FLOW_KEYS, lambda spec: spec.flows[0]),
+    ("each", ("flows", 0), FLOW_TIMES, lambda spec: spec.flows[0].source),
+    ("each", ("flows", 0, "source"), SOURCE_KEYS, lambda spec: spec.flows[0].source),
+    *(
+        (section, ("flows", 0, section), rows, lambda spec, attr=attr: getattr(spec.flows[0], attr))
+        for section, (attr, _, rows) in SECTIONS.items()
+    ),
+]
+RANGE_CASES_ROWS = [
+    (path, row, stored)
+    for _, path, rows, stored in RANGE_PLACES
+    for row in rows
+    if row[4] is not None
+]
+
+
+def _edges(text):
+    """Each finite end of a range text as (value, whether it is in the
+    range, the direction that leaves the range), read apart from the
+    harness's own parser."""
+    if m := re.fullmatch(r"(>=?) (\S+)", text):
+        return [(float(m[2]), m[1] == ">=", -1)]
+    m = re.fullmatch(r"in ([\[(])(\S+), (\S+)([\])])", text)
+    return [(float(m[2]), m[1] == "[", -1), (float(m[3]), m[4] == "]", 1)]
+
+
+def _in_range(value, text):
+    return all((value > edge or (closed and value == edge)) if away < 0 else
+               (value < edge or (closed and value == edge))
+               for edge, closed, away in _edges(text))
+
+
+def _range_cases():
+    """For each ranged row and each finite end of its range: the value on
+    the end, and the nearest stored value outside it."""
+    for path, row, stored in RANGE_CASES_ROWS:
+        attr, key, scale, typ, limits = row
+        while type(typ) is not type:  # `T | None` or `tuple[T, ...]`
+            typ = typ.__args__[0]
+        integer = typ is int
+        for edge, _, away in _edges(limits):
+            outside = edge + away if integer else math.nextafter(edge, away * math.inf)
+            end = "low" if away < 0 else "high"
+            for name, value in (("on", edge), ("outside", outside)):
+                value = int(value) if integer else value
+                where = ".".join(map(str, (*path, key)))
+                yield pytest.param(path, row, stored, value, id=f"{where}-{end}-{name}")
+
+
+# A scenario with a schedule entry, a loss section, a send buffer and a
+# duration, so every table's keys are in it.
+def _ranged_base():
+    d = builtin_scenario("bw-halving", algo="roccet").to_dict()
+    d["loss"] = {"drop_at_s": [2.0], "drop_prob": 0.0, "window_s": [1.0, 5.0], "jitter_ms": 0.0}
+    d["flows"][0]["duration_s"] = 5.0
+    return d
+
+
+class TestRanges:
+    def test_every_table_has_a_place(self):
+        # So a row added to any table gets its cases below.
+        tables = [rows for name, rows in vars(harness).items() if name.endswith(("_KEYS", "_TIMES"))]
+        tables += [rows for _, _, rows in SECTIONS.values()]
+        placed = [rows for _, _, rows, _ in RANGE_PLACES]
+        assert len(tables) >= 10 and all(any(t is rows for rows in placed) for t in tables)
+
+    @pytest.mark.parametrize("path, row, stored, value", _range_cases())
+    def test_edge_and_just_outside(self, path, row, stored, value):
+        # A stored value inside its row's range passes the row; one outside
+        # is refused, naming the key, the range and the stored value. (A
+        # value on an end may still be refused for how it relates to other
+        # keys: every flow starts at or past a `horizon_s` of 0.)
+        attr, key, scale, typ, limits = row
+        d = _ranged_base()
+        node = d
+        for step in path:
+            node = node[step]
+        in_file = value if scale is None else value / scale
+        if key == "window_s":
+            node[key] = [in_file, 9.0]
+        elif type(node.get(key)) is list:
+            node[key] = [in_file]
+        else:
+            node[key] = in_file
+        got = _get(stored(_parse_scenario(d)), attr)
+        got = got[0] if type(got) is tuple else got
+        try:
+            scenario_from_dict(d)
+        except ScenarioError as exc:
+            error = str(exc)
+        else:
+            error = ""
+        if _in_range(got, limits):
+            assert f"{attr} must be" not in error
+        else:
+            assert f"{attr} must be {limits}, got {got}" in error
+
+
+def test_scenario_checks_live_in_the_harness():
+    # Each key's range is a column of its row in `harness.py`, and what
+    # relates keys is checked in `ScenarioSpec.validate`. No other class
+    # validates itself, and the controller modules know nothing of
+    # scenario files.
+    modules = [
+        importlib.import_module(f"roccet_lab.{info.name}")
+        for info in pkgutil.iter_modules(roccet_lab.__path__)
+    ]
+    validating = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        and module.__name__ != "roccet_lab.harness" and hasattr(cls, "validate")
+    ]
+    assert validating == []
+    for name in ("cc_types", "cubic", "reno", "roccet", "probe_rate"):
+        source = (Path(__file__).parent.parent / "src" / "roccet_lab" / f"{name}.py").read_text(
+            encoding="utf-8"
+        )
+        assert "ScenarioError" not in source, name
 
 
 def _leaf_paths(node, path=()):
