@@ -12,7 +12,8 @@ here is shared or locked.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+
+from .records import Record
 
 #: Conventional initial window, in segments.
 INITIAL_CWND = 10.0
@@ -26,7 +27,7 @@ class Phase(Enum):
     CONGESTION_AVOIDANCE = "congestion_avoidance"
 
 
-class CubicParams(NamedTuple):
+class CubicParams(Record):
     """CUBIC tuning knobs.
 
     `beta_mult` is the multiplicative-decrease *survivor* fraction: after a
@@ -43,7 +44,7 @@ class CubicParams(NamedTuple):
     app_limited_freeze: bool = True
 
 
-class CcState(NamedTuple):
+class CcState(Record):
     """Per-flow congestion controller state.
 
     `ssthresh` is None while still "infinite" (no congestion event or

@@ -29,13 +29,14 @@ import random
 from functools import cache, partial
 from operator import ge, gt, le, lt
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping
 
 from .cc_types import MIN_CWND, CubicParams
 from .controllers import CONTROLLERS
 from .errors import MetricsError, ScenarioError
 from .metrics import FlowMetrics, ShareReport, bandwidth_share, flow_metrics
 from .probe_rate import ProbeRateParams
+from .records import Record
 from .roccet import RoccetParams
 from .simulator import LinkSpec, run
 from .trace import TraceSet
@@ -44,7 +45,7 @@ from .units import mbps_to_bps, ms_to_us, s_to_us
 SWEEP_CELL_CAP = 4096
 
 
-class SourceSpec(NamedTuple):
+class SourceSpec(Record):
     """What a flow sends (greedy, or app-limited at `rate_bps`), from when, for how long."""
 
     kind: str = "greedy"  # "greedy" | "app_limited"
@@ -53,7 +54,7 @@ class SourceSpec(NamedTuple):
     duration_us: int | None = None
 
 
-class LossSpec(NamedTuple):
+class LossSpec(Record):
     """Injected loss: drops at fixed times, random drops and delay jitter inside a window."""
 
     drop_at_us: tuple[int, ...] = ()
@@ -62,7 +63,7 @@ class LossSpec(NamedTuple):
     jitter_us: int = 0
 
 
-class FlowSpec(NamedTuple):
+class FlowSpec(Record):
     """One flow: its id, algorithm, source, send buffer and controller parameters."""
 
     flow_id: str
@@ -120,7 +121,7 @@ FLOW_TIMES: Rows = (
 )
 SOURCE_KEYS: Rows = (
     ("kind", "kind", None, str, None),
-    ("rate_bps", "rate_mbps", 1e6, int | None, None),
+    ("rate_bps", "rate_mbps", 1e6, int | None, "> 0"),
 )
 
 # Each controller section of a scenario file, top level or per flow: the
@@ -258,7 +259,7 @@ def _check_rows(obj: Any, rows: Rows, where: str) -> None:
                 raise ScenarioError(f"{where}{attr} must be {limits}, got {v}")
 
 
-class ScenarioSpec(NamedTuple):
+class ScenarioSpec(Record):
     """One run: the link, its buffer, the flows, the horizon, seed, sample cadence and loss."""
 
     link: LinkSpec
@@ -306,8 +307,8 @@ class ScenarioSpec(NamedTuple):
                     _check_rows(params, rows, f"{where}{section}.")
             if f.source.kind not in ("greedy", "app_limited"):
                 raise ScenarioError(f"{where}unknown source kind {f.source.kind!r}")
-            if f.source.kind == "app_limited" and not (f.source.rate_bps or 0) > 0:
-                raise ScenarioError(f"{where}app_limited source needs rate > 0")
+            if f.source.kind == "app_limited" and f.source.rate_bps is None:
+                raise ScenarioError(f"{where}app_limited source needs a rate")
             end = f.source.start_us + (f.source.duration_us or 0)
             if f.source.duration_us is not None and end >= self.horizon_us:
                 raise ScenarioError(f"{where}ends at {end} us, at or past the horizon")
@@ -482,7 +483,7 @@ def _builtin_fairness(
     )
 
 
-class Builtin(NamedTuple):
+class Builtin(Record):
     """One builtin scenario: its `list-scenarios` line, the algorithm it
     runs when none is given, each option it takes with its default, and
     its builder, called with the name, algorithm, seed and every option."""
@@ -558,7 +559,7 @@ def builtin_scenario(name: str, algo: str | None = None, seed: int = 1, **kwargs
 # -- sweeps -----------------------------------------------------------------
 
 
-class SweepSpec(NamedTuple):
+class SweepSpec(Record):
     """Cartesian experiment matrix over a builtin scenario's options.
     `axes` and `options` default to one shared read-only empty mapping;
     `sweep_from_dict` gives each spec dicts of its own."""
@@ -606,7 +607,7 @@ def sweep_from_dict(d: dict) -> SweepSpec:
     return spec
 
 
-class SweepCell(NamedTuple):
+class SweepCell(Record):
     """One finished (axis point, repetition) of a sweep: its share report
     and each flow's totals (`FlowMetrics`). It keeps no per-sample data,
     so the cells a sweep has finished hold no traces, however many."""

@@ -8,16 +8,16 @@ by default statistics exclude the first 10 % of the run as warm-up.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import MetricsError
+from .records import Record
 from .trace import FlowTrace, TraceSet
 
 WARMUP_FRACTION = 0.10
 PERCENTILES = (25, 50, 75)
 
 
-class FlowMetrics(NamedTuple):
+class FlowMetrics(Record):
     """Per-flow totals of one run: scalars only, no per-sample series.
 
     The samples stay in the run's `FlowTrace`; `summarize` reads its
@@ -32,7 +32,7 @@ class FlowMetrics(NamedTuple):
     ce_counts: dict[str, int]
 
 
-class ShareReport(NamedTuple):
+class ShareReport(Record):
     """Each flow's fraction of the bytes delivered in a window, and their Jain index."""
 
     per_flow_fraction: dict[str, float]

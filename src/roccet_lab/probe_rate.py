@@ -11,9 +11,8 @@ a faithful implementation of any of them.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .cc_types import INITIAL_CWND, AckInfo
+from .records import Record
 
 PROBE_GAINS = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 BW_FILTER_ROUNDS = 10  # rounds the delivery-rate filter keeps a maximum for
@@ -25,7 +24,7 @@ PROBE_BW = "probe_bw"
 PROBE_RTT = "probe_rtt"
 
 
-class ProbeRateParams(NamedTuple):
+class ProbeRateParams(Record):
     """Rate-probing knobs: startup gain, min-RTT window and probe, window floor and gain."""
 
     startup_pacing_gain: float = 2.885
@@ -35,7 +34,7 @@ class ProbeRateParams(NamedTuple):
     cwnd_gain: float = 2.0
 
 
-class ProbeRateState(NamedTuple):
+class ProbeRateState(Record):
     """Per-flow rate-probing state: mode, min RTT, delivery-rate filter and gain cycle."""
 
     cwnd: float = INITIAL_CWND

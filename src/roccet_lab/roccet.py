@@ -34,10 +34,10 @@ record no congestion event: the controller's `ce_events` is the one log.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 from .cc_types import CcState, CubicParams, MIN_CWND, Phase
 from .errors import RoccetLabError
+from .records import Record
 
 
 class CeKind(Enum):
@@ -57,7 +57,7 @@ class OrbiterDecision(Enum):
     ROCCET_CE = "roccet_ce"
 
 
-class RoccetParams(NamedTuple):
+class RoccetParams(Record):
     """Tuning knobs; defaults follow the algorithm description.
 
     `srrtt_threshold` of 1.0 is the "100 %" relative-RTT bound. Raising it
@@ -80,7 +80,7 @@ class RoccetParams(NamedTuple):
     rtt_min_refresh_alpha: float = 0.5
 
 
-class RoccetState(NamedTuple):
+class RoccetState(Record):
     """Per-flow ROCCET bookkeeping on top of the shared CcState.
 
     Interval counters (`acks_in_interval`, `cum_cwnd_in_interval`,

@@ -35,11 +35,12 @@ import itertools
 import math
 import random
 from collections import Counter, deque
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable
 
 from .cc_types import AckInfo
 from .controllers import make_controller
 from .errors import ScenarioError, SimulationError
+from .records import Record
 from .trace import FlowTrace, Sample, TraceSet
 from .units import bdp_segments
 
@@ -194,7 +195,7 @@ class EventLoop:
         self.now_us = end_us
 
 
-class LinkSpec(NamedTuple):
+class LinkSpec(Record):
     """Bottleneck description.
 
     `rate_schedule` lists (time_us, bits_per_second) entries effective from

@@ -19,6 +19,7 @@ import pytest
 import roccet_lab
 from roccet_lab.cli import main
 from roccet_lab.harness import materialize_cell, sweep_from_dict
+from roccet_lab.records import Record
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -86,26 +87,31 @@ def test_sweep_workload_builds_eleven_cells(tmp_path, monkeypatch):
     assert len({cell.seed for cell in cells}) == 11
 
 
+def _lab_classes():
+    """Each class a roccet_lab module defines, by its qualified name."""
+    modules = [
+        importlib.import_module(f"roccet_lab.{info.name}")
+        for info in pkgutil.iter_modules(roccet_lab.__path__)
+    ]
+    return {
+        f"{module.__name__}.{name}": cls
+        for module in modules
+        for name, cls in inspect.getmembers(module, inspect.isclass)
+        if cls.__module__ == module.__name__
+    }
+
+
 def test_the_lab_defines_no_dataclass():
     # `setup_s` times a fresh import. A dataclass writes and compiles its
     # methods while its module imports, and with `slots=True` builds its
     # class twice: about 380 us for a six-field class under `timeit`,
     # against 7 us for a plain slotted class. Each immutable record is a
-    # NamedTuple and each mutable one a plain class with `__slots__`.
+    # `records.Record` and each mutable one a plain class with `__slots__`.
     # Without a dataclass, a fresh process importing the CLI loads neither
     # `dataclasses` nor the `inspect` and `ast` it imports; the CLI's
     # cumulative time under `python -X importtime` fell from about 44 to
     # 27 ms.
-    modules = [
-        importlib.import_module(f"roccet_lab.{info.name}")
-        for info in pkgutil.iter_modules(roccet_lab.__path__)
-    ]
-    defined = [
-        f"{module.__name__}.{name}"
-        for module in modules
-        for name, cls in inspect.getmembers(module, inspect.isclass)
-        if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
-    ]
+    defined = [name for name, cls in _lab_classes().items() if dataclasses.is_dataclass(cls)]
     assert defined == []
     probe = "import sys, roccet_lab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     out = subprocess.run(
@@ -114,3 +120,28 @@ def test_the_lab_defines_no_dataclass():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_the_records_build_no_namedtuple():
+    # `typing.NamedTuple` builds each class through `collections.namedtuple`,
+    # which `eval`s a generated `__new__`, and compiles each of its string
+    # annotations into a `ForwardRef`: about half of a fresh import of the
+    # CLI went to the 16 records. A `Record` reads its annotation names
+    # only, so importing the CLI never calls `namedtuple`.
+    probe = (
+        "import collections\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('collections.namedtuple called')\n"
+        "collections.namedtuple = refuse\n"
+        "import roccet_lab.cli\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    classes = _lab_classes()
+    tuples = {name for name, cls in classes.items() if issubclass(cls, tuple)}
+    records = {name for name, cls in classes.items() if issubclass(cls, Record)}
+    assert tuples == records and len(records) == 17  # the 16 records and Record

@@ -82,7 +82,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "builtin, override, detail",
         [
-            ("frozen-cwnd", "flows.0.source.rate_mbps=-1", "app_limited source needs rate > 0"),
+            ("frozen-cwnd", "flows.0.source.rate_mbps=-1", "source.rate_bps must be > 0, got -1000000"),
+            ("frozen-cwnd", "flows.0.source.rate_mbps=null", "app_limited source needs a rate"),
             ("steady", "flows.0.sndbuf_segs=-3", "sndbuf_segs must be >= 1"),
         ],
     )
@@ -369,6 +370,7 @@ BAD_INPUTS = [
     ["run", "--builtin", "steady", "--set", "flows.0.start_s=true"],
     ["run", "--builtin", "steady",
      "--set", 'flows.0.source={"kind":"app_limited","rate_mbps":true}'],
+    ["run", "--builtin", "steady", "--set", 'flows.0.source={"kind":"greedy","rate_mbps":-5}'],
     ["run", "--builtin", "steady", "--set", "horizon_s=0.5", "--set", "link.rate_mbps=1e300"],
     ["run", "--builtin", "steady", "--set", "horizon_s=0.5", "--set", "link.rtt_ms=1e300"],
     ["run", "--builtin", "steady", "--algo", "probe_rate", "--set", "probe_rate.min_cwnd=-5"],

@@ -3,7 +3,7 @@ renamed or deleted name fails here rather than leaving the README to
 describe code that is gone. Among the README's inline code spans:
 
 - every `Class.attr` whose `Class` is a roccet_lab class names an
-  attribute, method or field of it (a slot or a NamedTuple field is a
+  attribute, method or field of it (a slot or a `Record` field is a
   class attribute too);
 - every bare `_name` is an attribute of some roccet_lab class or module;
 - every `tests/<file>.py` path exists, and each `::<node>` after it names

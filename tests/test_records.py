@@ -1,14 +1,19 @@
 """The immutable records are values: a field cannot be assigned, equal
 fields make equal records with equal hashes, and `_replace` makes a new
-record. They are `typing.NamedTuple`s, so they are tuples too; the tests
-at the end check that no record is taken for a tuple where the scenario
-file form is written.
+record. Each is a subclass of `records.Record`, a tuple with named fields
+built as a `typing.NamedTuple` of the same class body would be: the
+tests check construction, its errors, `_asdict`, `repr`, copying and
+pickling against that. Being tuples, no record may be taken for a tuple
+where the scenario file form is written, which the tests after them
+check.
 
 The mutable records (`AckInfo` and the trace containers) are plain
 classes with `__slots__` and one `__init__`; the last tests check their
 fields, their defaults and that no two instances share a container."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -17,6 +22,7 @@ from roccet_lab.controllers import CONTROLLERS
 from roccet_lab.errors import ScenarioError
 from roccet_lab.harness import (
     BUILTINS,
+    Builtin,
     FlowSpec,
     LossSpec,
     ScenarioSpec,
@@ -31,6 +37,7 @@ from roccet_lab.harness import (
 )
 from roccet_lab.metrics import FlowMetrics, ShareReport
 from roccet_lab.probe_rate import ProbeRateParams, ProbeRateState
+from roccet_lab.records import Record
 from roccet_lab.roccet import RoccetParams, RoccetState
 from roccet_lab.simulator import LinkSpec, _LossEpisode
 from roccet_lab.trace import FlowTrace, Sample, TraceSet
@@ -58,7 +65,11 @@ RECORDS = {
     LossSpec: (lambda: builtin_scenario("frozen-cwnd").loss, "jitter_us", 3),
     FlowSpec: (lambda: builtin_scenario("frozen-cwnd").flows[0], "flow_id", "other"),
     ScenarioSpec: (lambda: builtin_scenario("frozen-cwnd"), "seed", 2),
-    SweepSpec: (lambda: SweepSpec("fairness-10x40", axes={"n_flows": [2, 8]}), "repetitions", 3),
+    Builtin: (lambda: Builtin(*BUILTINS["bw-halving"]), "default_algo", "cubic"),
+    # Not the default `options`: a read-only mapping does not pickle.
+    SweepSpec: (
+        lambda: SweepSpec("fairness-10x40", axes={"n_flows": [2, 8]}, options={}), "repetitions", 3,
+    ),
     SweepCell: (
         lambda: SweepCell({"n_flows": 2}, 0, 7, _share(), {"a": _flow_metrics()}), "seed", 8,
     ),
@@ -66,7 +77,7 @@ RECORDS = {
     ShareReport: (_share, "jain_index", 0.5),
 }
 # These hold dicts, so they have no hash; nor had they as frozen dataclasses.
-UNHASHABLE = {SweepSpec, SweepCell, FlowMetrics, ShareReport}
+UNHASHABLE = {Builtin, SweepSpec, SweepCell, FlowMetrics, ShareReport}
 
 params = pytest.mark.parametrize(
     "cls, build, name, other", [(cls, *row) for cls, row in RECORDS.items()],
@@ -107,8 +118,63 @@ def test_replace_makes_a_new_record(cls, build, name, other):
     assert changed._replace(**{name: before}) == record
 
 
+@params
+def test_positional_and_keyword_construction_agree(cls, build, name, other):
+    record = build()
+    assert list(record._asdict()) == list(cls._fields) == list(cls.__annotations__)
+    assert cls(*record) == record == cls(**record._asdict())
+    # Defaults trail the required fields, and each fills its field.
+    required = [f for f in cls._fields if f not in cls._field_defaults]
+    assert list(cls._fields[:len(required)]) == required
+    bare = cls(**{f: getattr(record, f) for f in required})
+    for field, default in cls._field_defaults.items():
+        assert getattr(bare, field) is default
+
+
+@params
+def test_a_bad_construction_is_refused(cls, build, name, other):
+    record = build()
+    fields = record._asdict()
+    for field in fields:
+        if field not in cls._field_defaults:
+            with pytest.raises(TypeError, match=f"missing .*'{field}'"):
+                cls(**{f: v for f, v in fields.items() if f != field})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(**fields, not_a_field=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{cls._fields[0]}'"):
+        cls(*record, **{cls._fields[0]: record[0]})
+    with pytest.raises(TypeError, match=r"positional arguments but \d+ were given"):
+        cls(*record, None)
+    with pytest.raises(ValueError, match="not_a_field"):
+        record._replace(not_a_field=1)
+
+
+@params
+def test_repr_names_every_field(cls, build, name, other):
+    record = build()
+    fields = ", ".join(f"{field}={getattr(record, field)!r}" for field in cls._fields)
+    assert repr(record) == f"{cls.__name__}({fields})"
+
+
+@params
+def test_copy_and_pickle_keep_the_record(cls, build, name, other):
+    record = build()
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is cls and repr(twin) == repr(record)
+        if cls is Builtin:  # a copied `functools.partial` is equal only to itself
+            twin = twin._replace(build=record.build)
+        assert twin == record
+
+
+def test_a_required_field_after_a_default_is_refused():
+    with pytest.raises(TypeError, match="required field 'b' follows a field with a default"):
+        class Bad(Record):
+            a: int = 0
+            b: int
+
+
 def test_sweep_spec_defaults_are_read_only():
-    # A NamedTuple default is shared by every record that takes it, so it
+    # A record's default is shared by every record that takes it, so it
     # must not be a dict anyone can fill.
     with pytest.raises(TypeError):
         SweepSpec("fairness-10x40").axes["n_flows"] = [2]
