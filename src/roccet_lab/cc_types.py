@@ -51,8 +51,9 @@ class CcState(Record):
     explicit threshold yet); this mirrors kernels initializing the
     threshold to the largest representable value. `epoch_start_us` and
     `cwnd_epoch` anchor CUBIC's growth curve (when the epoch began and the
-    window it began from); both are set whenever the phase is congestion
-    avoidance. `w_est` is the Reno-equivalent companion window that floors
+    window it began from); `cubic.start_epoch` sets both whenever CUBIC or
+    ROCCET enter congestion avoidance. Reno's congestion avoidance leaves
+    them unset. `w_est` is the Reno-equivalent companion window that floors
     CUBIC growth in its friendly region. `ca_acked` is a
     fractional-increase accumulator used by the Reno controller.
     """

@@ -19,8 +19,11 @@ starts at or above w_max the curve is purely convex from the current
 window (K = 0). The curve plateaus near w_max (cautious close to the last
 congestion point) and accelerates the further the window is from it.
 
-K and the curve's origin are fixed for an epoch (`cubic_epoch`), as in
-RFC 9438, which computes K once when the epoch begins; the controllers'
+Every transition into congestion avoidance, here and in `roccet`, starts
+its epoch through `start_epoch`, which sets the window, the curve's anchor
+(`epoch_start_us`, `cwnd_epoch`), the companion window and the phase
+together. K and the curve's origin are fixed for an epoch (`cubic_epoch`),
+as in RFC 9438, which computes K once when the epoch begins; the controllers'
 in-place per-ACK path (`controllers`) keeps them from the epoch's start,
 and `cubic_on_ack` is the reference it is checked against.
 """
@@ -74,6 +77,17 @@ def aimd_increment(params: CubicParams) -> float:
     return 3.0 * (1.0 - params.beta_mult) / (1.0 + params.beta_mult)
 
 
+def start_epoch(state: CcState, cwnd: float, now_us: int, **changes) -> CcState:
+    """Start a congestion-avoidance epoch at window `cwnd` and time `now_us`,
+    re-anchoring the growth curve and the Reno-equivalent companion window
+    there (RFC 9438 section 4.2); `changes` are the other fields the
+    transition sets (`ssthresh`, `w_max`)."""
+    return state._replace(
+        cwnd=cwnd, cwnd_epoch=cwnd, w_est=cwnd, epoch_start_us=now_us,
+        phase=Phase.CONGESTION_AVOIDANCE, **changes,
+    )
+
+
 def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
     """Advance the window for one cumulative ACK.
 
@@ -102,22 +116,13 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
         cwnd = state.cwnd + ack.newly_acked
         if state.ssthresh is not None and cwnd >= state.ssthresh:
             capped = min(cwnd, state.ssthresh)
-            return state._replace(
-                cwnd=capped,
-                phase=Phase.CONGESTION_AVOIDANCE,
-                epoch_start_us=ack.now_us,
-                cwnd_epoch=capped,
-                w_est=capped,
-                w_max=max(state.w_max, capped),
-            )
+            return start_epoch(state, capped, ack.now_us, w_max=max(state.w_max, capped))
         return state._replace(cwnd=cwnd)
 
     if state.phase is Phase.CONGESTION_AVOIDANCE:
         if state.epoch_start_us is None:
             # Defensive: anchor a fresh epoch rather than growing blind.
-            return state._replace(
-                epoch_start_us=ack.now_us, cwnd_epoch=state.cwnd, w_est=state.cwnd
-            )
+            return start_epoch(state, state.cwnd, ack.now_us)
         k, origin = cubic_epoch(state.w_max, state.cwnd_epoch, params)
         t = (ack.now_us - state.epoch_start_us) / 1e6
         cwnd = state.cwnd
@@ -148,12 +153,4 @@ def cubic_on_congestion_event(
     else:
         w_max = state.cwnd
     cwnd = max(MIN_CWND, state.cwnd * params.beta_mult)
-    return state._replace(
-        cwnd=cwnd,
-        ssthresh=cwnd,
-        w_max=w_max,
-        epoch_start_us=now_us,
-        cwnd_epoch=cwnd,
-        w_est=cwnd,
-        phase=Phase.CONGESTION_AVOIDANCE,
-    )
+    return start_epoch(state, cwnd, now_us, ssthresh=cwnd, w_max=w_max)

@@ -21,7 +21,6 @@ in any order and repetitions are individually reproducible.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -574,13 +573,14 @@ class SweepSpec(Record):
     def cells(self) -> list[dict]:
         names = sorted(self.axes)
         values = [self.axes[n] for n in names]
-        points = [dict(zip(names, combo)) for combo in itertools.product(*values)]
-        total = len(points) * self.repetitions
+        # Counted before any point is built, so an oversized sweep is refused
+        # at once instead of filling memory first.
+        total = math.prod(map(len, values)) * self.repetitions
         if total > SWEEP_CELL_CAP:
             raise ScenarioError(
                 f"sweep would run {total} cells, above the cap of {SWEEP_CELL_CAP}"
             )
-        return points
+        return [dict(zip(names, combo)) for combo in itertools.product(*values)]
 
 
 def sweep_from_dict(d: dict) -> SweepSpec:
@@ -621,6 +621,10 @@ class SweepCell(Record):
 
 def derive_seed(base_seed: int, axis_point: dict, repetition: int) -> int:
     """Pure, order-independent seed for one sweep cell."""
+    # Imported here: only sweeps derive seeds, so a `run` or `report` never
+    # loads OpenSSL's `_hashlib`, which would lengthen every CLI start-up.
+    import hashlib
+
     canon = json.dumps(axis_point, sort_keys=True) + f"|rep={repetition}"
     digest = hashlib.sha256(canon.encode("utf-8")).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "big")) & 0x7FFFFFFFFFFFFFFF

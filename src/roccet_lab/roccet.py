@@ -27,15 +27,18 @@ values. `controllers.RoccetController` runs the per-ACK signal updates
 (`update_rtt_min`, `update_srrtt`, `accumulate_interval`) written out on
 its own fields; these functions are the reference that
 `tests/test_controller_lockstep.py` checks it against. The checks and the
-transitions they trigger run through here directly. The transitions
-record no congestion event: the controller's `ce_events` is the one log.
+transitions they trigger run through here directly. Each transition that
+reduces the window ends by starting a new CUBIC epoch through
+`cubic.start_epoch`. The transitions record no congestion event: the
+controller's `ce_events` is the one log.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .cc_types import CcState, CubicParams, MIN_CWND, Phase
+from .cc_types import CcState, CubicParams, MIN_CWND
+from .cubic import cubic_on_congestion_event, start_epoch
 from .errors import RoccetLabError
 from .records import Record
 
@@ -200,18 +203,9 @@ def apply_launch_exit(
     exit anchors it at a real operating point rather than at the
     slow-start overshoot.
     """
-    from .cubic import cubic_on_congestion_event
-
     if decision is LaunchDecision.EXIT_INITIAL:
         halved = max(MIN_CWND, cc.cwnd / 2.0)
-        new_cc = cc._replace(
-            cwnd=halved,
-            ssthresh=halved,
-            epoch_start_us=now_us,
-            cwnd_epoch=halved,
-            w_est=halved,
-            phase=Phase.CONGESTION_AVOIDANCE,
-        )
+        new_cc = start_epoch(cc, halved, now_us, ssthresh=halved)
     elif decision is LaunchDecision.EXIT_LATER:
         new_cc = cubic_on_congestion_event(cc, cubic_params, now_us)
     else:
@@ -253,15 +247,7 @@ def apply_roccet_ce(
     held constant.
     """
     w_max = cc.cwnd if cc.cwnd > cc.w_max else cc.w_max
-    cwnd = max(MIN_CWND, cc.cwnd * cubic_params.beta_mult)
-    new_cc = cc._replace(
-        cwnd=cwnd,
-        w_max=w_max,
-        epoch_start_us=now_us,
-        cwnd_epoch=cwnd,
-        w_est=cwnd,
-        phase=Phase.CONGESTION_AVOIDANCE,
-    )
+    new_cc = start_epoch(cc, max(MIN_CWND, cc.cwnd * cubic_params.beta_mult), now_us, w_max=w_max)
     return state._replace(drain_until_us=now_us + params.drain_duration_us), new_cc
 
 
@@ -271,8 +257,6 @@ def orbiter_on_loss(
     """Loss outside slow start: behave like CUBIC (including fast
     convergence), unless loss is configured to be ignored. The drain window
     does not shield against loss."""
-    from .cubic import cubic_on_congestion_event
-
     if params.ignore_loss:
         return cc
     return cubic_on_congestion_event(cc, cubic_params, now_us)

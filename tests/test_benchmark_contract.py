@@ -145,3 +145,15 @@ def test_the_records_build_no_namedtuple():
     tuples = {name for name, cls in classes.items() if issubclass(cls, tuple)}
     records = {name for name, cls in classes.items() if issubclass(cls, Record)}
     assert tuples == records and len(records) == 17  # the 16 records and Record
+
+
+def test_the_cli_imports_no_hashlib():
+    # Only sweeps derive seeds, so `derive_seed` imports `hashlib` itself:
+    # a `run` or `report` never loads OpenSSL's `_hashlib`.
+    probe = "import sys, roccet_lab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -381,6 +381,7 @@ BAD_INPUTS = [
     ["sweep", "--builtin", "steady", "--axis", "seed=1"],
     ["sweep", "--builtin", "steady", "--axis", "algo=cubic"],
     ["sweep", "--builtin", "fairness-10x40", "--axis", "buffer_bdp=abc"],
+    ["sweep", "--builtin", "fairness-10x40", "--axis", "n_flows=2,8", "--reps", "2049"],
     ["run", "--scenario", b"\xff\xfe\x00bad"],
     ["sweep", "--sweep", b"\xff{}"],
 ]

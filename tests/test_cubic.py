@@ -1,8 +1,13 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import roccet_lab
 from roccet_lab.cc_types import AckInfo, CcState, CubicParams, Phase
 from roccet_lab.cubic import (
     aimd_increment,
@@ -11,6 +16,13 @@ from roccet_lab.cubic import (
     cubic_on_congestion_event,
     cubic_target,
     cubic_window,
+)
+from roccet_lab.roccet import (
+    LaunchDecision,
+    RoccetParams,
+    RoccetState,
+    apply_launch_exit,
+    apply_roccet_ce,
 )
 
 P = CubicParams()  # c_scale 0.4, beta_mult 0.7, fast convergence on
@@ -190,3 +202,79 @@ class TestCongestionEvent:
 def test_aimd_increment_value():
     # 3 * (1 - 0.7) / (1 + 0.7)
     assert math.isclose(aimd_increment(P), 0.9 / 1.7, rel_tol=1e-12)
+
+
+# -- the one epoch opener ------------------------------------------------------
+
+_windows = st.floats(min_value=1.0, max_value=1e6)
+_cc_states = st.builds(
+    CcState,
+    cwnd=_windows,
+    ssthresh=st.none() | _windows,
+    w_max=st.floats(min_value=0.0, max_value=1e6),
+    epoch_start_us=st.none() | st.integers(min_value=0, max_value=10**12),
+    cwnd_epoch=st.floats(min_value=0.0, max_value=1e6),
+    w_est=st.floats(min_value=0.0, max_value=1e6),
+    phase=st.sampled_from(Phase),
+    ca_acked=st.floats(min_value=0.0, max_value=1e3),
+)
+_cubic_params = st.builds(
+    CubicParams,
+    c_scale=st.floats(min_value=0.01, max_value=10.0),
+    beta_mult=st.floats(min_value=0.05, max_value=0.95),
+    fast_convergence=st.booleans(),
+    app_limited_freeze=st.booleans(),
+)
+
+# Every transition into congestion avoidance, each from a state that takes it.
+EPOCH_STARTS = {
+    "slow-start exit at ssthresh": lambda cc, params, now_us: cubic_on_ack(
+        cc._replace(phase=Phase.SLOW_START, ssthresh=cc.cwnd), ack(now_us=now_us), params
+    ),
+    "anchor for an epoch-less congestion avoidance": lambda cc, params, now_us: cubic_on_ack(
+        cc._replace(phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=None),
+        ack(now_us=now_us),
+        params,
+    ),
+    "cubic_on_congestion_event": lambda cc, params, now_us: cubic_on_congestion_event(
+        cc, params, now_us
+    ),
+    "apply_launch_exit EXIT_INITIAL": lambda cc, params, now_us: apply_launch_exit(
+        RoccetState(), cc, now_us, LaunchDecision.EXIT_INITIAL, params
+    )[1],
+    "apply_launch_exit EXIT_LATER": lambda cc, params, now_us: apply_launch_exit(
+        RoccetState(), cc, now_us, LaunchDecision.EXIT_LATER, params
+    )[1],
+    "apply_roccet_ce": lambda cc, params, now_us: apply_roccet_ce(
+        RoccetState(), cc, now_us, RoccetParams(), params
+    )[1],
+}
+
+
+@pytest.mark.parametrize("transition", EPOCH_STARTS)
+@settings(max_examples=200, deadline=None)
+@given(cc=_cc_states, params=_cubic_params, now_us=st.integers(min_value=0, max_value=10**12))
+def test_every_epoch_start_anchors_the_curve_at_the_new_window(transition, cc, params, now_us):
+    out = EPOCH_STARTS[transition](cc, params, now_us)
+    assert out.phase is Phase.CONGESTION_AVOIDANCE
+    assert out.epoch_start_us == now_us
+    assert out.cwnd_epoch == out.w_est == out.cwnd
+
+
+def test_only_start_epoch_writes_the_epoch_anchor():
+    # The anchor of CUBIC's curve is written in one place, so no transition
+    # can start an epoch and leave `cwnd_epoch` or `w_est` behind.
+    anchor = {"epoch_start_us", "cwnd_epoch"}
+    writers, inside = [], []
+    for path in sorted(Path(roccet_lab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "start_epoch":
+                inside += [n for n in ast.walk(node) if isinstance(n, ast.keyword)]
+            if isinstance(node, ast.keyword) and node.arg in anchor:
+                writers.append((path.name, node))
+            elif isinstance(node, ast.Attribute) and node.attr in anchor:
+                assert not isinstance(node.ctx, ast.Store), (path.name, node.lineno)
+    assert writers and all(
+        name == "cubic.py" and node in inside for name, node in writers
+    ), [(name, node.lineno) for name, node in writers]

@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from roccet_lab.harness import (
     SECTIONS,
     SOURCE_KEYS,
     STEP_KEYS,
+    SWEEP_CELL_CAP,
     SweepSpec,
     builtin_scenario,
     derive_seed,
@@ -505,6 +507,33 @@ class TestSweep:
         )
         with pytest.raises(ScenarioError, match="cap"):
             spec.cells()
+
+    def test_cap_admits_exactly_the_cap(self):
+        spec = SweepSpec(
+            scenario="fairness-10x40",
+            axes={"n_flows": list(range(1, 33)), "buffer_bdp": list(range(1, 33))},
+            repetitions=4,
+        )
+        assert len(spec.cells()) * spec.repetitions == SWEEP_CELL_CAP == 4096
+
+    def test_cap_refuses_one_cell_more(self):
+        spec = SweepSpec(scenario="fairness-10x40", axes={"n_flows": list(range(1, 4098))})
+        with pytest.raises(ScenarioError) as exc:
+            spec.cells()
+        assert str(exc.value) == "sweep would run 4097 cells, above the cap of 4096"
+
+    def test_cap_is_checked_before_any_cell_is_built(self):
+        # 10**12 cells: building them first would exhaust memory.
+        values = list(range(1, 1001))
+        spec = SweepSpec(
+            scenario="fairness-10x40",
+            axes=dict.fromkeys(["n_flows", "competitor", "buffer_bdp", "horizon_s"], values),
+        )
+        started = time.perf_counter()
+        with pytest.raises(ScenarioError) as exc:
+            spec.cells()
+        assert time.perf_counter() - started < 1.0
+        assert str(exc.value) == f"sweep would run {10**12} cells, above the cap of 4096"
 
     def test_fail_fast_validation(self):
         calls = []

@@ -5,6 +5,8 @@ describe code that is gone. Among the README's inline code spans:
 - every `Class.attr` whose `Class` is a roccet_lab class names an
   attribute, method or field of it (a slot or a `Record` field is a
   class attribute too);
+- every `module.name` whose `module` is a roccet_lab module names an
+  attribute of it (a file name such as `cubic.py` is left out);
 - every bare `_name` is an attribute of some roccet_lab class or module;
 - every `tests/<file>.py` path exists, and each `::<node>` after it names
   a class or function nested in the one before;
@@ -46,18 +48,29 @@ QUALIFIED = [
     m.groups() for s in SPANS
     if (m := re.fullmatch(r"(\w+)\.(\w+)", s)) and m[1] in CLASSES
 ]
+MODULE_NAMES = {module.__name__.rpartition(".")[2]: module for module in MODULES}
+IN_MODULE = [
+    m.groups() for s in SPANS
+    if (m := re.fullmatch(r"(\w+)\.(\w+)", s))
+    and m[1] in MODULE_NAMES and m[2] not in ("py", "csv", "json")
+]
 PRIVATE = [s for s in SPANS if re.fullmatch(r"_[a-z]\w*", s)]
 TEST_PATHS = [s for s in SPANS if re.fullmatch(r"tests/\w+\.py(::\w+)*", s)]
 
 
 def test_each_kind_of_name_is_found():
     # An empty list would make its test below check nothing.
-    assert QUALIFIED and PRIVATE and TEST_PATHS
+    assert QUALIFIED and IN_MODULE and PRIVATE and TEST_PATHS
 
 
 @pytest.mark.parametrize("cls, attr", QUALIFIED, ids=".".join)
 def test_class_attribute_resolves(cls, attr):
     assert hasattr(CLASSES[cls], attr)
+
+
+@pytest.mark.parametrize("module, attr", IN_MODULE, ids=".".join)
+def test_module_attribute_resolves(module, attr):
+    assert hasattr(MODULE_NAMES[module], attr)
 
 
 @pytest.mark.parametrize("name", PRIVATE)
