@@ -11,11 +11,12 @@ paces), and `ce_events`, its one log of congestion events for the trace.
 
 The CUBIC and ROCCET controllers hold their state field by field and run
 the per-ACK path in place as straight-line code: the congestion-avoidance
-step of `cubic.cubic_on_ack` and ROCCET's signal updates
-(`roccet.update_rtt_min`, `update_srrtt`, `accumulate_interval`) are
-written out here with the same operations in the same order, so every
-float comes out bit for bit as the state-value function's would. Those
-functions stay the reference: `tests/test_controller_lockstep.py` replays
+step of `cubic.cubic_on_ack` and ROCCET's signal updates (the rtt_min
+tracker, `roccet.update_srrtt` and the interval counters, whose
+state-value forms are in `tests/reference_steps.py`) are written out here
+with the same operations in the same order, so every float comes out bit
+for bit as the state-value function's would. Those functions stay the
+reference: `tests/test_controller_lockstep.py` replays
 recorded runs through these controllers and through a driver built from
 them, and checks that both hold the same state, and the same congestion
 events, after every call. The `cc` (and `roc`) attributes read and assign
@@ -225,7 +226,7 @@ class RoccetController(_InPlaceCubic):
         now = ack.now_us
         sample = ack.rtt_sample_us
 
-        # roccet.update_rtt_min
+        # update_rtt_min of tests/reference_steps.py
         rtt_min = self.rtt_min_us
         if rtt_min is None or sample < rtt_min:
             self.rtt_min_us = rtt_min = sample
@@ -243,9 +244,10 @@ class RoccetController(_InPlaceCubic):
 
         if self.interval_start_us is None:
             self._reset_interval(now)
-        # roccet.accumulate_interval. Each boundary re-anchors on the ACK that
-        # crossed it: windows are self-timed per flow, drifting with ACK
-        # quantization the way an ACK-clocked kernel timer would.
+        # accumulate_interval of tests/reference_steps.py. Each boundary
+        # re-anchors on the ACK that crossed it: windows are self-timed per
+        # flow, drifting with ACK quantization the way an ACK-clocked kernel
+        # timer would.
         next_tick = self._next_tick_us
         if next_tick is not None and now >= next_tick:
             self._next_tick_us = now + rtt_min

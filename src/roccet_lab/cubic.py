@@ -12,7 +12,7 @@ That special case is `cubic_k` / `cubic_window`.
 
 In general an epoch can begin from any window (a delay-based reduction
 keeps w_max where it was; a slow-start exit can land anywhere), so the
-live target in `cubic_on_ack` uses the epoch form (`cubic_target`): K is
+live target in `cubic_on_ack` uses the epoch form (`cubic_epoch`): K is
 derived from the gap between w_max and the window the epoch started from,
 which keeps W(0) equal to the actual starting window. When the epoch
 starts at or above w_max the curve is purely convex from the current
@@ -59,15 +59,6 @@ def cubic_epoch(w_max: float, cwnd_epoch: float, params: CubicParams) -> tuple[f
     if w_max > cwnd_epoch:
         return ((w_max - cwnd_epoch) / params.c_scale) ** (1.0 / 3.0), w_max
     return 0.0, cwnd_epoch
-
-
-def cubic_target(
-    t_since_epoch_s: float, w_max: float, cwnd_epoch: float, params: CubicParams
-) -> float:
-    """Window target for an epoch that began from `cwnd_epoch`; equals
-    `cubic_window` when cwnd_epoch == beta_mult * w_max."""
-    k, origin = cubic_epoch(w_max, cwnd_epoch, params)
-    return _curve(t_since_epoch_s, k, origin, params.c_scale)
 
 
 def aimd_increment(params: CubicParams) -> float:

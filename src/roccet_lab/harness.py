@@ -87,7 +87,7 @@ Rows = tuple[tuple[Any, str, float | None, Any, str | None], ...]
 
 SCENARIO_KEYS: Rows = (
     ("name", "name", None, str, None),
-    ("seed", "seed", None, int, None),
+    ("seed", "seed", None, int, ">= 0"),
     ("horizon_us", "horizon_s", 1e6, int, ">= 0"),
     ("sample_us", "sample_ms", 1e3, int, "> 0"),
     ("buffer_bdp", "buffer_bdp", None, float, "in [0.25, 1e6]"),

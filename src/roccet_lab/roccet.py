@@ -24,8 +24,9 @@ the normal CUBIC reaction (unless configured to be ignored entirely).
 
 Everything here is a pure transition over `RoccetState` / `CcState`
 values. `controllers.RoccetController` runs the per-ACK signal updates
-(`update_rtt_min`, `update_srrtt`, `accumulate_interval`) written out on
-its own fields; these functions are the reference that
+(the rtt_min tracker, srRTT and the interval counters) written out on its
+own fields; `update_srrtt` here and the state-value forms of the other
+two in `tests/reference_steps.py` are the reference that
 `tests/test_controller_lockstep.py` checks it against. The checks and the
 transitions they trigger run through here directly. Each transition that
 reduces the window ends by starting a new CUBIC epoch through
@@ -102,31 +103,6 @@ class RoccetState(Record):
     is_initial_slow_start: bool = True
 
 
-def update_rtt_min(
-    state: RoccetState, sample_us: int, now_us: int, params: RoccetParams
-) -> RoccetState:
-    """Track the minimum per-ACK RTT sample.
-
-    A lower sample always replaces the minimum. With refresh enabled, a
-    minimum that has not been updated for longer than the refresh age is
-    blended toward the current sample by EWMA, so the baseline can follow
-    a path whose floor genuinely moved.
-    """
-    rtt_min_us = state.rtt_min_us
-    if rtt_min_us is None or sample_us < rtt_min_us:
-        return state._replace(rtt_min_us=sample_us, rtt_min_updated_at_us=now_us)
-    if (
-        params.rtt_min_refresh
-        and now_us - state.rtt_min_updated_at_us > params.rtt_min_refresh_age_us
-    ):
-        a = params.rtt_min_refresh_alpha
-        return state._replace(
-            rtt_min_us=round(a * sample_us + (1.0 - a) * rtt_min_us),
-            rtt_min_updated_at_us=now_us,
-        )
-    return state
-
-
 def update_srrtt(state: RoccetState, srtt_now_us: int, params: RoccetParams) -> RoccetState:
     """EWMA the relative inflation of the smoothed RTT over the minimum;
     needs an rtt_min sample first.
@@ -141,22 +117,6 @@ def update_srrtt(state: RoccetState, srtt_now_us: int, params: RoccetParams) -> 
     if x < 0.0:
         x = 0.0
     return state._replace(srrtt=params.alpha * x + (1.0 - params.alpha) * state.srrtt)
-
-
-def accumulate_interval(
-    state: RoccetState,
-    newly_acked: float,
-    current_cwnd: float,
-    rtt_boundary_crossed: bool,
-) -> RoccetState:
-    """Fold one ACK (and, when flagged, one RTT boundary) into the interval
-    counters. At each boundary the current window joins cum_cwnd."""
-    if rtt_boundary_crossed:
-        state = state._replace(
-            cum_cwnd_in_interval=state.cum_cwnd_in_interval + current_cwnd,
-            rtts_elapsed_in_interval=state.rtts_elapsed_in_interval + 1,
-        )
-    return state._replace(acks_in_interval=state.acks_in_interval + newly_acked)
 
 
 def reset_interval(state: RoccetState, now_us: int) -> RoccetState:

@@ -34,6 +34,7 @@ import heapq
 import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import Counter, deque
 from typing import TYPE_CHECKING, Callable
 
@@ -483,15 +484,97 @@ class AppSource:
         return count, nxt
 
 
+class SeqRuns:
+    """A set of sequence numbers kept as sorted, disjoint, non-adjacent
+    half-open runs: run i is `[lo[i], hi[i])`. Out-of-order data arrives
+    in contiguous blocks above a few holes (RFC 2018's SACK blocks), so
+    its size follows the holes, not the segments held.
+
+    `lo` is empty exactly when the set is, so callers test `runs.lo` for
+    truth: testing the object itself would call `__bool__`.
+    """
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self) -> None:
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+
+    def __contains__(self, seq: int) -> bool:
+        i = bisect_right(self.lo, seq)
+        return i > 0 and seq < self.hi[i - 1]
+
+    def add(self, seq: int) -> None:
+        """Add `seq`; O(1) when it extends or follows the top run."""
+        lo = self.lo
+        hi = self.hi
+        if not lo or seq > hi[-1]:
+            lo.append(seq)
+            hi.append(seq + 1)
+            return
+        if seq == hi[-1]:
+            hi[-1] = seq + 1
+            return
+        i = bisect_right(lo, seq)  # runs 0..i-1 start at or below seq
+        if i and seq <= hi[i - 1]:
+            if seq < hi[i - 1]:
+                return  # a member already
+            if lo[i] == seq + 1:  # fills the gap between runs i-1 and i
+                hi[i - 1] = hi[i]
+                del lo[i], hi[i]
+            else:
+                hi[i - 1] = seq + 1
+        elif lo[i] == seq + 1:
+            lo[i] = seq
+        else:
+            lo.insert(i, seq)
+            hi.insert(i, seq + 1)
+
+    def discard_below(self, seq: int) -> None:
+        """Remove every member below `seq`."""
+        lo = self.lo
+        i = bisect_right(self.hi, seq)  # runs 0..i-1 end at or below seq
+        if i:
+            del lo[:i], self.hi[:i]
+        if lo and lo[0] < seq:
+            lo[0] = seq
+
+    def take_from(self, seq: int) -> int:
+        """Remove the lowest run if it starts at `seq` and return its end;
+        otherwise return `seq`. For a `seq` at or below every member, as
+        the receiver's `rcv_nxt` is, that is the run starting at `seq`."""
+        lo = self.lo
+        if lo and lo[0] == seq:
+            hi = self.hi
+            end = hi[0]
+            del lo[0], hi[0]
+            return end
+        return seq
+
+    def first_absent(self, seq: int) -> int:
+        """The first non-member at or after `seq`."""
+        i = bisect_right(self.lo, seq)
+        if i:
+            end = self.hi[i - 1]
+            if end > seq:
+                return end
+        return seq
+
+
 class Receiver:
     """In-order reassembly with one cumulative ACK per received segment;
-    `rcv_nxt` segments, times the link's MSS, are delivered in order."""
+    `rcv_nxt` segments, times the link's MSS, are delivered in order.
+
+    `ooo` holds the segments received above `rcv_nxt` as `SeqRuns`, so a
+    backlog above a hole costs one run, not one entry per segment. A
+    segment that fills the hole at `rcv_nxt` takes the run above it whole.
+    """
 
     def __init__(self, loop: EventLoop, ack_delay_us: int) -> None:
         self.loop = loop
         self.ack_delay_us = ack_delay_us
         self.rcv_nxt = 0
-        self.ooo: set[int] = set()
+        self.ooo = SeqRuns()
         self.rx_count = 0
         self.ack_sink: Callable[[int], None] | None = None
         # Called through locals, as in Bottleneck.
@@ -505,12 +588,8 @@ class Receiver:
         if seq == rcv_nxt:
             rcv_nxt += 1
             ooo = self.ooo
-            if ooo:
-                while rcv_nxt in ooo:
-                    ooo.remove(rcv_nxt)
-                    rcv_nxt += 1
-                if not ooo:
-                    ooo.clear()  # hand back the table the hole grew
+            if ooo.lo:
+                rcv_nxt = ooo.take_from(rcv_nxt)
             self.rcv_nxt = rcv_nxt
         elif seq > rcv_nxt:
             self.ooo.add(seq)
@@ -533,7 +612,11 @@ class Receiver:
 class _LossEpisode:
     """A sender's open loss episode: `snd_nxt` at its start (`high`), the
     window inflation, the segments it retransmitted (read only at or above
-    `snd_una`, so never pruned) and where the hole scan resumes."""
+    `snd_una`, so never pruned) and where the hole scan resumes.
+
+    `repaired` is a plain set: it gains one entry per retransmission, not
+    one per segment held above a hole, so unlike the sender's scoreboard
+    it stays small without `SeqRuns`."""
 
     __slots__ = ("high", "inflation", "repaired", "cursor")
 
@@ -547,6 +630,12 @@ class _LossEpisode:
 class Sender:
     """Window-driven reliable sender with ACK clocking, fast retransmit,
     NewReno-style partial-ACK repair, and an RTO backstop.
+
+    `scoreboard` holds, as `SeqRuns`, the segments at or above `snd_una`
+    that ACKs name as received; each ACK that moves `snd_una` discards
+    those below it. During an episode the receiver's backlog above a hole
+    grows the top run, so the scoreboard stays as small as the holes, and
+    `_repair_one` steps over a whole run at once.
 
     `episode` is the open loss episode or None. Only `_start_episode`
     opens one, resends `snd_una` and calls `on_loss`: at the third
@@ -586,9 +675,7 @@ class Sender:
         self.snd_nxt = 0
         self.dup_acks = 0
         self.episode: _LossEpisode | None = None
-        # Scoreboard built from the per-ACK triggering sequence numbers:
-        # which segments above snd_una the receiver is known to hold.
-        self.scoreboard: set[int] = set()
+        self.scoreboard = SeqRuns()
         self.max_received = -1
         self.srtt_us: float | None = None
         self.rttvar_us: float = 0.0
@@ -776,12 +863,18 @@ class Sender:
         Returns True when a retransmission went out."""
         high = episode.high
         cursor = max(episode.cursor, self.snd_una)
+        first_absent = self.scoreboard.first_absent
+        repaired = episode.repaired
         while cursor < high:
-            if cursor in self.scoreboard or cursor in episode.repaired:
+            cursor = first_absent(cursor)
+            if cursor >= high:
+                cursor = high
+                break
+            if cursor in repaired:
                 cursor += 1
                 continue
             if self.max_received - cursor >= DUP_ACK_THRESHOLD:
-                episode.repaired.add(cursor)
+                repaired.add(cursor)
                 episode.cursor = cursor + 1
                 self._retransmit(cursor)
                 return True
@@ -821,13 +914,8 @@ class Sender:
         if ackno > snd_una:
             newly = ackno - snd_una
             scoreboard = self.scoreboard
-            if scoreboard:
-                for seq in range(snd_una, ackno):
-                    scoreboard.discard(seq)
-                if not scoreboard:
-                    # Hand back the table a loss episode grew: a set does
-                    # not shrink as its entries are discarded.
-                    scoreboard.clear()
+            if scoreboard.lo:
+                scoreboard.discard_below(ackno)
             self.snd_una = ackno
             self.dup_acks = 0
 

@@ -352,6 +352,7 @@ BAD_INPUTS = [
     ["run", "--builtin", "steady", "--algo", "probe_rate",
      "--set", "probe_rate.startup_pacing_gain=0"],
     ["run", "--builtin", "steady", "--set", 'seed="x"'],
+    ["run", "--builtin", "steady", "--seed", "-5"],
     ["run", "--builtin", "steady", "--set", "name=5"],
     ["run", "--builtin", "steady", "--set", "buffer_bdp=true"],
     ["run", "--builtin", "steady", "--set", "buffer_bdp=NaN"],

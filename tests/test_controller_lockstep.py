@@ -8,9 +8,10 @@ records every `on_ack` / `on_loss` call the simulator makes in five runs,
 two of them with every parameter the controllers copy into a slot away
 from its default, with a copy of each ACK record, and replays each flow's
 calls into a fresh controller and into a reference driver. The reference
-is built only from the state-value functions of `cubic.py` and
-`roccet.py` (`update_rtt_min`, `update_srrtt`, `accumulate_interval`,
-`cubic_on_ack` and the LAUNCH / ORBITER checks and transitions) and
+is built only from the state-value functions of `cubic.py`, `roccet.py`
+and `reference_steps.py` (`update_rtt_min`, `update_srrtt`,
+`accumulate_interval`, `cubic_on_ack` and the LAUNCH / ORBITER checks and
+transitions) and
 imports nothing from `controllers.py`. After every call both must hold exactly the same state,
 the same values of the same types compared through `repr`, and the
 controller's `ce_events` must equal the congestion events the reference
@@ -18,6 +19,8 @@ logged itself.
 """
 
 from copy import copy
+
+from reference_steps import accumulate_interval, update_rtt_min
 
 from roccet_lab import simulator
 from roccet_lab.cc_types import CcState, CubicParams, Phase
@@ -29,14 +32,12 @@ from roccet_lab.roccet import (
     OrbiterDecision,
     RoccetParams,
     RoccetState,
-    accumulate_interval,
     apply_launch_exit,
     apply_roccet_ce,
     launch_check,
     orbiter_check,
     orbiter_on_loss,
     reset_interval,
-    update_rtt_min,
     update_srrtt,
 )
 

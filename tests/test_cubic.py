@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_steps import cubic_target
 
 import roccet_lab
 from roccet_lab.cc_types import AckInfo, CcState, CubicParams, Phase
@@ -14,7 +15,6 @@ from roccet_lab.cubic import (
     cubic_k,
     cubic_on_ack,
     cubic_on_congestion_event,
-    cubic_target,
     cubic_window,
 )
 from roccet_lab.roccet import (

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from reference_steps import accumulate_interval, update_rtt_min
 
 from roccet_lab.cc_types import AckInfo, CcState, CubicParams, Phase
 from roccet_lab.controllers import RoccetController
@@ -13,14 +14,12 @@ from roccet_lab.roccet import (
     OrbiterDecision,
     RoccetParams,
     RoccetState,
-    accumulate_interval,
     apply_launch_exit,
     apply_roccet_ce,
     launch_check,
     orbiter_check,
     orbiter_on_loss,
     reset_interval,
-    update_rtt_min,
     update_srrtt,
 )
 
