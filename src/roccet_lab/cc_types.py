@@ -1,10 +1,10 @@
 """Shared congestion-controller types.
 
-CUBIC, ROCCET and Reno share the `CcState` record, and every controller
-reads one `AckInfo` per ACK; all of them count in segments and
-microseconds. The transition functions are pure: each takes a state value
-plus event data and returns a new state. The CUBIC and ROCCET controllers
-keep their state field by field and run the per-ACK steps in place (see
+CUBIC and ROCCET share the `CcState` record, and every controller reads
+one `AckInfo` per ACK; all of them count in segments and microseconds.
+CUBIC's and ROCCET's transition functions are pure: each takes a state
+value plus event data and returns a new state. Every controller keeps its
+state field by field and runs the per-ACK step in place (see
 `controllers`). One event loop owns each flow's state at a time; nothing
 here is shared or locked.
 """
@@ -52,10 +52,8 @@ class CcState(Record):
     threshold to the largest representable value. `epoch_start_us` and
     `cwnd_epoch` anchor CUBIC's growth curve (when the epoch began and the
     window it began from); `cubic.start_epoch` sets both whenever CUBIC or
-    ROCCET enter congestion avoidance. Reno's congestion avoidance leaves
-    them unset. `w_est` is the Reno-equivalent companion window that floors
-    CUBIC growth in its friendly region. `ca_acked` is a
-    fractional-increase accumulator used by the Reno controller.
+    ROCCET enter congestion avoidance. `w_est` is the Reno-equivalent
+    companion window that floors CUBIC growth in its friendly region.
     """
 
     cwnd: float = INITIAL_CWND
@@ -65,7 +63,6 @@ class CcState(Record):
     cwnd_epoch: float = 0.0
     w_est: float = 0.0
     phase: Phase = Phase.SLOW_START
-    ca_acked: float = 0.0
 
 
 class AckInfo:

@@ -286,10 +286,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for path in args.paths:
             trace_path, flows, ce_counts = _report_one(path)
             for fid, cols in flows.items():
-                table = summarize(cols)
-                counts = ce_counts.get(fid, {})
-                rows.append((trace_path, fid, table, counts))
-    except (TraceFormatError, MetricsError, OSError) as exc:
+                try:
+                    table = summarize(cols)
+                except MetricsError:  # no sRTT past the warm-up: n/a, as in summary.txt
+                    table = None
+                rows.append((trace_path, fid, table, ce_counts.get(fid, {})))
+    except (TraceFormatError, OSError) as exc:
         return _fail("bad-trace", str(exc), EXIT_VALIDATION)
 
     header = (
@@ -300,11 +302,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     lines = [header, "-" * len(header)]
     for trace_path, fid, table, counts in rows:
-        s, g = table["srtt_ms"], table["goodput_mbps"]
+        if table is None:
+            stats = "".join(f"{'n/a':>{width}}" for width in (9, 8, 8, 9, 10, 8, 8, 9))
+        else:
+            s, g = table["srtt_ms"], table["goodput_mbps"]
+            stats = (
+                f"{s['p25']:>9.1f}{s['p50']:>8.1f}{s['p75']:>8.1f}{s['max']:>9.1f}"
+                f"{g['p25']:>10.3f}{g['p50']:>8.3f}{g['p75']:>8.3f}{g['max']:>9.3f}"
+            )
         lines.append(
-            f"{Path(trace_path).parent.name + '/' + Path(trace_path).name:<32}{fid:<16}"
-            f"{s['p25']:>9.1f}{s['p50']:>8.1f}{s['p75']:>8.1f}{s['max']:>9.1f}"
-            f"{g['p25']:>10.3f}{g['p50']:>8.3f}{g['p75']:>8.3f}{g['max']:>9.3f}"
+            f"{Path(trace_path).parent.name + '/' + Path(trace_path).name:<32}{fid:<16}{stats}"
             f"{counts.get('roccet_ce', 0):>10}{counts.get('loss_ce', 0):>8}"
             f"{counts.get('launch_exit', 0):>7}"
         )

@@ -1,5 +1,5 @@
-"""Controller adapters binding the transition functions to the
-simulator's per-flow event stream.
+"""The four congestion controllers the simulator drives, one per
+algorithm, each a slotted class that updates its state in place.
 
 Every controller has the same contract: `on_ack(ack)` takes the one
 `AckInfo` record the sender refills per ACK (the transport's smoothed
@@ -9,41 +9,46 @@ in segments, a pacing rate in segments per second (None unless it
 paces), and `ce_events`, its one log of congestion events for the trace.
 `CONTROLLERS` maps each algorithm name to its builder.
 
-The CUBIC and ROCCET controllers hold their state field by field and run
-the per-ACK path in place as straight-line code: the congestion-avoidance
-step of `cubic.cubic_on_ack` and ROCCET's signal updates (the rtt_min
-tracker, `roccet.update_srrtt` and the interval counters, whose
-state-value forms are in `tests/reference_steps.py`) are written out here
-with the same operations in the same order, so every float comes out bit
-for bit as the state-value function's would. Those functions stay the
-reference: `tests/test_controller_lockstep.py` replays
-recorded runs through these controllers and through a driver built from
-them, and checks that both hold the same state, and the same congestion
-events, after every call. The `cc` (and `roc`) attributes read and assign
-whole `CcState` / `RoccetState` values, which is how the rarer
-transitions (congestion events, LAUNCH/ORBITER checks) are applied.
+Reno and the rate-probing comparator are written here whole. The CUBIC
+and ROCCET controllers run the per-ACK path as straight-line code: the
+congestion-avoidance step of `cubic.cubic_on_ack` and ROCCET's signal
+updates (the rtt_min tracker, `roccet.update_srrtt` and the interval
+counters, whose state-value forms are in `tests/reference_steps.py`) are
+written out here with the same operations in the same order, so every
+float comes out bit for bit as the state-value function's would. Those
+functions stay the reference: `tests/test_controller_lockstep.py`
+replays recorded runs through these controllers and through a driver
+built from them, and checks that both hold the same state, and the same
+congestion events, after every call. The `cc` (and `roc`) attributes
+read and assign whole `CcState` / `RoccetState` values, which is how the
+rarer transitions (congestion events, LAUNCH/ORBITER checks) are
+applied.
 
-The per-ACK code reads only instance slots and module constants, the
-kinds of name CPython 3.11 specializes. The two `Phase` members are bound
-once below as `_SLOW_START` and `_CONGESTION_AVOIDANCE`; an `Enum` member
-read through its class goes through `EnumType.__getattr__` each time.
-Every parameter the per-ACK code reads is copied into a slot when the
-controller is built: `_c_scale` and `_freeze` from `cubic_params` (beside
-`_aimd_inc`, the Reno-equivalent increment derived from it), and
-`_alpha`, `_launch_interval_us`, `_orbiter_interval_rtts`, `_refresh`,
+The CUBIC and ROCCET per-ACK code reads only instance slots and module
+constants, the kinds of name CPython 3.11 specializes. The two `Phase`
+members are bound once below as `_SLOW_START` and
+`_CONGESTION_AVOIDANCE`; an `Enum` member read through its class goes
+through `EnumType.__getattr__` each time. Every parameter the per-ACK
+code reads is copied into a slot when the controller is built:
+`_c_scale` and `_freeze` from `cubic_params` (beside `_aimd_inc`, the
+Reno-equivalent increment derived from it), and `_alpha`,
+`_launch_interval_us`, `_orbiter_interval_rtts`, `_refresh`,
 `_refresh_age_us` and `_refresh_alpha` from ROCCET's `params`.
 `cubic_params` and `params` stay the source of truth for the rarer
 transitions. Likewise `pacing_segs_per_s`, which the sender reads for
-every segment, is an instance attribute of every controller: a read of
-a class attribute through an instance does not specialize in 3.11.
+every segment, is an instance attribute of every controller: a read of a
+class attribute through an instance does not specialize in 3.11.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 
-from .cc_types import MIN_CWND, AckInfo, CcState, CubicParams, Phase
-from . import cubic, probe_rate, reno, roccet
+from .cc_types import INITIAL_CWND, MIN_CWND, AckInfo, CcState, CubicParams, Phase
+from . import cubic, roccet
+from .probe_rate import (
+    BW_FILTER_ROUNDS, DRAIN, LOSS_BETA, PROBE_BW, PROBE_GAINS, PROBE_RTT, STARTUP, ProbeRateParams,
+)
 from .roccet import CeKind, LaunchDecision, OrbiterDecision, RoccetParams, RoccetState
 
 _CC_FIELDS = CcState._fields
@@ -126,45 +131,174 @@ class CubicController(_InPlaceCubic):
 
 
 class RenoController:
+    """Classic AIMD (Reno-style) baseline, paused while the transport
+    repairs a loss. Slow start adds each newly acked segment; congestion
+    avoidance adds one segment per window of acknowledged segments, counted
+    in `_ca_acked` so the increase is exact rather than drifting with
+    1/cwnd summation; any congestion event halves the window."""
+
+    __slots__ = ("cwnd", "ssthresh", "phase", "ce_events", "pacing_segs_per_s", "_ca_acked")
+
     def __init__(self):
         self.pacing_segs_per_s = None  # never paces
-        self.state = CcState()
+        self.cwnd = INITIAL_CWND
+        self.ssthresh: float | None = None
+        self.phase = _SLOW_START
+        self._ca_acked = 0.0
         self.ce_events: list[tuple[int, str]] = []
-
-    @property
-    def cwnd(self) -> float:
-        return self.state.cwnd
 
     def on_ack(self, ack: AckInfo) -> None:
         if ack.in_recovery:
             return
-        self.state = reno.reno_on_ack(self.state, ack)
+        if self.phase is _SLOW_START:
+            cwnd = self.cwnd + ack.newly_acked
+            ssthresh = self.ssthresh
+            if ssthresh is not None and cwnd >= ssthresh:
+                self.cwnd = ssthresh
+                self.phase = _CONGESTION_AVOIDANCE
+            else:
+                self.cwnd = cwnd
+        else:
+            acked = self._ca_acked + ack.newly_acked
+            cwnd = self.cwnd
+            while acked >= cwnd:
+                acked -= cwnd
+                cwnd += 1.0
+            self.cwnd = cwnd
+            self._ca_acked = acked
 
     def on_loss(self, now_us: int) -> None:
-        self.state = reno.reno_on_congestion_event(self.state)
+        cwnd = self.cwnd / 2.0
+        self.cwnd = self.ssthresh = cwnd if cwnd > MIN_CWND else MIN_CWND
+        self._ca_acked = 0.0
+        self.phase = _CONGESTION_AVOIDANCE
         self.ce_events.append((now_us, CeKind.LOSS_CE.value))
 
 
 class ProbeRateController:
-    def __init__(self, params: probe_rate.ProbeRateParams):
+    """The rate-probing comparator of `probe_rate`, paused while the
+    transport repairs a loss. `bw_window` holds the delivery rates of the
+    last `BW_FILTER_ROUNDS` ACK-clocked rounds and `max_bw` their maximum.
+    Each mode sets `pacing_gain` as it starts; the pacing rate is that gain
+    times `max_bw`, and stays None until a rate has been measured. Every
+    mode past STARTUP has measured one, so its BDP is above 0."""
+
+    __slots__ = (
+        "params", "cwnd", "mode", "min_rtt_us", "min_rtt_stamp_us", "probe_rtt_best_us",
+        "probe_rtt_done_us", "round_index", "round_start_us", "round_acked", "bw_window",
+        "max_bw", "full_bw", "full_bw_count", "gain_index", "cycle_stamp_us", "pacing_gain",
+        "pacing_segs_per_s", "ce_events",
+    )
+
+    def __init__(self, params: ProbeRateParams):
         self.params = params
-        self.model = probe_rate.ProbeRateState()
+        self.cwnd = INITIAL_CWND
+        self.mode = STARTUP
+        self.min_rtt_us: int | None = None
+        self.min_rtt_stamp_us = 0
+        self.probe_rtt_best_us: int | None = None
+        self.probe_rtt_done_us = 0
+        self.round_index = 0
+        self.round_start_us = 0
+        self.round_acked = 0.0
+        self.bw_window: tuple[tuple[int, float], ...] = ()  # (round, segs per second)
+        self.max_bw = 0.0
+        self.full_bw = 0.0
+        self.full_bw_count = 0
+        self.gain_index = 0
+        self.cycle_stamp_us = 0
+        self.pacing_gain = params.startup_pacing_gain
         self.pacing_segs_per_s: float | None = None
         self.ce_events: list[tuple[int, str]] = []
-
-    @property
-    def cwnd(self) -> float:
-        return self.model.cwnd
 
     def on_ack(self, ack: AckInfo) -> None:
         if ack.in_recovery:
             return
-        self.model, self.pacing_segs_per_s = probe_rate.probe_rate_on_ack(
-            self.model, ack, self.params
-        )
+        now = ack.now_us
+        sample = ack.rtt_sample_us
+        params = self.params
+        mode = self.mode
+
+        min_rtt = self.min_rtt_us
+        if min_rtt is None or sample < min_rtt:
+            self.min_rtt_us = min_rtt = sample
+            self.min_rtt_stamp_us = now
+        if mode == PROBE_RTT:
+            best = self.probe_rtt_best_us
+            if best is None or sample < best:
+                self.probe_rtt_best_us = sample
+
+        round_acked = self.round_acked + ack.newly_acked
+        if ack.round_start:
+            elapsed = now - self.round_start_us
+            if elapsed > 0 and round_acked > 0:
+                bw = round_acked * 1e6 / elapsed
+                index = self.round_index
+                self.bw_window = window = tuple(
+                    (r, b) for r, b in self.bw_window + ((index, bw),)
+                    if r > index - BW_FILTER_ROUNDS
+                )
+                self.max_bw = max(b for _, b in window)
+            self.round_index += 1
+            self.round_start_us = now
+            round_acked = 0.0
+        self.round_acked = round_acked
+
+        bdp = self.max_bw * min_rtt / 1e6
+        bdp_cwnd = params.cwnd_gain * bdp
+        if not bdp_cwnd > params.min_cwnd:
+            bdp_cwnd = params.min_cwnd
+
+        if mode == STARTUP:
+            self.cwnd += ack.newly_acked
+            if ack.round_start and not ack.is_app_limited:
+                max_bw = self.max_bw
+                if max_bw >= self.full_bw * 1.25 or self.full_bw == 0.0:
+                    self.full_bw = max_bw
+                    self.full_bw_count = 0
+                else:
+                    self.full_bw_count += 1
+                    if self.full_bw_count >= 3:
+                        self.mode = DRAIN
+                        self.pacing_gain = 1.0 / params.startup_pacing_gain
+        elif mode == DRAIN:
+            if ack.in_flight <= bdp:
+                self._enter_probe_bw(now, bdp_cwnd)
+        elif mode == PROBE_BW:
+            cwnd = self.cwnd + ack.newly_acked
+            self.cwnd = bdp_cwnd if bdp_cwnd < cwnd else cwnd
+            if now - self.cycle_stamp_us >= min_rtt:
+                self.gain_index = index = (self.gain_index + 1) % len(PROBE_GAINS)
+                self.pacing_gain = PROBE_GAINS[index]
+                self.cycle_stamp_us = now
+            if now - self.min_rtt_stamp_us > params.min_rtt_window_us:
+                self.mode = PROBE_RTT
+                self.pacing_gain = 1.0
+                self.probe_rtt_done_us = now + params.probe_rtt_duration_us
+                self.probe_rtt_best_us = None
+                self.cwnd = params.min_cwnd
+        else:  # PROBE_RTT
+            self.cwnd = params.min_cwnd
+            if now >= self.probe_rtt_done_us:
+                if self.probe_rtt_best_us is not None:
+                    self.min_rtt_us = self.probe_rtt_best_us
+                self.min_rtt_stamp_us = now
+                self._enter_probe_bw(now, bdp_cwnd)
+
+        if self.max_bw > 0.0:
+            self.pacing_segs_per_s = self.pacing_gain * self.max_bw
+
+    def _enter_probe_bw(self, now_us: int, cwnd: float) -> None:
+        self.mode = PROBE_BW
+        self.gain_index = 0
+        self.pacing_gain = PROBE_GAINS[0]
+        self.cycle_stamp_us = now_us
+        self.cwnd = cwnd
 
     def on_loss(self, now_us: int) -> None:
-        self.model = probe_rate.probe_rate_on_loss(self.model, self.params)
+        cwnd = self.cwnd * LOSS_BETA
+        min_cwnd = self.params.min_cwnd
+        self.cwnd = cwnd if cwnd > min_cwnd else min_cwnd
         self.ce_events.append((now_us, CeKind.LOSS_CE.value))
 
 

@@ -289,6 +289,10 @@ class ScenarioSpec(Record):
             window = self.loss.window_us
             if window is not None and not (len(window) == 2 and window[0] < window[1]):
                 raise ScenarioError(f"loss.window_us must be (start, end), start < end: {window}")
+            if window is None and (self.loss.drop_prob > 0 or self.loss.jitter_us > 0):
+                raise ScenarioError(
+                    "loss.drop_prob and loss.jitter_ms act only inside loss.window_s, which is null"
+                )
         self.link.queue_capacity(self.buffer_bdp)  # raises unless finite, as the run would
         if require_flows and not self.flows:
             raise ScenarioError("scenario needs at least one flow")

@@ -118,30 +118,24 @@ def percentile_nearest_rank(values: list[float], pct: float) -> float:
 def summarize(series: dict[str, list[float]] | FlowTrace) -> dict[str, dict[str, float]]:
     """p25/p50/p75/max table for sRTT and goodput past the warm-up window.
 
-    Accepts either a run's FlowTrace, read sample by sample, or a
-    parsed-CSV column dict, timed by its own `t_ms` column. For a
-    FlowTrace the warm-up is measured from the flow's start to its last
-    sample, and samples without an sRTT yet are left out of the sRTT
-    table.
+    Accepts either a run's FlowTrace or a parsed-CSV column dict; both are
+    timed by their samples, so a run's summary and a report of its
+    `trace.csv` read the same rows. The warm-up is measured from a flow's
+    first sample to its last, and samples without an sRTT yet are left
+    out of the sRTT table.
     """
     if isinstance(series, FlowTrace):
         samples = series.samples
-        start = series.start_us / 1000
-        end = samples[-1].t_us / 1000 if samples else start
-        cut = start + WARMUP_FRACTION * (end - start)
-        srtt_vals = [
-            s.srtt_us / 1000 for s in samples if s.srtt_us > 0 and s.t_us / 1000 >= cut
-        ]
-        good_vals = [s.goodput_mbps for s in samples if s.t_us / 1000 >= cut]
+        times = [s.t_us / 1000 for s in samples]
+        srtts = [s.srtt_us / 1000 for s in samples]
+        goodputs = [s.goodput_mbps for s in samples]
     else:
-        times = series["t_ms"]
-        if not times:
-            raise MetricsError("summarize: empty trace")
-        cut = times[0] + WARMUP_FRACTION * (times[-1] - times[0])
-        srtt_vals = [
-            v for t, v in zip(times, series["srtt_ms"]) if t >= cut and v > 0
-        ]
-        good_vals = [v for t, v in zip(times, series["goodput_mbps"]) if t >= cut]
+        times, srtts, goodputs = series["t_ms"], series["srtt_ms"], series["goodput_mbps"]
+    if not times:
+        raise MetricsError("summarize: empty trace")
+    cut = times[0] + WARMUP_FRACTION * (times[-1] - times[0])
+    srtt_vals = [v for t, v in zip(times, srtts) if t >= cut and v > 0]
+    good_vals = [v for t, v in zip(times, goodputs) if t >= cut]
     if not srtt_vals or not good_vals:
         raise MetricsError(
             f"summarize: no samples after warm-up (window starts at {cut:.1f} ms)"

@@ -126,7 +126,7 @@ def test_the_records_build_no_namedtuple():
     # `typing.NamedTuple` builds each class through `collections.namedtuple`,
     # which `eval`s a generated `__new__`, and compiles each of its string
     # annotations into a `ForwardRef`: about half of a fresh import of the
-    # CLI went to the 16 records. A `Record` reads its annotation names
+    # CLI went to the records. A `Record` reads its annotation names
     # only, so importing the CLI never calls `namedtuple`.
     probe = (
         "import collections\n"
@@ -144,7 +144,7 @@ def test_the_records_build_no_namedtuple():
     classes = _lab_classes()
     tuples = {name for name, cls in classes.items() if issubclass(cls, tuple)}
     records = {name for name, cls in classes.items() if issubclass(cls, Record)}
-    assert tuples == records and len(records) == 17  # the 16 records and Record
+    assert tuples == records and len(records) == 16  # the 15 records and Record
 
 
 def test_the_cli_imports_no_hashlib():

@@ -1,6 +1,7 @@
 """Byte-identity pins: the sha256 of `trace.csv` and of the whole
 `events.json` (`events_processed` included) for every builtin at its
-default algorithm, for `steady` under each algorithm, for five variants
+default algorithm, for `steady` under each algorithm and once more
+under probe_rate through PROBE_RTT, for five variants
 that reach source, loss and controller paths no builtin does, and for
 one fairness cell whose drops put ROCCET flows through loss repair, at
 shortened horizons; and the sha256 of the debug packet log of two of
@@ -24,7 +25,9 @@ from roccet_lab.roccet import RoccetParams
 from roccet_lab.simulator import run
 
 # (builtin, algo or None for the default, horizon in s): bw-halving runs
-# past its 15 s rate cut, frozen-cwnd past both injected drops.
+# past its 15 s rate cut, frozen-cwnd past both injected drops, and the
+# 12 s probe_rate run enters PROBE_RTT at 10.04 s and leaves it (the 6 s
+# one stops in PROBE_BW).
 CASES = {
     "bw-halving": ("bw-halving", None, 16.0),
     "frozen-cwnd": ("frozen-cwnd", None, 5.0),
@@ -34,6 +37,7 @@ CASES = {
     "steady-reno": ("steady", "reno", 6.0),
     "steady-roccet": ("steady", "roccet", 6.0),
     "steady-probe_rate": ("steady", "probe_rate", 6.0),
+    "steady-probe_rate-probe-rtt": ("steady", "probe_rate", 12.0),
     "app-limited-duration": ("frozen-cwnd", None, 5.0),
     "greedy-duration": ("steady", "roccet", 4.0),
     "loss-window-jitter": ("fairness-10x40", None, 5.0),
@@ -124,6 +128,10 @@ DIGESTS = {
     "steady-probe_rate": (
         "bf7c43e5e7e1a13539afffadc6ac901910d494d344b0c9210a0f92b32cee3b2a",
         "21e15f73041eaac25323a6a904c210a4ccc96e86676fe637f8ac9b09f2f300c3",
+    ),
+    "steady-probe_rate-probe-rtt": (
+        "89d011b5419b0abf3cd549ecf6ace4a394dc446829f1ca5392f9bfa11fe8aa3d",
+        "bd8a3dbfb2d1e717e529567054dcba044964c189e055b0777035f3d16e1d4208",
     ),
     "app-limited-duration": (
         "d7926caf4e28f1e9c0abe600f83dd60a53a8ec8dcd40777a3a5e487765029876",

@@ -184,16 +184,52 @@ class TestReport:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
-    def test_no_samples_after_warmup_names_window(self, tmp_path, capsys):
+    def test_no_samples_after_warmup_prints_na(self, tmp_path, capsys):
         rows = ["# roccet-lab trace v1",
                 "time_ms,flow_id,cwnd_seg,srtt_ms,goodput_mbps,queue_seg"]
-        # srtt never becomes positive, so the post-warm-up window is empty
+        # srtt never becomes positive, so the post-warm-up window is empty:
+        # a well-formed trace with nothing to summarize, as summary.txt says
         rows += [f"{t}.000,f,10.000,0.000,1.000000,0" for t in range(0, 100, 10)]
-        bad = tmp_path / "trace.csv"
-        bad.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        code = run_cli("report", str(bad))
-        assert code == 1
-        assert "warm-up" in capsys.readouterr().err
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = run_cli("report", str(trace))
+        assert code == 0
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert row.split()[-11:] == ["n/a"] * 8 + ["0"] * 3
+
+    def test_flow_started_at_the_horizon_prints_na(self, tmp_path, capsys):
+        # roccet0 starts 20 ms before the horizon and takes no RTT sample.
+        out = tmp_path / "late"
+        assert run_cli(
+            "run", "--builtin", "fairness-10x40", "--set", "horizon_s=1.02",
+            "--set", "flows.0.start_s=1.0", "-o", str(out),
+        ) == 0
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert ["roccet0", "roccet", "0.000", "n/a", "n/a", "0"] in map(str.split, summary)
+        capsys.readouterr()
+        assert run_cli("report", str(out), str(out)) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+        assert [row[1] for row in rows] == ["roccet1", "roccet0"] * 2
+        assert all(row[2:10] == ["n/a"] * 8 for row in rows if row[1] == "roccet0")
+        assert all("n/a" not in row for row in rows if row[1] == "roccet1")
+
+    def test_report_reads_the_percentiles_summary_txt_prints(self, tmp_path, capsys):
+        # summary.txt summarizes the run's samples and report its trace.csv;
+        # both start the warm-up at a flow's first sample, so a flow that
+        # starts between two sample ticks gets the same sRTT p50 and p75.
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", "--builtin", "fairness-10x40", "--set", "horizon_s=1.02", "-o", str(out)
+        ) == 0
+        summary = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        capsys.readouterr()
+        assert run_cli("report", str(out)) == 0
+        report = capsys.readouterr().out.splitlines()[2:]
+        from_summary = {
+            row[0]: row[3:5] for row in map(str.split, summary) if row[:1] in (["roccet0"], ["roccet1"])
+        }
+        from_report = {row[1]: row[3:5] for row in map(str.split, report)}
+        assert from_summary == from_report and len(from_report) == 2
 
     # `events.json` contents beside a good trace that once ended in a
     # traceback.
@@ -365,6 +401,9 @@ BAD_INPUTS = [
     ["run", "--builtin", "steady", "--set", 'loss={"drop_prob":2}'],
     ["run", "--builtin", "steady", "--set", 'loss={"jitter_ms":-5}'],
     ["run", "--builtin", "steady", "--set", 'loss={"window_s":[5,1],"drop_prob":0.1}'],
+    # Random drops and jitter act only inside a window; none is given.
+    ["run", "--builtin", "steady", "--set", 'loss={"drop_prob":0.5}'],
+    ["run", "--builtin", "steady", "--set", 'loss={"jitter_ms":30}'],
     ["run", "--builtin", "steady", "--set", "link.rate_mbps=true"],
     ["run", "--builtin", "steady", "--set", "horizon_s=true"],
     ["run", "--builtin", "steady", "--set", "sample_ms=true"],

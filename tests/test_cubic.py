@@ -216,7 +216,6 @@ _cc_states = st.builds(
     cwnd_epoch=st.floats(min_value=0.0, max_value=1e6),
     w_est=st.floats(min_value=0.0, max_value=1e6),
     phase=st.sampled_from(Phase),
-    ca_acked=st.floats(min_value=0.0, max_value=1e3),
 )
 _cubic_params = st.builds(
     CubicParams,

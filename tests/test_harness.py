@@ -363,7 +363,7 @@ def test_scenario_checks_live_in_the_harness():
         and module.__name__ != "roccet_lab.harness" and hasattr(cls, "validate")
     ]
     assert validating == []
-    for name in ("cc_types", "cubic", "reno", "roccet", "probe_rate"):
+    for name in ("cc_types", "cubic", "roccet", "probe_rate"):
         source = (Path(__file__).parent.parent / "src" / "roccet_lab" / f"{name}.py").read_text(
             encoding="utf-8"
         )

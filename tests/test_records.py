@@ -36,7 +36,7 @@ from roccet_lab.harness import (
     sweep_from_dict,
 )
 from roccet_lab.metrics import FlowMetrics, ShareReport
-from roccet_lab.probe_rate import ProbeRateParams, ProbeRateState
+from roccet_lab.probe_rate import ProbeRateParams
 from roccet_lab.records import Record
 from roccet_lab.roccet import RoccetParams, RoccetState
 from roccet_lab.simulator import LinkSpec, _LossEpisode
@@ -59,7 +59,6 @@ RECORDS = {
     RoccetParams: (lambda: RoccetParams(alpha=0.5), "srrtt_threshold", 2.0),
     RoccetState: (lambda: RoccetState(srrtt=0.5, rtt_min_us=40_000), "rtt_min_us", 41_000),
     ProbeRateParams: (lambda: ProbeRateParams(min_cwnd=8.0), "cwnd_gain", 3.0),
-    ProbeRateState: (lambda: ProbeRateState(bw_window=((1, 500.0),)), "mode", "drain"),
     LinkSpec: (lambda: builtin_scenario("bw-halving").link, "mtu_bytes", 1000),
     SourceSpec: (lambda: SourceSpec(kind="app_limited", rate_bps=20_000_000), "start_us", 5),
     LossSpec: (lambda: builtin_scenario("frozen-cwnd").loss, "jitter_us", 3),
@@ -215,6 +214,25 @@ def test_to_file_keeps_a_record_whole():
     assert _to_file(record, None) is record
     with pytest.raises(ScenarioError, match="must be a tuple"):
         _check_type(LossSpec(), tuple[int, ...], "loss.drop_at_us")
+
+
+@pytest.mark.parametrize("algo", sorted(CONTROLLERS))
+def test_controllers_hold_their_state_in_slots(algo):
+    # A controller keeps its state field by field: every class it is built
+    # from declares `__slots__`, it has no instance `__dict__`, and no field
+    # holds a state record; only the parameter records are kept whole.
+    ctl = CONTROLLERS[algo](builtin_scenario("steady", algo=algo).flows[0])
+    for now_us in range(1_000, 50_000, 1_000):
+        ctl.on_ack(AckInfo(newly_acked=1, rtt_sample_us=40_000, srtt_us=40_000.0, now_us=now_us,
+                           in_flight=10, round_start=now_us % 10_000 == 0))
+    ctl.on_loss(50_000)
+    classes = type(ctl).__mro__[:-1]
+    assert all("__slots__" in vars(cls) for cls in classes)
+    assert not hasattr(ctl, "__dict__")
+    fields = [name for cls in classes for name in vars(cls)["__slots__"]]
+    records = {name: type(getattr(ctl, name)) for name in fields
+               if isinstance(getattr(ctl, name), Record)}
+    assert set(records.values()) <= {CubicParams, RoccetParams, ProbeRateParams}, records
 
 
 # The mutable records, each with its fields (for the first four in the

@@ -1,15 +1,8 @@
-from roccet_lab.cc_types import AckInfo, CcState, Phase
+from roccet_lab.cc_types import AckInfo, Phase
+from roccet_lab.controllers import ProbeRateController, RenoController
 from roccet_lab.harness import builtin_scenario
 from roccet_lab.metrics import flow_metrics
-from roccet_lab.probe_rate import (
-    PROBE_BW,
-    PROBE_RTT,
-    ProbeRateParams,
-    ProbeRateState,
-    probe_rate_on_ack,
-    probe_rate_on_loss,
-)
-from roccet_lab.reno import reno_on_ack, reno_on_congestion_event
+from roccet_lab.probe_rate import PROBE_BW, PROBE_GAINS, PROBE_RTT, ProbeRateParams
 from roccet_lab.simulator import run
 
 
@@ -20,53 +13,65 @@ def ack(newly=1, now_us=0, rtt_us=40_000, in_flight=0, round_start=False):
     )
 
 
+def _with(ctl, fields):
+    for name, value in fields.items():
+        setattr(ctl, name, value)
+    return ctl
+
+
+def reno(**fields):
+    return _with(RenoController(), fields)
+
+
+def probe(**fields):
+    return _with(ProbeRateController(ProbeRateParams()), fields)
+
+
 class TestReno:
     def test_full_window_acked_adds_one(self):
-        state = CcState(cwnd=10.0, phase=Phase.CONGESTION_AVOIDANCE)
+        ctl = reno(cwnd=10.0, phase=Phase.CONGESTION_AVOIDANCE)
         for _ in range(10):
-            state = reno_on_ack(state, ack())
-        assert state.cwnd == 11.0
+            ctl.on_ack(ack())
+        assert ctl.cwnd == 11.0
 
     def test_halving_on_congestion(self):
-        state = CcState(cwnd=20.0)
-        out = reno_on_congestion_event(state)
-        assert out.cwnd == 10.0
-        assert out.ssthresh == 10.0
+        ctl = reno(cwnd=20.0)
+        ctl.on_loss(0)
+        assert ctl.cwnd == 10.0
+        assert ctl.ssthresh == 10.0
 
     def test_slow_start_step(self):
-        state = CcState(cwnd=1.0)
-        assert reno_on_ack(state, ack()).cwnd == 2.0
+        ctl = reno(cwnd=1.0)
+        ctl.on_ack(ack())
+        assert ctl.cwnd == 2.0
 
     def test_ssthresh_crossover_enters_avoidance(self):
-        state = CcState(cwnd=7.0, ssthresh=8.0)
-        out = reno_on_ack(state, ack(newly=4))
-        assert out.cwnd == 8.0
-        assert out.phase is Phase.CONGESTION_AVOIDANCE
+        ctl = reno(cwnd=7.0, ssthresh=8.0)
+        ctl.on_ack(ack(newly=4))
+        assert ctl.cwnd == 8.0
+        assert ctl.phase is Phase.CONGESTION_AVOIDANCE
 
 
 class TestProbeRate:
     def test_startup_doubles_per_round(self):
-        params = ProbeRateParams()
-        pr = ProbeRateState(cwnd=10.0)
+        pr = probe(cwnd=10.0)
         now = 0
         for _ in range(10):  # one round of per-segment ACKs
             now += 4_000
-            pr, _ = probe_rate_on_ack(pr, ack(1, now, in_flight=10), params)
+            pr.on_ack(ack(1, now, in_flight=10))
         assert pr.cwnd == 20.0
 
     def test_probe_rtt_entered_after_quiet_window(self):
-        params = ProbeRateParams()
-        pr = ProbeRateState(cwnd=40.0, mode=PROBE_BW, min_rtt_us=40_000, min_rtt_stamp_us=0,
-                            bw_window=((0, 800.0),), cycle_stamp_us=0)
-        pr, _ = probe_rate_on_ack(
-            pr, ack(1, now_us=10_100_000, rtt_us=41_000, in_flight=40), params
-        )
+        pr = probe(cwnd=40.0, mode=PROBE_BW, min_rtt_us=40_000, min_rtt_stamp_us=0,
+                   bw_window=((0, 800.0),), max_bw=800.0, cycle_stamp_us=0)
+        pr.on_ack(ack(1, now_us=10_100_000, rtt_us=41_000, in_flight=40))
         assert pr.mode == PROBE_RTT
         assert pr.cwnd == 4.0
 
     def test_loss_backoff_floors_at_min_cwnd(self):
-        out = probe_rate_on_loss(ProbeRateState(cwnd=5.0), ProbeRateParams())
-        assert out.cwnd == 4.0
+        pr = probe(cwnd=5.0)
+        pr.on_loss(0)
+        assert pr.cwnd == 4.0
 
     def test_steady_link_pacing_near_bottleneck_rate(self):
         # Simulator steady-state check: the rate model converges near the
@@ -84,24 +89,18 @@ class TestProbeRate:
         # Feed ACKs at exactly the bottleneck pace (10 Mbps, per-segment):
         # once the model leaves startup, unity-gain phases pace at the
         # estimated rate, which must sit near the bottleneck rate.
-        params = ProbeRateParams()
-        pr = ProbeRateState(cwnd=10.0)
+        pr = probe(cwnd=10.0)
         now, seq_interval = 0, 1200  # 1500 B at 10 Mbps
         rate = 10e6 / (8 * 1500)  # the bottleneck, in segments per second
         bdp = rate * 0.04
-        pacing = None
         unity_rates = []
         for i in range(25_000):
             now += seq_interval
             round_start = i % 33 == 0  # ~one 40 ms round of 33 segments
             in_flight = min(pr.cwnd, bdp)  # ACK-paced feed keeps one BDP out
-            pr, pacing = probe_rate_on_ack(
-                pr, ack(1, now, rtt_us=40_000, in_flight=in_flight, round_start=round_start),
-                params,
-            )
+            pr.on_ack(ack(1, now, rtt_us=40_000, in_flight=in_flight, round_start=round_start))
+            pacing = pr.pacing_segs_per_s
             if pr.mode == PROBE_BW and pacing is not None and now > 20e6:
-                from roccet_lab.probe_rate import PROBE_GAINS
-
                 if PROBE_GAINS[pr.gain_index] == 1.0:
                     unity_rates.append(pacing)
         assert unity_rates, "model never reached steady probing"

@@ -493,6 +493,19 @@ class TestPerSegmentCost:
         assert delivered > 8_000
         assert per_segment < 24.0, per_segment
 
+    @pytest.mark.parametrize("algo, budget", [("probe_rate", 26.7), ("reno", 20.8)])
+    def test_steady_calls_per_delivered_segment_within_budget(self, algo, budget):
+        # A 6 s steady run. With its state in slots, updated in place, and
+        # the delivery-rate maximum kept until the filter changes, the
+        # probe_rate controller makes 24.3 calls per segment and reno 18.9;
+        # each ceiling leaves about 10% for change. A state record rebuilt
+        # per ACK through `_replace`, behind an adapter, makes 41.4 and
+        # 23.6.
+        spec = builtin_scenario("steady", algo=algo, seed=1, horizon_s=6.0)
+        per_segment, delivered = self._calls_per_delivered_segment(spec)
+        assert delivered > 4_000
+        assert per_segment < budget, per_segment
+
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_leaves_collector_as_found(self, enabled):
         def set_collector(on):
