@@ -9,17 +9,18 @@ harness needed for bandwidth-share and bandwidth-change studies.
 
 __version__ = "0.1.0"
 
-from .cc_types import AckInfo, CcState, CubicParams, Phase
+from .cc_types import CONGESTION_AVOIDANCE, SLOW_START, AckInfo, CcState, CubicParams
 from .roccet import RoccetParams, RoccetState
 from .harness import ScenarioSpec, SweepSpec, builtin_scenario, run_sweep
 from .simulator import LinkSpec, run
 
 __all__ = [
+    "CONGESTION_AVOIDANCE",
+    "SLOW_START",
     "AckInfo",
     "CcState",
     "CubicParams",
     "LinkSpec",
-    "Phase",
     "RoccetParams",
     "RoccetState",
     "ScenarioSpec",

@@ -11,8 +11,6 @@ here is shared or locked.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .records import Record
 
 #: Conventional initial window, in segments.
@@ -21,10 +19,10 @@ INITIAL_CWND = 10.0
 #: A flow's window never drops below one segment.
 MIN_CWND = 1.0
 
-
-class Phase(Enum):
-    SLOW_START = "slow_start"
-    CONGESTION_AVOIDANCE = "congestion_avoidance"
+#: The two values `CcState.phase` holds. Controllers compare against them
+#: with `is`: no state is pickled, which would copy the string.
+SLOW_START = "slow_start"
+CONGESTION_AVOIDANCE = "congestion_avoidance"
 
 
 class CubicParams(Record):
@@ -62,7 +60,7 @@ class CcState(Record):
     epoch_start_us: int | None = None
     cwnd_epoch: float = 0.0
     w_est: float = 0.0
-    phase: Phase = Phase.SLOW_START
+    phase: str = SLOW_START
 
 
 class AckInfo:

@@ -295,7 +295,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return _fail("bad-trace", str(exc), EXIT_VALIDATION)
 
     header = (
-        f"{'trace':<32}{'flow':<16}"
+        f"{'trace':<31} {'flow':<16}"
         f"{'srtt p25':>9}{'p50':>8}{'p75':>8}{'max':>9}"
         f"{'gput p25':>10}{'p50':>8}{'p75':>8}{'max':>9}"
         f"{'roccet_ce':>10}{'loss_ce':>8}{'launch':>7}"
@@ -311,7 +311,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 f"{g['p25']:>10.3f}{g['p50']:>8.3f}{g['p75']:>8.3f}{g['max']:>9.3f}"
             )
         lines.append(
-            f"{Path(trace_path).parent.name + '/' + Path(trace_path).name:<32}{fid:<16}{stats}"
+            f"{Path(trace_path).parent.name + '/' + Path(trace_path).name:<31} {fid:<16}{stats}"
             f"{counts.get('roccet_ce', 0):>10}{counts.get('loss_ce', 0):>8}"
             f"{counts.get('launch_exit', 0):>7}"
         )

@@ -25,11 +25,8 @@ rarer transitions (congestion events, LAUNCH/ORBITER checks) are
 applied.
 
 The CUBIC and ROCCET per-ACK code reads only instance slots and module
-constants, the kinds of name CPython 3.11 specializes. The two `Phase`
-members are bound once below as `_SLOW_START` and
-`_CONGESTION_AVOIDANCE`; an `Enum` member read through its class goes
-through `EnumType.__getattr__` each time. Every parameter the per-ACK
-code reads is copied into a slot when the controller is built:
+constants, the kinds of name CPython 3.11 specializes. Every parameter
+the per-ACK code reads is copied into a slot when the controller is built:
 `_c_scale` and `_freeze` from `cubic_params` (beside `_aimd_inc`, the
 Reno-equivalent increment derived from it), and `_alpha`,
 `_launch_interval_us`, `_orbiter_interval_rtts`, `_refresh`,
@@ -44,26 +41,26 @@ from __future__ import annotations
 
 from operator import attrgetter
 
-from .cc_types import INITIAL_CWND, MIN_CWND, AckInfo, CcState, CubicParams, Phase
+from .cc_types import (
+    CONGESTION_AVOIDANCE, INITIAL_CWND, MIN_CWND, SLOW_START, AckInfo, CcState, CubicParams,
+)
 from . import cubic, roccet
 from .probe_rate import (
     BW_FILTER_ROUNDS, DRAIN, LOSS_BETA, PROBE_BW, PROBE_GAINS, PROBE_RTT, STARTUP, ProbeRateParams,
 )
-from .roccet import CeKind, LaunchDecision, OrbiterDecision, RoccetParams, RoccetState
+from .roccet import LAUNCH_EXIT, LOSS_CE, ROCCET_CE, RoccetParams, RoccetState
 
 _CC_FIELDS = CcState._fields
 _ROC_FIELDS = RoccetState._fields
 _get_cc = attrgetter(*_CC_FIELDS)
 _get_roc = attrgetter(*_ROC_FIELDS)
-_SLOW_START = Phase.SLOW_START
-_CONGESTION_AVOIDANCE = Phase.CONGESTION_AVOIDANCE
 
 
-class _InPlaceCubic:
+class CubicController:
     """CcState held as one attribute per field, with the CUBIC per-ACK
-    growth applied in place. `cwnd` is a plain attribute. `_epoch` caches
-    `cubic.cubic_epoch` of the current fields (None until first needed);
-    assigning `cc` clears it."""
+    growth applied in place; ROCCET builds on it. `cwnd` is a plain
+    attribute. `_epoch` caches `cubic.cubic_epoch` of the current fields
+    (None until first needed); assigning `cc` clears it."""
 
     __slots__ = _CC_FIELDS + (
         "cubic_params", "ce_events", "pacing_segs_per_s", "_epoch", "_aimd_inc", "_c_scale",
@@ -97,7 +94,7 @@ class _InPlaceCubic:
         if ack.in_recovery or (self._freeze and ack.is_app_limited):
             return
         start = self.epoch_start_us
-        if self.phase is _CONGESTION_AVOIDANCE and start is not None:
+        if self.phase is CONGESTION_AVOIDANCE and start is not None:
             epoch = self._epoch
             if epoch is None:
                 epoch = self._epoch = cubic.cubic_epoch(
@@ -118,16 +115,12 @@ class _InPlaceCubic:
         else:
             self.cc = cubic.cubic_on_ack(self.cc, ack, self.cubic_params)
 
-
-class CubicController(_InPlaceCubic):
-    __slots__ = ()
-
     # The in-place step itself: one Python frame per ACK.
-    on_ack = _InPlaceCubic._cubic_on_ack
+    on_ack = _cubic_on_ack
 
     def on_loss(self, now_us: int) -> None:
         self.cc = cubic.cubic_on_congestion_event(self.cc, self.cubic_params, now_us)
-        self.ce_events.append((now_us, CeKind.LOSS_CE.value))
+        self.ce_events.append((now_us, LOSS_CE))
 
 
 class RenoController:
@@ -143,19 +136,19 @@ class RenoController:
         self.pacing_segs_per_s = None  # never paces
         self.cwnd = INITIAL_CWND
         self.ssthresh: float | None = None
-        self.phase = _SLOW_START
+        self.phase = SLOW_START
         self._ca_acked = 0.0
         self.ce_events: list[tuple[int, str]] = []
 
     def on_ack(self, ack: AckInfo) -> None:
         if ack.in_recovery:
             return
-        if self.phase is _SLOW_START:
+        if self.phase is SLOW_START:
             cwnd = self.cwnd + ack.newly_acked
             ssthresh = self.ssthresh
             if ssthresh is not None and cwnd >= ssthresh:
                 self.cwnd = ssthresh
-                self.phase = _CONGESTION_AVOIDANCE
+                self.phase = CONGESTION_AVOIDANCE
             else:
                 self.cwnd = cwnd
         else:
@@ -171,8 +164,8 @@ class RenoController:
         cwnd = self.cwnd / 2.0
         self.cwnd = self.ssthresh = cwnd if cwnd > MIN_CWND else MIN_CWND
         self._ca_acked = 0.0
-        self.phase = _CONGESTION_AVOIDANCE
-        self.ce_events.append((now_us, CeKind.LOSS_CE.value))
+        self.phase = CONGESTION_AVOIDANCE
+        self.ce_events.append((now_us, LOSS_CE))
 
 
 class ProbeRateController:
@@ -299,10 +292,10 @@ class ProbeRateController:
         cwnd = self.cwnd * LOSS_BETA
         min_cwnd = self.params.min_cwnd
         self.cwnd = cwnd if cwnd > min_cwnd else min_cwnd
-        self.ce_events.append((now_us, CeKind.LOSS_CE.value))
+        self.ce_events.append((now_us, LOSS_CE))
 
 
-class RoccetController(_InPlaceCubic):
+class RoccetController(CubicController):
     """Per-ACK driver for the ROCCET decision flow.
 
     Update order per ACK: refresh rtt_min from the raw sample, recompute
@@ -392,19 +385,19 @@ class RoccetController(_InPlaceCubic):
         if ack.in_recovery:
             return
 
-        if self.phase is _SLOW_START:
+        if self.phase is SLOW_START:
             if (
                 self.interval_start_us is not None
                 and now - self.interval_start_us >= self._launch_interval_us
             ):
-                decision = roccet.launch_check(self.roc, self.params)
+                exits = roccet.launch_check(self.roc, self.params)
                 self._reset_interval(now)
-                if decision is not LaunchDecision.STAY:
+                if exits:
                     before = self.cwnd
                     self.roc, self.cc = roccet.apply_launch_exit(
-                        self.roc, self.cc, now, decision, self.cubic_params
+                        self.roc, self.cc, now, self.cubic_params
                     )
-                    self.ce_events.append((now, CeKind.LAUNCH_EXIT.value))
+                    self.ce_events.append((now, LAUNCH_EXIT))
                     self.launch_exits.append((now, before, self.cwnd))
                     return
         else:
@@ -412,23 +405,23 @@ class RoccetController(_InPlaceCubic):
                 return
             if self.rtts_elapsed_in_interval >= self._orbiter_interval_rtts:
                 params = self.params
-                decision = roccet.orbiter_check(self.roc, now, params)
+                fires = roccet.orbiter_check(self.roc, now, params)
                 self._reset_interval(now)
-                if decision is OrbiterDecision.ROCCET_CE:
+                if fires:
                     self.roc, self.cc = roccet.apply_roccet_ce(
                         self.roc, self.cc, now, params, self.cubic_params
                     )
-                    self.ce_events.append((now, CeKind.ROCCET_CE.value))
+                    self.ce_events.append((now, ROCCET_CE))
                     return
         self._cubic_on_ack(ack)
 
     def on_loss(self, now_us: int) -> None:
         # Loss during slow start is ignored: retransmission is still the
         # transport's job, but the window is left untouched.
-        if self.phase is _SLOW_START or self.params.ignore_loss:
+        if self.phase is SLOW_START or self.params.ignore_loss:
             return
         self.cc = roccet.orbiter_on_loss(self.cc, self.params, self.cubic_params, now_us)
-        self.ce_events.append((now_us, CeKind.LOSS_CE.value))
+        self.ce_events.append((now_us, LOSS_CE))
 
 
 #: Each algorithm's controller, built from one flow's `harness.FlowSpec`.

@@ -30,8 +30,7 @@ and `cubic_on_ack` is the reference it is checked against.
 
 from __future__ import annotations
 
-
-from .cc_types import AckInfo, CcState, CubicParams, MIN_CWND, Phase
+from .cc_types import CONGESTION_AVOIDANCE, MIN_CWND, SLOW_START, AckInfo, CcState, CubicParams
 
 
 def _curve(t_since_epoch_s: float, k: float, origin: float, c_scale: float) -> float:
@@ -75,7 +74,7 @@ def start_epoch(state: CcState, cwnd: float, now_us: int, **changes) -> CcState:
     transition sets (`ssthresh`, `w_max`)."""
     return state._replace(
         cwnd=cwnd, cwnd_epoch=cwnd, w_est=cwnd, epoch_start_us=now_us,
-        phase=Phase.CONGESTION_AVOIDANCE, **changes,
+        phase=CONGESTION_AVOIDANCE, **changes,
     )
 
 
@@ -93,7 +92,7 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
     untouched in any phase.
 
     The CUBIC and ROCCET controllers run this per ACK in place
-    (`controllers._InPlaceCubic._cubic_on_ack`): inside an anchored
+    (`controllers.CubicController._cubic_on_ack`): inside an anchored
     congestion-avoidance epoch they write the congestion-avoidance step
     out on their own fields, with the epoch's K and the Reno-equivalent
     increment kept from its start, and call this function only outside
@@ -103,14 +102,14 @@ def cubic_on_ack(state: CcState, ack: AckInfo, params: CubicParams) -> CcState:
     if params.app_limited_freeze and ack.is_app_limited:
         return state
 
-    if state.phase is Phase.SLOW_START:
+    if state.phase is SLOW_START:
         cwnd = state.cwnd + ack.newly_acked
         if state.ssthresh is not None and cwnd >= state.ssthresh:
             capped = min(cwnd, state.ssthresh)
             return start_epoch(state, capped, ack.now_us, w_max=max(state.w_max, capped))
         return state._replace(cwnd=cwnd)
 
-    if state.phase is Phase.CONGESTION_AVOIDANCE:
+    if state.phase is CONGESTION_AVOIDANCE:
         if state.epoch_start_us is None:
             # Defensive: anchor a fresh epoch rather than growing blind.
             return start_epoch(state, state.cwnd, ack.now_us)

@@ -127,7 +127,11 @@ SOURCE_KEYS: Rows = (
 # FlowSpec attribute it fills, its params class, and its rows.
 SECTIONS: dict[str, tuple[str, type, Rows]] = {
     "cubic": ("cubic", CubicParams, (
-        ("c_scale", "c_scale", None, float, "> 0"),
+        # The acceptance suite's curve identities draw C from 0.05 to 5. At
+        # 1000 a flow's window stays under its slow-start peak; at 1e4 the
+        # default fairness-10x40 cell grows one past five times its queue
+        # plus BDP.
+        ("c_scale", "c_scale", None, float, "in (0, 1000]"),
         ("beta_mult", "beta_mult", None, float, "in (0, 1)"),
         ("fast_convergence", "fast_convergence", None, bool, None),
         ("app_limited_freeze", "app_limited_freeze", None, bool, None),

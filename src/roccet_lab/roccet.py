@@ -36,29 +36,15 @@ controller's `ce_events` is the one log.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .cc_types import CcState, CubicParams, MIN_CWND
 from .cubic import cubic_on_congestion_event, start_epoch
 from .errors import RoccetLabError
 from .records import Record
 
-
-class CeKind(Enum):
-    ROCCET_CE = "roccet_ce"
-    LOSS_CE = "loss_ce"
-    LAUNCH_EXIT = "launch_exit"
-
-
-class LaunchDecision(Enum):
-    STAY = "stay"
-    EXIT_INITIAL = "exit_initial"
-    EXIT_LATER = "exit_later"
-
-
-class OrbiterDecision(Enum):
-    NONE = "none"
-    ROCCET_CE = "roccet_ce"
+#: The kinds of congestion event a controller logs in `ce_events`.
+ROCCET_CE = "roccet_ce"
+LOSS_CE = "loss_ce"
+LAUNCH_EXIT = "launch_exit"
 
 
 class RoccetParams(Record):
@@ -130,51 +116,42 @@ def reset_interval(state: RoccetState, now_us: int) -> RoccetState:
     )
 
 
-def launch_check(state: RoccetState, params: RoccetParams) -> LaunchDecision:
-    """Slow-start exit decision, evaluated once per 100 ms interval.
+def launch_check(state: RoccetState, params: RoccetParams) -> bool:
+    """Whether slow start exits, evaluated once per 100 ms interval.
 
-    Exits when the absolute ACK/cum_cwnd difference reaches the margin
+    True when the absolute ACK/cum_cwnd difference reaches the margin
     AND srrtt is at or above the threshold. The absolute difference keeps
     the check robust to the sign of the imbalance. The caller applies the
     exit (see `apply_launch_exit`) and resets the interval either way.
     """
     deficit = abs(state.acks_in_interval - state.cum_cwnd_in_interval)
-    if deficit >= params.launch_ack_margin and state.srrtt >= params.srrtt_threshold:
-        if state.is_initial_slow_start:
-            return LaunchDecision.EXIT_INITIAL
-        return LaunchDecision.EXIT_LATER
-    return LaunchDecision.STAY
+    return deficit >= params.launch_ack_margin and state.srrtt >= params.srrtt_threshold
 
 
 def apply_launch_exit(
-    state: RoccetState,
-    cc: CcState,
-    now_us: int,
-    decision: LaunchDecision,
-    cubic_params: CubicParams,
+    state: RoccetState, cc: CcState, now_us: int, cubic_params: CubicParams
 ) -> tuple[RoccetState, CcState]:
-    """Apply a LAUNCH exit decision.
+    """Exit slow start after a LAUNCH check returned True.
 
-    The initial slow start exits by halving: cwnd = cwnd / 2 and
-    ssthresh = cwnd. Later slow starts exit through a regular CUBIC
-    congestion event. The halving exit deliberately leaves w_max alone
-    (still unset at this point in a fresh connection): the peak tracker
-    belongs to congestion events, so the first delay-based event after the
-    exit anchors it at a real operating point rather than at the
-    slow-start overshoot.
+    The initial slow start (`state.is_initial_slow_start`) exits by
+    halving: cwnd = cwnd / 2 and ssthresh = cwnd. Later slow starts exit
+    through a regular CUBIC congestion event. The halving exit
+    deliberately leaves w_max alone (still unset at this point in a fresh
+    connection): the peak tracker belongs to congestion events, so the
+    first delay-based event after the exit anchors it at a real operating
+    point rather than at the slow-start overshoot.
     """
-    if decision is LaunchDecision.EXIT_INITIAL:
+    if state.is_initial_slow_start:
         halved = max(MIN_CWND, cc.cwnd / 2.0)
         new_cc = start_epoch(cc, halved, now_us, ssthresh=halved)
-    elif decision is LaunchDecision.EXIT_LATER:
-        new_cc = cubic_on_congestion_event(cc, cubic_params, now_us)
     else:
-        return state, cc
+        new_cc = cubic_on_congestion_event(cc, cubic_params, now_us)
     return state._replace(is_initial_slow_start=False), new_cc
 
 
-def orbiter_check(state: RoccetState, now_us: int, params: RoccetParams) -> OrbiterDecision:
-    """Delay-based congestion decision, evaluated once per five-RTT interval.
+def orbiter_check(state: RoccetState, now_us: int, params: RoccetParams) -> bool:
+    """Whether a delay-based congestion event fires, evaluated once per
+    five-RTT interval.
 
     Inside the drain window nothing fires. Otherwise a congestion event
     requires both conjuncts: the ACK shortfall must exceed the configured
@@ -182,14 +159,12 @@ def orbiter_check(state: RoccetState, now_us: int, params: RoccetParams) -> Orbi
     The caller resets the interval either way.
     """
     if state.drain_until_us is not None and now_us < state.drain_until_us:
-        return OrbiterDecision.NONE
+        return False
     deficit = state.cum_cwnd_in_interval - state.acks_in_interval
-    if (
+    return (
         deficit > params.orbiter_deviation * state.cum_cwnd_in_interval
         and state.srrtt >= params.srrtt_threshold
-    ):
-        return OrbiterDecision.ROCCET_CE
-    return OrbiterDecision.NONE
+    )
 
 
 def apply_roccet_ce(

@@ -149,16 +149,11 @@ def read_trace_csv(path: str) -> dict[str, dict[str, list[float]]]:
                     queue = float(parts[5])
                 except ValueError as exc:
                     raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
-                cols = flows.setdefault(
-                    parts[1],
-                    {
-                        "t_ms": [],
-                        "cwnd_seg": [],
-                        "srtt_ms": [],
-                        "goodput_mbps": [],
-                        "queue_seg": [],
-                    },
-                )
+                cols = flows.get(parts[1])
+                if cols is None:  # not setdefault, which builds five lists per row
+                    cols = flows[parts[1]] = {
+                        "t_ms": [], "cwnd_seg": [], "srtt_ms": [], "goodput_mbps": [], "queue_seg": [],
+                    }
                 cols["t_ms"].append(t_ms)
                 cols["cwnd_seg"].append(cwnd)
                 cols["srtt_ms"].append(srtt)

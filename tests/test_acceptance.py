@@ -10,7 +10,7 @@ import random
 import statistics
 import time
 
-from roccet_lab.cc_types import AckInfo, CubicParams, Phase
+from roccet_lab.cc_types import CONGESTION_AVOIDANCE, AckInfo, CubicParams
 from roccet_lab.controllers import RoccetController
 from roccet_lab.cubic import cubic_k, cubic_window
 from roccet_lab.harness import (
@@ -197,7 +197,7 @@ def test_criterion_7_drain_exactness():
 
     ctl.cc = ctl.cc._replace(
         cwnd=100.0, w_max=120.0, cwnd_epoch=100.0, w_est=100.0,
-        phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=0,
+        phase=CONGESTION_AVOIDANCE, epoch_start_us=0,
     )
     ctl.roc, ctl.cc = apply_roccet_ce(ctl.roc, ctl.cc, 1_000, rp, cp)
     held = ctl.cc.cwnd

@@ -165,6 +165,18 @@ class TestReport:
         assert int(roc.split()[-3]) >= 1  # roccet_ce column
         assert int(cub.split()[-3]) == 0
 
+    def test_long_directory_name_keeps_the_flow_column(self, bw_halving_artifacts, tmp_path, capsys):
+        # A `<dir>/trace.csv` label of 32 characters or more once ran into
+        # the flow id; a short one still lines up under the header.
+        long = tmp_path / ("d" * 32)
+        long.mkdir()
+        for name in ("trace.csv", "events.json"):
+            (long / name).write_bytes((bw_halving_artifacts["cubic"] / name).read_bytes())
+        assert run_cli("report", str(long), str(bw_halving_artifacts["cubic"])) == 0
+        header, _, long_row, short_row = capsys.readouterr().out.splitlines()
+        assert long_row.split()[1] == "cubic0"
+        assert header.index("flow") == short_row.index("cubic0")
+
     def test_malformed_trace_names_file(self, tmp_path, capsys):
         bad = tmp_path / "trace.csv"
         bad.write_text("# wrong header\n", encoding="utf-8")

@@ -23,13 +23,13 @@ from copy import copy
 from reference_steps import accumulate_interval, update_rtt_min
 
 from roccet_lab import simulator
-from roccet_lab.cc_types import CcState, CubicParams, Phase
+from roccet_lab.cc_types import SLOW_START, CcState, CubicParams
 from roccet_lab.cubic import cubic_on_ack, cubic_on_congestion_event
 from roccet_lab.harness import builtin_scenario
 from roccet_lab.roccet import (
-    CeKind,
-    LaunchDecision,
-    OrbiterDecision,
+    LAUNCH_EXIT,
+    LOSS_CE,
+    ROCCET_CE,
     RoccetParams,
     RoccetState,
     apply_launch_exit,
@@ -58,7 +58,7 @@ class ReferenceCubic:
 
     def on_loss(self, now_us):
         self.cc = cubic_on_congestion_event(self.cc, self.cubic_params, now_us)
-        self.ce_log.append((now_us, CeKind.LOSS_CE.value))
+        self.ce_log.append((now_us, LOSS_CE))
 
     def snapshot(self):
         return self.cc, self.cc.cwnd
@@ -89,38 +89,36 @@ class ReferenceRoccet(ReferenceCubic):
         self.roc = accumulate_interval(self.roc, ack.newly_acked, self.cc.cwnd, boundary)
         if ack.in_recovery:
             return
-        if self.cc.phase is Phase.SLOW_START:
+        if self.cc.phase is SLOW_START:
             start = self.roc.interval_start_us
             if start is not None and now - start >= params.launch_interval_us:
-                decision = launch_check(self.roc, params)
+                exits = launch_check(self.roc, params)
                 self._reset(now)
-                if decision is not LaunchDecision.STAY:
-                    self.roc, self.cc = apply_launch_exit(
-                        self.roc, self.cc, now, decision, self.cubic_params
-                    )
-                    self.ce_log.append((now, CeKind.LAUNCH_EXIT.value))
+                if exits:
+                    self.roc, self.cc = apply_launch_exit(self.roc, self.cc, now, self.cubic_params)
+                    self.ce_log.append((now, LAUNCH_EXIT))
                     return
         else:
             drain = self.roc.drain_until_us
             if drain is not None and now < drain:
                 return
             if self.roc.rtts_elapsed_in_interval >= params.orbiter_interval_rtts:
-                decision = orbiter_check(self.roc, now, params)
+                fires = orbiter_check(self.roc, now, params)
                 self._reset(now)
-                if decision is OrbiterDecision.ROCCET_CE:
+                if fires:
                     self.roc, self.cc = apply_roccet_ce(
                         self.roc, self.cc, now, params, self.cubic_params
                     )
-                    self.ce_log.append((now, CeKind.ROCCET_CE.value))
+                    self.ce_log.append((now, ROCCET_CE))
                     return
         self.cc = cubic_on_ack(self.cc, ack, self.cubic_params)
 
     def on_loss(self, now_us):
-        if self.cc.phase is Phase.SLOW_START:
+        if self.cc.phase is SLOW_START:
             return
         self.cc = orbiter_on_loss(self.cc, self.params, self.cubic_params, now_us)
         if not self.params.ignore_loss:
-            self.ce_log.append((now_us, CeKind.LOSS_CE.value))
+            self.ce_log.append((now_us, LOSS_CE))
 
     def snapshot(self):
         return self.cc, self.roc, self.cc.cwnd
@@ -249,7 +247,7 @@ def test_bw_halving_in_lockstep(monkeypatch):
     (rec,) = _record(_bw_halving(), monkeypatch)
     ref = _replay(rec)
     kinds = {kind for _, kind in ref.ce_log}
-    assert {CeKind.LAUNCH_EXIT.value, CeKind.ROCCET_CE.value} <= kinds
+    assert {LAUNCH_EXIT, ROCCET_CE} <= kinds
     assert any(kind == "ack" and ack.is_app_limited for kind, ack in rec.calls)
 
 
@@ -278,7 +276,7 @@ def test_non_default_params_in_lockstep(monkeypatch):
     assert [rec.flow.algo for rec in recs] == ["roccet", "cubic"]
     roccet_rec, cubic_rec = recs
     kinds = {kind for _, kind in _replay(roccet_rec).ce_log}
-    assert {CeKind.LAUNCH_EXIT.value, CeKind.ROCCET_CE.value} <= kinds
+    assert {LAUNCH_EXIT, ROCCET_CE} <= kinds
     assert _refreshes(roccet_rec.calls, _ROCCET_PARAMS) >= 5
     assert _replay(cubic_rec).ce_log
     for rec in recs:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from reference_steps import cubic_target
 
 import roccet_lab
-from roccet_lab.cc_types import AckInfo, CcState, CubicParams, Phase
+from roccet_lab.cc_types import CONGESTION_AVOIDANCE, SLOW_START, AckInfo, CcState, CubicParams
 from roccet_lab.cubic import (
     aimd_increment,
     cubic_k,
@@ -18,7 +18,6 @@ from roccet_lab.cubic import (
     cubic_window,
 )
 from roccet_lab.roccet import (
-    LaunchDecision,
     RoccetParams,
     RoccetState,
     apply_launch_exit,
@@ -133,7 +132,7 @@ class TestOnAck:
         state = CcState(cwnd=10.0)
         state = cubic_on_ack(state, ack(newly=10), P)
         assert state.cwnd == 20.0
-        assert state.phase is Phase.SLOW_START
+        assert state.phase is SLOW_START
 
     def test_congestion_avoidance_continuity_at_epoch(self):
         state = CcState(cwnd=100.0)
@@ -143,13 +142,13 @@ class TestOnAck:
 
     def test_growth_step_bounded(self):
         state = CcState(cwnd=70.0, w_max=100.0, cwnd_epoch=70.0, w_est=70.0,
-                        phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=0)
+                        phase=CONGESTION_AVOIDANCE, epoch_start_us=0)
         grown = cubic_on_ack(state, ack(newly=1, now_us=2_000_000), P)
         target = cubic_target(2.0, 100.0, 70.0, P)
         assert grown.cwnd - state.cwnd <= (target - state.cwnd) / state.cwnd + 1e-12
 
     def test_app_limited_freeze_any_phase(self):
-        for phase in (Phase.SLOW_START, Phase.CONGESTION_AVOIDANCE):
+        for phase in (SLOW_START, CONGESTION_AVOIDANCE):
             state = CcState(cwnd=50.0, phase=phase, epoch_start_us=0, w_max=80.0)
             frozen = cubic_on_ack(state, ack(newly=5, app_limited=True), P)
             assert frozen == state
@@ -162,7 +161,7 @@ class TestOnAck:
 
     def test_freeze_property_any_number_of_acks(self):
         rng = random.Random(3)
-        state = CcState(cwnd=64.0, phase=Phase.CONGESTION_AVOIDANCE,
+        state = CcState(cwnd=64.0, phase=CONGESTION_AVOIDANCE,
                         epoch_start_us=0, w_max=80.0, cwnd_epoch=64.0, w_est=64.0)
         now = 0
         for _ in range(500):
@@ -178,7 +177,7 @@ class TestCongestionEvent:
         assert out.w_max == 100.0
         assert math.isclose(out.cwnd, 70.0, rel_tol=1e-9)
         assert out.ssthresh == out.cwnd
-        assert out.phase is Phase.CONGESTION_AVOIDANCE
+        assert out.phase is CONGESTION_AVOIDANCE
         assert out.epoch_start_us == 1
 
     def test_fast_convergence_below_peak(self):
@@ -215,7 +214,7 @@ _cc_states = st.builds(
     epoch_start_us=st.none() | st.integers(min_value=0, max_value=10**12),
     cwnd_epoch=st.floats(min_value=0.0, max_value=1e6),
     w_est=st.floats(min_value=0.0, max_value=1e6),
-    phase=st.sampled_from(Phase),
+    phase=st.sampled_from((SLOW_START, CONGESTION_AVOIDANCE)),
 )
 _cubic_params = st.builds(
     CubicParams,
@@ -228,21 +227,21 @@ _cubic_params = st.builds(
 # Every transition into congestion avoidance, each from a state that takes it.
 EPOCH_STARTS = {
     "slow-start exit at ssthresh": lambda cc, params, now_us: cubic_on_ack(
-        cc._replace(phase=Phase.SLOW_START, ssthresh=cc.cwnd), ack(now_us=now_us), params
+        cc._replace(phase=SLOW_START, ssthresh=cc.cwnd), ack(now_us=now_us), params
     ),
     "anchor for an epoch-less congestion avoidance": lambda cc, params, now_us: cubic_on_ack(
-        cc._replace(phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=None),
+        cc._replace(phase=CONGESTION_AVOIDANCE, epoch_start_us=None),
         ack(now_us=now_us),
         params,
     ),
     "cubic_on_congestion_event": lambda cc, params, now_us: cubic_on_congestion_event(
         cc, params, now_us
     ),
-    "apply_launch_exit EXIT_INITIAL": lambda cc, params, now_us: apply_launch_exit(
-        RoccetState(), cc, now_us, LaunchDecision.EXIT_INITIAL, params
+    "apply_launch_exit initial": lambda cc, params, now_us: apply_launch_exit(
+        RoccetState(), cc, now_us, params
     )[1],
-    "apply_launch_exit EXIT_LATER": lambda cc, params, now_us: apply_launch_exit(
-        RoccetState(), cc, now_us, LaunchDecision.EXIT_LATER, params
+    "apply_launch_exit later": lambda cc, params, now_us: apply_launch_exit(
+        RoccetState(is_initial_slow_start=False), cc, now_us, params
     )[1],
     "apply_roccet_ce": lambda cc, params, now_us: apply_roccet_ce(
         RoccetState(), cc, now_us, RoccetParams(), params
@@ -255,7 +254,7 @@ EPOCH_STARTS = {
 @given(cc=_cc_states, params=_cubic_params, now_us=st.integers(min_value=0, max_value=10**12))
 def test_every_epoch_start_anchors_the_curve_at_the_new_window(transition, cc, params, now_us):
     out = EPOCH_STARTS[transition](cc, params, now_us)
-    assert out.phase is Phase.CONGESTION_AVOIDANCE
+    assert out.phase is CONGESTION_AVOIDANCE
     assert out.epoch_start_us == now_us
     assert out.cwnd_epoch == out.w_est == out.cwnd
 

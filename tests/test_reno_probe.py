@@ -1,4 +1,4 @@
-from roccet_lab.cc_types import AckInfo, Phase
+from roccet_lab.cc_types import CONGESTION_AVOIDANCE, AckInfo
 from roccet_lab.controllers import ProbeRateController, RenoController
 from roccet_lab.harness import builtin_scenario
 from roccet_lab.metrics import flow_metrics
@@ -29,7 +29,7 @@ def probe(**fields):
 
 class TestReno:
     def test_full_window_acked_adds_one(self):
-        ctl = reno(cwnd=10.0, phase=Phase.CONGESTION_AVOIDANCE)
+        ctl = reno(cwnd=10.0, phase=CONGESTION_AVOIDANCE)
         for _ in range(10):
             ctl.on_ack(ack())
         assert ctl.cwnd == 11.0
@@ -49,7 +49,7 @@ class TestReno:
         ctl = reno(cwnd=7.0, ssthresh=8.0)
         ctl.on_ack(ack(newly=4))
         assert ctl.cwnd == 8.0
-        assert ctl.phase is Phase.CONGESTION_AVOIDANCE
+        assert ctl.phase is CONGESTION_AVOIDANCE
 
 
 class TestProbeRate:

@@ -4,14 +4,12 @@ import random
 import pytest
 from reference_steps import accumulate_interval, update_rtt_min
 
-from roccet_lab.cc_types import AckInfo, CcState, CubicParams, Phase
+from roccet_lab.cc_types import CONGESTION_AVOIDANCE, AckInfo, CcState, CubicParams
 from roccet_lab.controllers import RoccetController
 from roccet_lab.cubic import cubic_on_congestion_event
 from roccet_lab.errors import RoccetLabError
 from roccet_lab.roccet import (
-    CeKind,
-    LaunchDecision,
-    OrbiterDecision,
+    LOSS_CE,
     RoccetParams,
     RoccetState,
     apply_launch_exit,
@@ -149,27 +147,26 @@ class TestLaunch:
     def test_exit_initial_when_both_conditions_hold(self):
         state = RoccetState(srrtt=1.5, acks_in_interval=100, cum_cwnd_in_interval=125)
         cc = CcState(cwnd=200.0)
-        assert launch_check(state, RP) is LaunchDecision.EXIT_INITIAL
-        _, out = apply_launch_exit(state, cc, 7, LaunchDecision.EXIT_INITIAL, CP)
+        assert launch_check(state, RP) is True
+        _, out = apply_launch_exit(state, cc, 7, CP)
         assert out.cwnd == 100.0
         assert out.ssthresh == 100.0
-        assert out.phase is Phase.CONGESTION_AVOIDANCE
+        assert out.phase is CONGESTION_AVOIDANCE
 
     def test_stay_when_srrtt_low(self):
         state = RoccetState(srrtt=0.3, acks_in_interval=0, cum_cwnd_in_interval=500)
-        assert launch_check(state, RP) is LaunchDecision.STAY
+        assert launch_check(state, RP) is False
 
     def test_stay_when_margin_unmet(self):
         state = RoccetState(srrtt=1.2, acks_in_interval=96, cum_cwnd_in_interval=100)
-        assert launch_check(state, RP) is LaunchDecision.STAY
+        assert launch_check(state, RP) is False
 
     def test_later_slow_start_exits_via_congestion_event(self):
         state = RoccetState(srrtt=1.5, acks_in_interval=0, cum_cwnd_in_interval=100,
                             is_initial_slow_start=False)
         cc = CcState(cwnd=100.0, w_max=0.0)
-        decision = launch_check(state, RP)
-        assert decision is LaunchDecision.EXIT_LATER
-        _, out = apply_launch_exit(state, cc, 7, decision, CP)
+        assert launch_check(state, RP) is True
+        _, out = apply_launch_exit(state, cc, 7, CP)
         assert math.isclose(out.cwnd, 70.0, rel_tol=1e-9)
 
     def test_halving_property_floors_at_one(self):
@@ -178,7 +175,7 @@ class TestLaunch:
             cwnd = rng.uniform(1.0, 4000.0)
             state = RoccetState(srrtt=2.0, acks_in_interval=0, cum_cwnd_in_interval=50)
             cc = CcState(cwnd=cwnd)
-            _, out = apply_launch_exit(state, cc, 1, LaunchDecision.EXIT_INITIAL, CP)
+            _, out = apply_launch_exit(state, cc, 1, CP)
             assert out.cwnd == max(1.0, cwnd / 2.0)
             assert out.ssthresh == out.cwnd
 
@@ -199,21 +196,21 @@ class TestLaunch:
 class TestOrbiter:
     def test_fires_on_deficit_and_srrtt(self):
         state = RoccetState(srrtt=1.4, acks_in_interval=350, cum_cwnd_in_interval=500)
-        assert orbiter_check(state, 0, RP) is OrbiterDecision.ROCCET_CE
+        assert orbiter_check(state, 0, RP) is True
 
     def test_no_fire_below_deviation(self):
         state = RoccetState(srrtt=1.4, acks_in_interval=450, cum_cwnd_in_interval=500)
-        assert orbiter_check(state, 0, RP) is OrbiterDecision.NONE
+        assert orbiter_check(state, 0, RP) is False
 
     def test_no_fire_below_srrtt_threshold(self):
         state = RoccetState(srrtt=0.99, acks_in_interval=0, cum_cwnd_in_interval=500)
-        assert orbiter_check(state, 0, RP) is OrbiterDecision.NONE
+        assert orbiter_check(state, 0, RP) is False
 
     def test_drain_blocks_unconditionally(self):
         state = RoccetState(srrtt=9.9, acks_in_interval=0, cum_cwnd_in_interval=500,
                             drain_until_us=1_000_000)
-        assert orbiter_check(state, 999_999, RP) is OrbiterDecision.NONE
-        assert orbiter_check(state, 1_000_000, RP) is OrbiterDecision.ROCCET_CE
+        assert orbiter_check(state, 999_999, RP) is False
+        assert orbiter_check(state, 1_000_000, RP) is True
 
     def test_apply_ce_raises_peak_when_above(self):
         state, cc = apply_roccet_ce(
@@ -252,17 +249,17 @@ class TestOrbiter:
         cc = orbiter_on_loss(start, params, CP, 9)
         assert cc == start
         ctl = RoccetController(CP, params)
-        ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=Phase.CONGESTION_AVOIDANCE)
+        ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=CONGESTION_AVOIDANCE)
         ctl.on_loss(9)
         assert ctl.cwnd == 100.0 and ctl.ce_events == []
 
     def test_loss_during_drain_still_reduces(self):
         ctl = RoccetController(CP, RP)
-        ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=Phase.CONGESTION_AVOIDANCE)
+        ctl.cc = CcState(cwnd=100.0, w_max=80.0, phase=CONGESTION_AVOIDANCE)
         ctl.roc = RoccetState(drain_until_us=10_000_000)
         ctl.on_loss(5_000_000)
         assert math.isclose(ctl.cwnd, 70.0, rel_tol=1e-9)
-        assert ctl.ce_events == [(5_000_000, CeKind.LOSS_CE.value)]
+        assert ctl.ce_events == [(5_000_000, LOSS_CE)]
 
 
 class TestControllerDrain:
@@ -274,7 +271,7 @@ class TestControllerDrain:
 
         ctl.cc = ctl.cc._replace(
             cwnd=100.0, w_max=120.0, cwnd_epoch=100.0, w_est=100.0,
-            phase=Phase.CONGESTION_AVOIDANCE, epoch_start_us=now,
+            phase=CONGESTION_AVOIDANCE, epoch_start_us=now,
         )
         return ctl, srtt
 

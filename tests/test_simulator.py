@@ -10,7 +10,7 @@ from test_byte_identity import run_case
 from test_event_lanes import every_event_scenario, scenarios
 
 from roccet_lab.cc_types import CubicParams
-from roccet_lab.controllers import CubicController, RoccetController, _InPlaceCubic
+from roccet_lab.controllers import CubicController
 from roccet_lab.errors import ScenarioError, SimulationError
 from roccet_lab.harness import (
     FlowSpec,
@@ -424,15 +424,6 @@ class TestPerSegmentCost:
         traces = run_case("loss-window-jitter")
         assert sum(a["retransmits"] for a in traces.audit.values()) > 0
         assert seen == {(tuple, (str, int, int, bool))}
-
-    @pytest.mark.parametrize(
-        "fn", [RoccetController.on_ack, _InPlaceCubic._cubic_on_ack], ids=lambda fn: fn.__qualname__
-    )
-    def test_per_ack_code_reads_no_enum_class(self, fn):
-        # A member read through its Enum class goes through
-        # `EnumType.__getattr__` on every ACK; the members are bound once
-        # at module level instead.
-        assert "Phase" not in fn.__code__.co_names
 
     @staticmethod
     def _calls_per_delivered_segment(spec):
