@@ -1,8 +1,9 @@
 """Per-flow and cross-flow statistics.
 
 Bandwidth share, Jain's fairness index and nearest-rank percentile
-summaries. Everything here is a pure function over immutable trace data;
-by default statistics exclude the first 10 % of the run as warm-up.
+summaries. Everything here is a pure function of a run's per-flow
+sample columns, and builds no `Sample`; by default statistics exclude
+the first 10 % of the run as warm-up.
 """
 
 from __future__ import annotations
@@ -55,8 +56,9 @@ def jain_index(values: list[float]) -> float:
 def flow_metrics(traces: TraceSet) -> dict[str, FlowMetrics]:
     out: dict[str, FlowMetrics] = {}
     for fid, ft in traces.flows.items():
-        delivered = sum(s.delivered_bytes for s in ft.samples)
-        active_us = ft.samples[-1].t_us - ft.start_us if ft.samples else 0
+        last_us = ft.t_us[-1] if ft.t_us else ft.start_us
+        delivered = ft.delivered_by(last_us)
+        active_us = last_us - ft.start_us
         total = delivered * 8.0 / active_us if active_us > 0 else 0.0
         counts: dict[str, int] = {}
         for _, kind in ft.ce_log:
@@ -77,7 +79,8 @@ def bandwidth_share(
     """Fraction of delivered bytes per flow over a measurement window.
 
     The window defaults to the run span minus the leading 10 % warm-up.
-    Byte counts come straight from the per-sample delivery deltas, so the
+    A flow's bytes are its cumulative delivery at the window's end less
+    that at its start, each read at the last sample at or before, so the
     fractions agree exactly with the simulator's own accounting.
     """
     if not traces.flows:
@@ -88,13 +91,9 @@ def bandwidth_share(
     lo, hi = window_us
     if hi <= lo:
         raise MetricsError(f"empty share window [{lo}, {hi}] us")
-    bytes_by_flow: dict[str, int] = {}
-    for fid, ft in traces.flows.items():
-        total = 0
-        for s in ft.samples:
-            if lo < s.t_us <= hi:
-                total += s.delivered_bytes
-        bytes_by_flow[fid] = total
+    bytes_by_flow = {
+        fid: ft.delivered_by(hi) - ft.delivered_by(lo) for fid, ft in traces.flows.items()
+    }
     grand = sum(bytes_by_flow.values())
     if grand == 0:
         raise MetricsError(f"no bytes delivered inside window [{lo}, {hi}] us")
@@ -125,10 +124,9 @@ def summarize(series: dict[str, list[float]] | FlowTrace) -> dict[str, dict[str,
     out of the sRTT table.
     """
     if isinstance(series, FlowTrace):
-        samples = series.samples
-        times = [s.t_us / 1000 for s in samples]
-        srtts = [s.srtt_us / 1000 for s in samples]
-        goodputs = [s.goodput_mbps for s in samples]
+        times = [t / 1000 for t in series.t_us]
+        srtts = [srtt / 1000 for srtt in series.rounded_srtt_us()]
+        goodputs = series.goodput_mbps()
     else:
         times, srtts, goodputs = series["t_ms"], series["srtt_ms"], series["goodput_mbps"]
     if not times:

@@ -42,7 +42,7 @@ from .cc_types import AckInfo
 from .controllers import make_controller
 from .errors import ScenarioError, SimulationError
 from .records import Record
-from .trace import FlowTrace, Sample, TraceSet
+from .trace import FlowTrace, TraceSet
 from .units import bdp_segments
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -1034,9 +1034,9 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     for at_us, rate in scenario.link.rate_schedule[1:]:
         loop.schedule(at_us, bottleneck.set_rate, rate)
 
-    # One row per flow, in scenario order: start, sender, receiver, the
-    # samples' append, and the delivered bytes and time of its last sample.
-    rows: list[list] = []
+    # One row per flow, in scenario order: start, sender, receiver and the
+    # appends of its trace's five columns.
+    rows: list[tuple] = []
     for f in scenario.flows:
         controller = make_controller(f)
         source = AppSource(
@@ -1046,31 +1046,22 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
         receiver = Receiver(loop, scenario.link.prop_delay_us)
         receiver.ack_sink = sender.on_ack_frame
         bottleneck.deliver_cb[f.flow_id] = receiver.on_segment
-        flow_trace = traces.flows[f.flow_id] = FlowTrace(f.flow_id, f.algo, f.source.start_us)
-        rows.append([f.source.start_us, sender, receiver, flow_trace.samples.append, 0, 0])
+        ft = traces.flows[f.flow_id] = FlowTrace(f.flow_id, f.algo, f.source.start_us, mss)
+        rows.append((
+            f.source.start_us, sender, receiver, ft.t_us.append, ft.cwnd.append,
+            ft.srtt_us.append, ft.delivered_segs.append, ft.queue_segs.append,
+        ))
         loop.schedule(f.source.start_us, sender.start)
 
     def record_samples(t_us: int) -> None:
         queue_now = bottleneck.occupancy
-        for row in rows:
-            start_us, sender, receiver, append, last_delivered, last_t = row
-            if t_us < start_us:
-                continue
-            srtt = sender.srtt_us
-            delivered = receiver.rcv_nxt * mss
-            # Sample(t_us, dt_us, cwnd, srtt_us, delivered_bytes, queue_segs)
-            append(
-                Sample(
-                    t_us,
-                    t_us - (last_t if last_t > start_us else start_us),
-                    sender.ctl.cwnd,
-                    round(srtt) if srtt is not None else 0,
-                    delivered - last_delivered,
-                    queue_now,
-                )
-            )
-            row[4] = delivered
-            row[5] = t_us
+        for start_us, sender, receiver, add_t, add_cwnd, add_srtt, add_delivered, add_queue in rows:
+            if t_us >= start_us:
+                add_t(t_us)
+                add_cwnd(sender.ctl.cwnd)
+                add_srtt(sender.srtt_us)
+                add_delivered(receiver.rcv_nxt)
+                add_queue(queue_now)
 
     def sampler(t_us: int) -> None:
         record_samples(t_us)

@@ -1,5 +1,8 @@
 """Trace containers and their CSV / JSON serializations.
 
+A run's samples are held per flow as columns (`FlowTrace`); a `Sample`
+record is built only when `FlowTrace.samples` is read.
+
 The CSV surface is versioned and fixed: a `# roccet-lab trace v1` comment
 line, then `time_ms,flow_id,cwnd_seg,srtt_ms,goodput_mbps,queue_seg` rows
 sampled at the configured cadence. The JSON event file carries the resolved
@@ -11,6 +14,7 @@ self-describing and re-runnable.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from typing import IO
 
 from .errors import TraceFormatError
@@ -37,23 +41,76 @@ class Sample:
 
     @property
     def goodput_mbps(self) -> float:
-        # bytes * 8 / microseconds == bits / us == Mbit/s
-        return self.delivered_bytes * 8.0 / self.dt_us if self.dt_us > 0 else 0.0
+        return _mbps(self.delivered_bytes, self.dt_us)
+
+
+def _mbps(delivered_bytes: int, dt_us: int) -> float:
+    # bytes * 8 / microseconds == bits / us == Mbit/s
+    return delivered_bytes * 8.0 / dt_us if dt_us > 0 else 0.0
 
 
 class FlowTrace:
-    """One flow's samples, congestion-event log and counters over a run."""
+    """One flow's samples, congestion-event log and counters over a run.
 
-    __slots__ = ("flow_id", "algo", "start_us", "samples", "ce_log", "counters", "extra")
+    The samples are five columns, plain lists that the simulator's sampler
+    appends to in time order: the sample time, the window, the sender's
+    smoothed RTT as it stands (None before the handshake), the segments
+    delivered in order so far (the receiver's `rcv_nxt`) and the
+    bottleneck's queue. Each holds the simulator's own objects, so a
+    sample costs five list slots. What a `Sample` holds besides is derived
+    when read: each sample's interval and delivered bytes, and the sRTT
+    rounded to the microsecond (0 before the handshake). `samples` builds
+    the `Sample` records on each read.
+    """
 
-    def __init__(self, flow_id: str, algo: str, start_us: int) -> None:
+    __slots__ = (
+        "flow_id", "algo", "start_us", "mss_bytes",
+        "t_us", "cwnd", "srtt_us", "delivered_segs", "queue_segs",
+        "ce_log", "counters", "extra",
+    )
+
+    def __init__(self, flow_id: str, algo: str, start_us: int, mss_bytes: int) -> None:
         self.flow_id = flow_id
         self.algo = algo
         self.start_us = start_us
-        self.samples: list[Sample] = []
+        self.mss_bytes = mss_bytes
+        self.t_us: list[int] = []
+        self.cwnd: list[float] = []
+        self.srtt_us: list[float | None] = []
+        self.delivered_segs: list[int] = []
+        self.queue_segs: list[int] = []
         self.ce_log: list[tuple[int, str]] = []
         self.counters: dict[str, int] = {}
         self.extra: dict = {}
+
+    def dt_us(self) -> list[int]:
+        """Each sample's time since the flow's previous sample, or since its start for the first."""
+        t = self.t_us
+        return [now - before for before, now in zip([self.start_us, *t], t)]
+
+    def delivered_bytes(self) -> list[int]:
+        """The bytes delivered in order since the flow's previous sample."""
+        segs, mss = self.delivered_segs, self.mss_bytes
+        return [(now - before) * mss for before, now in zip([0, *segs], segs)]
+
+    def delivered_by(self, t_us: int) -> int:
+        """The bytes delivered in order by the flow's last sample at or before `t_us`."""
+        i = bisect_right(self.t_us, t_us)
+        return self.delivered_segs[i - 1] * self.mss_bytes if i else 0
+
+    def rounded_srtt_us(self) -> list[int]:
+        return [0 if srtt is None else round(srtt) for srtt in self.srtt_us]
+
+    def goodput_mbps(self) -> list[float]:
+        return list(map(_mbps, self.delivered_bytes(), self.dt_us()))
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The samples as `Sample` records, built anew on each read."""
+        return list(map(
+            Sample, self.t_us, self.dt_us(), self.cwnd, self.rounded_srtt_us(),
+            self.delivered_bytes(), self.queue_segs,
+        ))
 
 
 class TraceSet:
@@ -77,17 +134,21 @@ class TraceSet:
     def write_csv(self, out: IO[str]) -> None:
         out.write(CSV_VERSION_LINE + "\n")
         out.write(CSV_COLUMNS + "\n")
-        rows = [
-            (s.t_us, idx, ft.flow_id, s)
-            for idx, ft in enumerate(self.flows.values())
-            for s in ft.samples
-        ]
-        rows.sort(key=lambda r: (r[0], r[1]))
-        for t_us, _, flow_id, s in rows:
-            out.write(
-                f"{t_us / 1000:.3f},{flow_id},{s.cwnd:.3f},"
-                f"{s.srtt_us / 1000:.3f},{s.goodput_mbps:.6f},{s.queue_segs}\n"
-            )
+        times: list[int] = []
+        lines: list[str] = []
+        for ft in self.flows.values():
+            fid = ft.flow_id
+            times += ft.t_us
+            lines += [
+                f"{t_us / 1000:.3f},{fid},{cwnd:.3f},{srtt_us / 1000:.3f},{goodput:.6f},{queue}\n"
+                for t_us, cwnd, srtt_us, goodput, queue in zip(
+                    ft.t_us, ft.cwnd, ft.rounded_srtt_us(), ft.goodput_mbps(), ft.queue_segs
+                )
+            ]
+        # Rows in (time, flow index) order: the flows' rows laid end to end,
+        # sorted by time alone. The sort is stable, so rows at one instant
+        # keep the flows' order, and it merges the flows' time-ordered runs.
+        out.writelines(map(lines.__getitem__, sorted(range(len(times)), key=times.__getitem__)))
 
     def events_dict(self) -> dict:
         return {

@@ -19,8 +19,10 @@ import pytest
 
 import roccet_lab
 from roccet_lab.cli import main
-from roccet_lab.harness import materialize_cell, sweep_from_dict
+from roccet_lab.harness import builtin_scenario, materialize_cell, sweep_from_dict
+from roccet_lab.metrics import bandwidth_share
 from roccet_lab.records import Record
+from roccet_lab.simulator import run
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -29,7 +31,7 @@ SRC = ROOT / "src"
 
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
     spec.loader.exec_module(module)
     return module
 
@@ -86,6 +88,29 @@ def test_sweep_workload_builds_eleven_cells(tmp_path, monkeypatch):
         ]
     assert len(cells) == 11
     assert len({cell.seed for cell in cells}) == 11
+
+
+def test_sweep_cell_check_reads_the_samples(monkeypatch):
+    # `Sweep.check_cell` reads each flow's samples through
+    # `FlowTrace.samples`, the accessor the columns keep. One short cell
+    # with two ROCCET flows and a CUBIC rival that starts 1 s late.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads.py does `import checks`
+    workloads = _load("workloads")
+    cell = builtin_scenario(
+        "fairness-10x40", seed=5, n_flows=2, competitor="cubic", buffer_bdp=1.0, horizon_s=3.0
+    )
+    traces = run(cell)
+    result = workloads.Sweep.check_cell(cell.to_dict(), traces)
+    assert result["problems"] == []
+    assert result["segments"] == sum(a["received"] for a in traces.audit.values())
+    assert result["roccet_only"] is False
+    share = bandwidth_share(traces)
+    assert checks.check_share(
+        result["bytes"], {"jain": share.jain_index, "fractions": share.per_flow_fraction}
+    ) == []
+    for ft in traces.flows.values():
+        ticks = range(0, cell.horizon_us + 1, cell.sample_us)
+        assert len(ft.samples) == sum(t >= ft.start_us for t in ticks)
 
 
 def _lab_classes():

@@ -1,11 +1,12 @@
-"""Byte-identity pins: the sha256 of `trace.csv` and of the whole
-`events.json` (`events_processed` included) for every builtin at its
-default algorithm, for `steady` under each algorithm and once more
-under probe_rate through PROBE_RTT, for five variants
-that reach source, loss and controller paths no builtin does, and for
-one fairness cell whose drops put ROCCET flows through loss repair, at
-shortened horizons; and the sha256 of the debug packet log of two of
-those runs, which the artifacts do not contain.
+"""Byte-identity pins: the sha256 of `trace.csv`, of the whole
+`events.json` (`events_processed` included) and of `summary.txt` for
+every builtin at its default algorithm, for `steady` under each
+algorithm and once more under probe_rate through PROBE_RTT, for five
+variants that reach source, loss and controller paths no builtin does,
+and for one fairness cell whose drops put ROCCET flows through loss
+repair, at shortened horizons; the sha256 of the debug packet log of
+two of those runs, which the artifacts do not contain; and the sha256
+of `results.json` and `results.csv` from one short `roccet-lab sweep`.
 
 A change that only makes the simulator faster must leave every digest
 as it is. A change that alters behaviour on purpose re-records them and
@@ -14,12 +15,15 @@ says so; print the current digests with
     PYTHONPATH=src python tests/test_byte_identity.py
 """
 
+import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from roccet_lab.cc_types import CubicParams
+from roccet_lab.cli import _summary_text, main
 from roccet_lab.harness import LossSpec, SourceSpec, builtin_scenario
 from roccet_lab.roccet import RoccetParams
 from roccet_lab.simulator import run
@@ -160,6 +164,27 @@ DIGESTS = {
 }
 
 
+# case: sha256 of `summary.txt` (`flow_metrics`, `summarize` and, with
+# more than one flow, `bandwidth_share`)
+SUMMARY_DIGESTS = {
+    "bw-halving": "1b20c4e8b0838b1c8441d5fb5119a514bfa64aa97d2f5fff7501c309af943079",
+    "frozen-cwnd": "6a7cc117521b8bf1e03860afd6207ba264126159222878511c1e7f21315692dd",
+    "fairness-50x30": "9cc11e66f4d7168b647a40243bbbb94759fa1d4ac895fc6010866090f6eceeaa",
+    "fairness-10x40": "b0cbb9ee83d6fbfbbf6468cf3274128fcbfceb4d15714350e00b0deadd8613db",
+    "steady-cubic": "b0ad280f557f74c466d46f7ea537644989148fd74e2195ce95a5113753ddded8",
+    "steady-reno": "1e53252d45a7b974f1b07bf3a5ebdfadcd61cac2f2523b80fc4ba258db1ba2f0",
+    "steady-roccet": "306c5766f6bba8c3384e93bf9cd080e55e82745b0b30ff34a8343269284dca9c",
+    "steady-probe_rate": "6fc5daf74f2a972a599e8ef7631907b9698eaa05acb3071180723d5c91aeed35",
+    "steady-probe_rate-probe-rtt": "b3f540bad13e828fc46ef0b730ed32d51a8e35d9e264523fd2bc286786eae84c",
+    "app-limited-duration": "1ba72bd619861d771733999db618b7f9c779a9c937f0ac784c3722689b574945",
+    "greedy-duration": "49234e3265f420f829bea781f508356c1057781b5ca46373d930ebd0c02a4bd7",
+    "loss-window-jitter": "3dfec14f92444eb40e89346b0dff00e4ff16c3905d223a07de099711014ee95c",
+    "roccet-rtt-min-refresh": "a35b688866f10db625918eb6baa2964788e3566812566476fee2920ace37d658",
+    "frozen-cwnd-no-freeze": "d9ec659fd81f64c70877dcbed468bb58b494015c81565304349ca7b21f76695c",
+    "fairness-8x1bdp": "e3b80bf19a535e7cc90fd7baee7d3be9a2ef427cf8493fb0f234c06d51d9865c",
+}
+
+
 # case: sha256 of `repr(traces.debug_packets)` when run with debug=True.
 # The packet log is every segment's (flow, seq, enqueue, service start,
 # service end, delivery, retransmit); these two cover a rate cut, and
@@ -186,21 +211,53 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def digests(name: str) -> tuple[str, str]:
+def digests(name: str) -> tuple[str, str, str]:
+    """sha256 of the run's `trace.csv`, `events.json` and `summary.txt`."""
     traces = run_case(name)
     trace_csv, events_json = io.StringIO(), io.StringIO()
     traces.write_csv(trace_csv)
     traces.write_events_json(events_json)
-    return _sha256(trace_csv.getvalue()), _sha256(events_json.getvalue())
+    summary = _summary_text(traces, traces.config)
+    return _sha256(trace_csv.getvalue()), _sha256(events_json.getvalue()), _sha256(summary)
 
 
 def packet_log_digest(name: str) -> str:
     return _sha256(repr(run_case(name, debug=True).debug_packets))
 
 
+# Six 4 s fairness-10x40 cells: two ROCCET flows in a 1 or 8 BDP buffer,
+# alone or against a CUBIC or probe_rate rival that starts 1 s late.
+SWEEP = {
+    "scenario": "fairness-10x40",
+    "algo": "roccet",
+    "axes": {"competitor": [None, "cubic", "probe_rate"], "buffer_bdp": [1, 8]},
+    "repetitions": 1,
+    "seed": 1,
+    "options": {"horizon_s": 4.0},
+}
+
+# artifact: sha256 of what `roccet-lab sweep --sweep <SWEEP>` writes
+SWEEP_DIGESTS = {
+    "results.json": "c647c79851cba6ec07a6c62a051de1c4b66019e4d31055d80ba041ff0cfec636",
+    "results.csv": "1f5e9f8251120590ab6eaa617a0ccd7227e982088a783e2be1b0a624d540f16a",
+}
+
+
+def sweep_digests(tmp_dir) -> dict[str, str]:
+    sweep_file = tmp_dir / "sweep.json"
+    sweep_file.write_text(json.dumps(SWEEP), encoding="utf-8")
+    out = tmp_dir / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep", "--sweep", str(sweep_file), "-o", str(out)]) == 0
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("results.json", "results.csv")
+    }
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifacts_byte_identical(name):
-    assert digests(name) == DIGESTS[name]
+    assert digests(name) == (*DIGESTS[name], SUMMARY_DIGESTS[name])
 
 
 @pytest.mark.parametrize("name", sorted(PACKET_LOG_DIGESTS))
@@ -208,9 +265,25 @@ def test_packet_log_identical(name):
     assert packet_log_digest(name) == PACKET_LOG_DIGESTS[name]
 
 
+def test_sweep_results_byte_identical(tmp_path):
+    assert sweep_digests(tmp_path) == SWEEP_DIGESTS
+
+
 if __name__ == "__main__":
+    import pathlib
+    import tempfile
+
+    summaries = {}
     for case in CASES:
-        print(f'    "{case}": (\n        "%s",\n        "%s",\n    ),' % digests(case))
+        trace_digest, events_digest, summaries[case] = digests(case)
+        print(f'    "{case}": (\n        "{trace_digest}",\n        "{events_digest}",\n    ),')
+    print()
+    for case, digest in summaries.items():
+        print(f'    "{case}": "{digest}",')
     print()
     for case in PACKET_LOG_DIGESTS:
         print(f'    "{case}": "{packet_log_digest(case)}",')
+    print()
+    with tempfile.TemporaryDirectory() as tmp:
+        for artifact, digest in sweep_digests(pathlib.Path(tmp)).items():
+            print(f'    "{artifact}": "{digest}",')

@@ -41,7 +41,7 @@ from roccet_lab.harness import (
 from roccet_lab.metrics import bandwidth_share
 from roccet_lab.roccet import RoccetParams
 from roccet_lab.simulator import run
-from roccet_lab.trace import FlowTrace, Sample, TraceSet
+from roccet_lab.trace import FlowTrace, TraceSet
 from roccet_lab.units import s_to_us
 
 
@@ -451,12 +451,14 @@ class TestSeeds:
 def _fake_traces(n_samples: int = 10) -> TraceSet:
     ts = TraceSet(horizon_us=n_samples * 100_000, config={})
     for fid, weight in (("a", 2), ("b", 1)):
-        ft = FlowTrace(flow_id=fid, algo="roccet", start_us=0)
+        ft = FlowTrace(flow_id=fid, algo="roccet", start_us=0, mss_bytes=1_500)
         for i in range(1, n_samples + 1):
-            ft.samples.append(
-                Sample(t_us=i * 100_000, dt_us=100_000, cwnd=10.0,
-                       srtt_us=40_000, delivered_bytes=weight * 15_000, queue_segs=0)
-            )
+            # every 100 ms: cwnd 10, sRTT 40 ms, weight * 15 kB delivered, no queue
+            ft.t_us.append(i * 100_000)
+            ft.cwnd.append(10.0)
+            ft.srtt_us.append(40_000.0)
+            ft.delivered_segs.append(weight * 10 * i)
+            ft.queue_segs.append(0)
         ts.flows[fid] = ft
     return ts
 

@@ -248,8 +248,9 @@ MUTABLE = {
         lambda: Sample(100_000, 100_000, 10.0, 40_000, 15_000, 3),
     ),
     FlowTrace: (
-        ("flow_id", "algo", "start_us", "samples", "ce_log", "counters", "extra"),
-        lambda: FlowTrace("a", "roccet", 0),
+        ("flow_id", "algo", "start_us", "mss_bytes", "t_us", "cwnd", "srtt_us",
+         "delivered_segs", "queue_segs", "ce_log", "counters", "extra"),
+        lambda: FlowTrace("a", "roccet", 0, 1500),
     ),
     TraceSet: (
         ("horizon_us", "config", "flows", "drops", "rate_changes", "audit",
@@ -306,12 +307,14 @@ def test_sample_takes_its_fields_in_order():
 
 def test_trace_containers_start_empty_and_unshared():
     # A default written by hand could hand one list to every instance.
-    a, b = FlowTrace("a", "cubic", 5), FlowTrace("b", "roccet", 7)
+    a, b = FlowTrace("a", "cubic", 5, 1500), FlowTrace("b", "roccet", 7, 1500)
     assert (a.flow_id, a.algo, a.start_us) == ("a", "cubic", 5)
-    for name in ("samples", "ce_log", "counters", "extra"):
+    columns = ("t_us", "cwnd", "srtt_us", "delivered_segs", "queue_segs")
+    for name in (*columns, "ce_log", "counters", "extra"):
         assert getattr(a, name) == type(getattr(a, name))()
         assert getattr(a, name) is not getattr(b, name)
-    a.samples.append(Sample(1, 1, 1.0, 1, 1, 1))
+    for name in columns:
+        getattr(a, name).append(1)
     a.counters["acks"] = 1
     assert b.samples == [] and b.counters == {}
 
