@@ -142,7 +142,7 @@ def _summary_text(traces, config: dict) -> str:
             p75 = f"{table['srtt_ms']['p75']:.1f}"
         except MetricsError:
             p50 = p75 = "n/a"
-        ces = sum(fm.ce_counts.values())
+        ces = len(traces.flows[fid].ce_log)
         lines.append(
             f"{fid:<16}{fm.algo:<12}{fm.total_goodput_mbps:>10.3f}{p50:>10}{p75:>10}{ces:>10}"
         )

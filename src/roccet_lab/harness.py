@@ -45,12 +45,10 @@ SWEEP_CELL_CAP = 4096
 
 
 class SourceSpec(Record):
-    """What a flow sends (greedy, or app-limited at `rate_bps`), from when, for how long."""
+    """What a flow sends: greedy, or app-limited at `rate_bps`."""
 
     kind: str = "greedy"  # "greedy" | "app_limited"
     rate_bps: int | None = None
-    start_us: int = 0
-    duration_us: int | None = None
 
 
 class LossSpec(Record):
@@ -63,11 +61,14 @@ class LossSpec(Record):
 
 
 class FlowSpec(Record):
-    """One flow: its id, algorithm, source, send buffer and controller parameters."""
+    """One flow: its id, algorithm, source, when it starts and for how long
+    it sends, its send buffer and its controller parameters."""
 
     flow_id: str
     algo: str
     source: SourceSpec
+    start_us: int = 0
+    duration_us: int | None = None
     sndbuf_segs: int | None = None
     cubic: CubicParams = CubicParams()
     roccet: RoccetParams = RoccetParams()
@@ -110,13 +111,9 @@ LOSS_KEYS: Rows = (
 FLOW_KEYS: Rows = (
     ("flow_id", "id", None, str, None),
     ("algo", "algo", None, str, None),
-    ("sndbuf_segs", "sndbuf_segs", None, int | None, ">= 1"),
-)
-# A flow's start and duration are SourceSpec attributes written beside
-# FLOW_KEYS in the file; SOURCE_KEYS are those of the flow's `source`.
-FLOW_TIMES: Rows = (
     ("start_us", "start_s", 1e6, int, ">= 0"),
     ("duration_us", "duration_s", 1e6, int | None, ">= 0"),
+    ("sndbuf_segs", "sndbuf_segs", None, int | None, ">= 1"),
 )
 SOURCE_KEYS: Rows = (
     ("kind", "kind", None, str, None),
@@ -159,6 +156,15 @@ SECTIONS: dict[str, tuple[str, type, Rows]] = {
         ("cwnd_gain", "cwnd_gain", None, float, "> 0"),
     )),
 }
+
+# The keys of a sweep file besides its `axes` and `options` objects, whose
+# keys are the options of its builtin.
+SWEEP_KEYS: Rows = (
+    ("scenario", "scenario", None, str, None),
+    ("algo", "algo", None, str | None, None),
+    ("repetitions", "repetitions", None, int, ">= 1"),
+    ("seed", "seed", None, int, None),
+)
 
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
@@ -213,7 +219,8 @@ def _fields(d: Any, rows: Rows, where: str, others=(), required=()) -> dict:
     gives, by attribute. `d` may also hold the keys `others`."""
     _check_keys(d, {key for _, key, *_ in rows}.union(others), where)
     if not all(key in d for key in required):
-        raise ScenarioError(f"{where}: {' and '.join(required)} are required")
+        verb = "is" if len(required) == 1 else "are"
+        raise ScenarioError(f"{where}: {' and '.join(required)} {verb} required")
     return {
         attr: _from_file(d[key], scale, typ, f"{where}.{key}")
         for attr, key, scale, typ, _ in rows
@@ -275,7 +282,7 @@ class ScenarioSpec(Record):
     debug: bool = False
     name: str = "custom"
 
-    def validate(self, require_flows: bool = True) -> None:
+    def validate(self) -> None:
         """Refuse a value outside its row's type or range, then check what
         relates keys to each other, which no single row can say."""
         schedule = self.link.rate_schedule
@@ -298,13 +305,13 @@ class ScenarioSpec(Record):
                     "loss.drop_prob and loss.jitter_ms act only inside loss.window_s, which is null"
                 )
         self.link.queue_capacity(self.buffer_bdp)  # raises unless finite, as the run would
-        if require_flows and not self.flows:
+        if not self.flows:
             raise ScenarioError("scenario needs at least one flow")
         checked: set[int] = set()  # builtin flows share their params objects
         for f in self.flows:
             where = f"flow {f.flow_id}: "
             _check_rows(f, FLOW_KEYS, where)
-            _check_rows(f.source, FLOW_TIMES + SOURCE_KEYS, f"{where}source.")
+            _check_rows(f.source, SOURCE_KEYS, f"{where}source.")
             if f.algo not in CONTROLLERS:
                 raise ScenarioError(f"{where}unknown algo {f.algo!r}")
             for section, (attr, _, rows) in SECTIONS.items():
@@ -316,10 +323,10 @@ class ScenarioSpec(Record):
                 raise ScenarioError(f"{where}unknown source kind {f.source.kind!r}")
             if f.source.kind == "app_limited" and f.source.rate_bps is None:
                 raise ScenarioError(f"{where}app_limited source needs a rate")
-            end = f.source.start_us + (f.source.duration_us or 0)
-            if f.source.duration_us is not None and end >= self.horizon_us:
+            end = f.start_us + (f.duration_us or 0)
+            if f.duration_us is not None and end >= self.horizon_us:
                 raise ScenarioError(f"{where}ends at {end} us, at or past the horizon")
-            if f.source.start_us >= self.horizon_us:
+            if f.start_us >= self.horizon_us:
                 raise ScenarioError(f"{where}starts past the horizon")
         ids = [f.flow_id for f in self.flows]
         if len(set(ids)) != len(ids):
@@ -338,7 +345,6 @@ class ScenarioSpec(Record):
             "flows": [
                 {
                     **_to_dict(f, FLOW_KEYS),
-                    **_to_dict(f.source, FLOW_TIMES),
                     "source": _to_dict(f.source, SOURCE_KEYS),
                     **{
                         section: _to_dict(getattr(f, attr), rows)
@@ -394,11 +400,8 @@ def _parse_scenario(d: dict) -> ScenarioSpec:
     flows: list[FlowSpec] = []
     for i, fd in enumerate(d.get("flows", [])):
         where = f"flows[{i}]"
-        flow = _fields(fd, FLOW_KEYS + FLOW_TIMES, where, ("source", *SECTIONS), ("id", "algo"))
-        source = SourceSpec(
-            **{attr: flow.pop(attr) for attr, *_ in FLOW_TIMES if attr in flow},
-            **_fields(fd.get("source", {}), SOURCE_KEYS, f"{where}.source"),
-        )
+        flow = _fields(fd, FLOW_KEYS, where, ("source", *SECTIONS), ("id", "algo"))
+        source = SourceSpec(**_fields(fd.get("source", {}), SOURCE_KEYS, f"{where}.source"))
         params = {
             attr: defaults[section]._replace(**_fields(fd[section], rows, f"{where}.{section}"))
             if section in fd else defaults[section]
@@ -465,21 +468,9 @@ def _builtin_fairness(
     flows = []
     for i in range(n_flows):
         start = i * 500 + rng.randint(0, 2_000)
-        flows.append(
-            FlowSpec(
-                flow_id=f"{algo}{i}",
-                algo=algo,
-                source=SourceSpec(kind="greedy", start_us=start),
-            )
-        )
+        flows.append(FlowSpec(f"{algo}{i}", algo, SourceSpec(), start_us=start))
     if competitor is not None:
-        flows.append(
-            FlowSpec(
-                flow_id=f"{competitor}_rival",
-                algo=competitor,
-                source=SourceSpec(kind="greedy", start_us=s_to_us(1.0)),
-            )
-        )
+        flows.append(FlowSpec(f"{competitor}_rival", competitor, SourceSpec(), start_us=s_to_us(1.0)))
     return ScenarioSpec(
         link=link,
         buffer_bdp=buffer_bdp,
@@ -501,6 +492,12 @@ class Builtin(Record):
     build: Callable[..., ScenarioSpec]
 
 
+# The stored type of each builtin option, checked as a scenario file's
+# values are: no number takes a bool, and an integer takes no float.
+_OPTION_TYPES = {
+    "n_flows": int, "competitor": str | None, "buffer_bdp": float, "horizon_s": float,
+    "sndbuf_segs": int | None,
+}
 _FAIRNESS_DEFAULTS = {"n_flows": 2, "competitor": None, "buffer_bdp": 1.0, "horizon_s": 120.0}
 
 BUILTINS: dict[str, Builtin] = {
@@ -553,6 +550,8 @@ def _builtin(name: str, options) -> Builtin:
 
 def builtin_scenario(name: str, algo: str | None = None, seed: int = 1, **kwargs) -> ScenarioSpec:
     builtin = _builtin(name, kwargs)
+    for option, value in kwargs.items():
+        _check_type(value, _OPTION_TYPES[option], f"scenario {name}: {option}")
     try:
         spec = builtin.build(
             name=name, algo=algo or builtin.default_algo, seed=seed, **{**builtin.defaults, **kwargs}
@@ -595,14 +594,11 @@ def sweep_from_dict(d: dict) -> SweepSpec:
     """Parse a sweep file's dict (`sweep --builtin` passes its flags as
     one). Field types, and each axis and option name against what the
     builtin takes, are checked before any cell is built."""
-    _check_keys(d, set(SweepSpec._fields), "sweep")
-    if "scenario" not in d:
-        raise ScenarioError("sweep: scenario is required")
+    # Refuses an unknown or a missing key; no sweep key is scaled, so each
+    # is stored as given.
+    _fields(d, SWEEP_KEYS, "sweep", ("axes", "options"), ("scenario",))
     spec = SweepSpec(**{"axes": {}, "options": {}, **d})
-    _check_type(spec.scenario, str, "sweep: scenario")
-    _check_type(spec.algo, str | None, "sweep: algo")
-    _check_type(spec.repetitions, int, "sweep: repetitions")
-    _check_type(spec.seed, int, "sweep: seed")
+    _check_rows(spec, SWEEP_KEYS, "sweep: ")
     for key in ("axes", "options"):
         if not isinstance(getattr(spec, key), dict):
             raise ScenarioError(f"sweep: {key} must be an object, got {getattr(spec, key)!r}")
@@ -610,8 +606,6 @@ def sweep_from_dict(d: dict) -> SweepSpec:
     for name, values in spec.axes.items():
         if not isinstance(values, list) or not values:
             raise ScenarioError(f"sweep: axis {name!r} must be a non-empty list, got {values!r}")
-    if spec.repetitions < 1:
-        raise ScenarioError(f"sweep: repetitions must be >= 1, got {spec.repetitions}")
     return spec
 
 

@@ -30,7 +30,6 @@ class FlowMetrics(Record):
     algo: str
     total_goodput_mbps: float
     delivered_bytes: int
-    ce_counts: dict[str, int]
 
 
 class ShareReport(Record):
@@ -60,15 +59,8 @@ def flow_metrics(traces: TraceSet) -> dict[str, FlowMetrics]:
         delivered = ft.delivered_by(last_us)
         active_us = last_us - ft.start_us
         total = delivered * 8.0 / active_us if active_us > 0 else 0.0
-        counts: dict[str, int] = {}
-        for _, kind in ft.ce_log:
-            counts[kind] = counts.get(kind, 0) + 1
         out[fid] = FlowMetrics(
-            flow_id=fid,
-            algo=ft.algo,
-            total_goodput_mbps=total,
-            delivered_bytes=delivered,
-            ce_counts=counts,
+            flow_id=fid, algo=ft.algo, total_goodput_mbps=total, delivered_bytes=delivered
         )
     return out
 

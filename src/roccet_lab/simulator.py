@@ -46,7 +46,7 @@ from .trace import FlowTrace, TraceSet
 from .units import bdp_segments
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .harness import ScenarioSpec
+    from .harness import LossSpec, ScenarioSpec
 
 DUP_ACK_THRESHOLD = 3
 MIN_RTO_US = 200_000
@@ -240,21 +240,14 @@ class LossInjector:
     call would neither drop nor draw from the random stream.
     """
 
-    def __init__(
-        self,
-        rng: random.Random,
-        drop_at_us: tuple[int, ...] = (),
-        drop_prob: float = 0.0,
-        window_us: tuple[int, int] | None = None,
-        jitter_us: int = 0,
-    ) -> None:
+    def __init__(self, rng: random.Random, loss: LossSpec) -> None:
         self._rng = rng
-        self._drop_times = sorted(drop_at_us)
+        self._drop_times = sorted(loss.drop_at_us)
         self._next_drop = 0
-        self._drop_prob = drop_prob
-        self._window = window_us
-        self._jitter = jitter_us
-        self.jitters = jitter_us > 0
+        self._drop_prob = loss.drop_prob
+        self._window = loss.window_us
+        self._jitter = loss.jitter_us
+        self.jitters = loss.jitter_us > 0
 
     def quiet_until_us(self, now_us: int) -> int | float:
         """First instant at or after which `should_drop` may act (drop or
@@ -987,7 +980,8 @@ class Sender:
 
 
 def run(scenario: "ScenarioSpec") -> TraceSet:
-    """Execute one scenario to its horizon and return the trace set.
+    """Execute one scenario to its horizon and return the trace set. The
+    scenario is validated first: one with no flow raises ScenarioError.
 
     Output is a pure function of the scenario (including its seed): the
     event loop is single-threaded, ties are broken deterministically, and
@@ -1003,24 +997,12 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     packet-log oracle in the tests checks window obedience instead). The
     key stays so that `events v1` keeps its shape.
     """
-    scenario.validate(require_flows=False)
+    scenario.validate()
     traces = TraceSet(horizon_us=scenario.horizon_us, config=scenario.to_dict())
-    if not scenario.flows:
-        return traces
-
     loop = EventLoop()
     rng = random.Random(scenario.seed)
     mss = scenario.link.mtu_bytes
-
-    injector = None
-    if scenario.loss is not None:
-        injector = LossInjector(
-            rng,
-            drop_at_us=scenario.loss.drop_at_us,
-            drop_prob=scenario.loss.drop_prob,
-            window_us=scenario.loss.window_us,
-            jitter_us=scenario.loss.jitter_us,
-        )
+    injector = None if scenario.loss is None else LossInjector(rng, scenario.loss)
 
     bottleneck = Bottleneck(
         loop,
@@ -1039,19 +1021,17 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
     rows: list[tuple] = []
     for f in scenario.flows:
         controller = make_controller(f)
-        source = AppSource(
-            f.source.kind, f.source.rate_bps, f.source.start_us, f.source.duration_us, mss
-        )
+        source = AppSource(f.source.kind, f.source.rate_bps, f.start_us, f.duration_us, mss)
         sender = Sender(loop, f.flow_id, controller, source, bottleneck, f.sndbuf_segs)
         receiver = Receiver(loop, scenario.link.prop_delay_us)
         receiver.ack_sink = sender.on_ack_frame
         bottleneck.deliver_cb[f.flow_id] = receiver.on_segment
-        ft = traces.flows[f.flow_id] = FlowTrace(f.flow_id, f.algo, f.source.start_us, mss)
+        ft = traces.flows[f.flow_id] = FlowTrace(f.flow_id, f.algo, f.start_us, mss)
         rows.append((
-            f.source.start_us, sender, receiver, ft.t_us.append, ft.cwnd.append,
+            f.start_us, sender, receiver, ft.t_us.append, ft.cwnd.append,
             ft.srtt_us.append, ft.delivered_segs.append, ft.queue_segs.append,
         ))
-        loop.schedule(f.source.start_us, sender.start)
+        loop.schedule(f.start_us, sender.start)
 
     def record_samples(t_us: int) -> None:
         queue_now = bottleneck.occupancy
@@ -1099,9 +1079,6 @@ def run(scenario: "ScenarioSpec") -> TraceSet:
                     f"conservation violated for flow {fid}: {entry}"
                 )
             traces.flows[fid].ce_log = list(sender.ctl.ce_events)
-            traces.flows[fid].counters = {
-                k: v for k, v in entry.items() if k != "conserved"
-            }
             launch_exits = getattr(sender.ctl, "launch_exits", None)
             if launch_exits:
                 traces.flows[fid].extra["launch_exits"] = [

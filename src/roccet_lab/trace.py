@@ -50,7 +50,8 @@ def _mbps(delivered_bytes: int, dt_us: int) -> float:
 
 
 class FlowTrace:
-    """One flow's samples, congestion-event log and counters over a run.
+    """One flow's samples and congestion-event log over a run. Its
+    counters are its entry in the run's `TraceSet.audit`.
 
     The samples are five columns, plain lists that the simulator's sampler
     appends to in time order: the sample time, the window, the sender's
@@ -66,7 +67,7 @@ class FlowTrace:
     __slots__ = (
         "flow_id", "algo", "start_us", "mss_bytes",
         "t_us", "cwnd", "srtt_us", "delivered_segs", "queue_segs",
-        "ce_log", "counters", "extra",
+        "ce_log", "extra",
     )
 
     def __init__(self, flow_id: str, algo: str, start_us: int, mss_bytes: int) -> None:
@@ -80,7 +81,6 @@ class FlowTrace:
         self.delivered_segs: list[int] = []
         self.queue_segs: list[int] = []
         self.ce_log: list[tuple[int, str]] = []
-        self.counters: dict[str, int] = {}
         self.extra: dict = {}
 
     def dt_us(self) -> list[int]:
@@ -158,7 +158,7 @@ class TraceSet:
                 fid: {
                     "algo": ft.algo,
                     "start_ms": ft.start_us / 1000,
-                    "counters": ft.counters,
+                    "counters": {k: v for k, v in self.audit[fid].items() if k != "conserved"},
                     "ce_log": [[t / 1000, kind] for t, kind in ft.ce_log],
                     "extra": ft.extra,
                 }

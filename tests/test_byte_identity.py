@@ -58,8 +58,8 @@ OPTIONS = {
 }
 
 
-def _one_source(spec, source):
-    return spec._replace(flows=(spec.flows[0]._replace(source=source),))
+def _one_flow(spec, **changes):
+    return spec._replace(flows=(spec.flows[0]._replace(**changes),))
 
 
 def _each_flow(spec, **changes):
@@ -73,14 +73,14 @@ def _each_flow(spec, **changes):
 # refreshing a stale rtt_min every half second, and app-limited CUBIC
 # growing its window without the freeze.
 VARIANTS = {
-    "app-limited-duration": lambda spec: _one_source(
+    "app-limited-duration": lambda spec: _one_flow(
         spec,
-        SourceSpec(
-            kind="app_limited", rate_bps=17_300_001, start_us=250_000, duration_us=2_750_000
-        ),
+        source=SourceSpec(kind="app_limited", rate_bps=17_300_001),
+        start_us=250_000,
+        duration_us=2_750_000,
     ),
-    "greedy-duration": lambda spec: _one_source(
-        spec, SourceSpec(kind="greedy", start_us=100_000, duration_us=2_000_000)
+    "greedy-duration": lambda spec: _one_flow(
+        spec, source=SourceSpec(kind="greedy"), start_us=100_000, duration_us=2_000_000
     ),
     "loss-window-jitter": lambda spec: spec._replace(
         flows=spec.flows + (spec.flows[0]._replace(flow_id="cubic_rival", algo="cubic"),),

@@ -85,6 +85,8 @@ class TestRun:
             ("frozen-cwnd", "flows.0.source.rate_mbps=-1", "source.rate_bps must be > 0, got -1000000"),
             ("frozen-cwnd", "flows.0.source.rate_mbps=null", "app_limited source needs a rate"),
             ("steady", "flows.0.sndbuf_segs=-3", "sndbuf_segs must be >= 1"),
+            # A flow's start is the flow's, not its source's.
+            ("steady", "flows.0.start_s=-1", "flow cubic0: start_us must be >= 0, got -1000000"),
         ],
     )
     def test_out_of_range_flow_value_exits_one(self, builtin, override, detail, tmp_path, capsys):
@@ -353,6 +355,17 @@ class TestSweepCommand:
         assert err[0].startswith("error: invalid-sweep: ")
         assert not (tmp_path / "results.csv").exists()
         assert tmp_path.is_dir()  # it was there before the command, so it stays
+
+    @pytest.mark.parametrize("name, axis, error", [
+        ("fairness-10x40", "n_flows=true", "n_flows must be an integer, got True"),
+        ("fairness-10x40", "n_flows=2.0", "n_flows must be an integer, got 2.0"),
+        ("steady", "horizon_s=true", "horizon_s must be a finite number, got True"),
+    ])
+    def test_option_of_the_wrong_type_exits_one(self, name, axis, error, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("sweep", "--builtin", name, "--axis", axis, "-o", str(out)) == 1
+        assert capsys.readouterr().err == f"error: invalid-sweep: scenario {name}: {error}\n"
+        assert not out.exists()
 
     def test_bad_cell_removes_every_directory_it_made(self, tmp_path, capsys):
         out = tmp_path / "a" / "b"

@@ -98,15 +98,14 @@ def scenarios(draw):
             duration_us = (horizon_us - start_us) * draw(st.sampled_from([1, 2, 3])) // 4
         if draw(st.booleans()):
             source = SourceSpec(
-                kind="app_limited",
-                rate_bps=draw(st.sampled_from([300_000, 2_500_001, 9_000_000])),
-                start_us=start_us,
-                duration_us=duration_us,
+                kind="app_limited", rate_bps=draw(st.sampled_from([300_000, 2_500_001, 9_000_000]))
             )
         else:
-            source = SourceSpec(kind="greedy", start_us=start_us, duration_us=duration_us)
+            source = SourceSpec(kind="greedy")
         sndbuf = draw(st.sampled_from([None, None, 4, 30, 200]))
-        flows.append(FlowSpec(f"{algo}{i}", algo, source, sndbuf_segs=sndbuf))
+        flows.append(FlowSpec(
+            f"{algo}{i}", algo, source, start_us=start_us, duration_us=duration_us, sndbuf_segs=sndbuf
+        ))
     loss = None
     if draw(st.booleans()):
         a, b = sorted((instant(), instant()))
@@ -144,11 +143,11 @@ def every_event_scenario():
         buffer_bdp=0.5,
         flows=(
             FlowSpec("cubic0", "cubic", SourceSpec()),
-            FlowSpec("roccet1", "roccet", SourceSpec(start_us=200_000, duration_us=1_500_000)),
+            FlowSpec("roccet1", "roccet", SourceSpec(), start_us=200_000, duration_us=1_500_000),
             FlowSpec("probe_rate2", "probe_rate", SourceSpec(), sndbuf_segs=40),
             FlowSpec(
                 "cubic3", "cubic",
-                SourceSpec(kind="app_limited", rate_bps=1_234_567, start_us=50_000, duration_us=1_800_000),
+                SourceSpec(kind="app_limited", rate_bps=1_234_567), start_us=50_000, duration_us=1_800_000,
             ),
         ),
         horizon_us=s_to_us(2.5),
@@ -191,7 +190,7 @@ def test_fixed_scenario_reaches_every_kind_of_event(monkeypatch):
         "timeout", "wake cubic3", "wake probe_rate2",
     }, counts
     assert sum(a["dropped"] for a in traces.audit.values()) > 0
-    assert traces.flows["probe_rate2"].counters["new_sent"] > 0
+    assert traces.audit["probe_rate2"]["new_sent"] > 0
     monkeypatch.undo()
     for debug in (True, False):
         loop = _assert_same_order(spec._replace(debug=debug))

@@ -22,7 +22,6 @@ from roccet_lab.harness import (
     _get,
     _parse_scenario,
     FLOW_KEYS,
-    FLOW_TIMES,
     LINK_KEYS,
     LOSS_KEYS,
     SCENARIO_KEYS,
@@ -30,6 +29,11 @@ from roccet_lab.harness import (
     SOURCE_KEYS,
     STEP_KEYS,
     SWEEP_CELL_CAP,
+    SWEEP_KEYS,
+    FlowSpec,
+    LossSpec,
+    ScenarioSpec,
+    SourceSpec,
     SweepSpec,
     builtin_scenario,
     derive_seed,
@@ -37,10 +41,11 @@ from roccet_lab.harness import (
     materialize_cell,
     run_sweep,
     scenario_from_dict,
+    sweep_from_dict,
 )
 from roccet_lab.metrics import bandwidth_share
 from roccet_lab.roccet import RoccetParams
-from roccet_lab.simulator import run
+from roccet_lab.simulator import LinkSpec, run
 from roccet_lab.trace import FlowTrace, TraceSet
 from roccet_lab.units import s_to_us
 
@@ -70,7 +75,7 @@ class TestBuiltins:
         assert spec.horizon_us == s_to_us(120.0)
         algos = [f.algo for f in spec.flows]
         assert algos == ["roccet", "roccet", "roccet", "cubic"]
-        assert spec.flows[-1].source.start_us == s_to_us(1.0)
+        assert spec.flows[-1].start_us == s_to_us(1.0)
 
     def test_frozen_cwnd_has_injected_drops(self):
         spec = builtin_scenario("frozen-cwnd")
@@ -85,6 +90,26 @@ class TestBuiltins:
     def test_unknown_option_rejected(self):
         with pytest.raises(ScenarioError, match="unknown options"):
             builtin_scenario("steady", not_a_knob=1)
+
+    @pytest.mark.parametrize("name, option, value, error", [
+        ("fairness-10x40", "n_flows", True, "n_flows must be an integer, got True"),
+        ("fairness-10x40", "n_flows", 2.0, "n_flows must be an integer, got 2.0"),
+        ("steady", "horizon_s", True, "horizon_s must be a finite number, got True"),
+        ("steady", "buffer_bdp", math.inf, "buffer_bdp must be a finite number, got inf"),
+        ("fairness-10x40", "competitor", 5, "competitor must be a string, got 5"),
+        ("bw-halving", "sndbuf_segs", False, "sndbuf_segs must be an integer, got False"),
+    ])
+    def test_option_of_the_wrong_type_rejected(self, name, option, value, error):
+        # As in a scenario file: no number takes a bool, and an integer
+        # takes no float.
+        with pytest.raises(ScenarioError) as info:
+            builtin_scenario(name, **{option: value})
+        assert str(info.value) == f"scenario {name}: {error}"
+
+    def test_every_option_has_a_type_its_default_meets(self):
+        for builtin in BUILTINS.values():
+            for option, default in builtin.defaults.items():
+                harness._check_type(default, harness._OPTION_TYPES[option], option)
 
     def test_all_documented(self):
         for name in BUILTINS:
@@ -210,7 +235,7 @@ class TestScenarioFiles:
             (example["link"], LINK_KEYS),
             (example["link"]["schedule"][0], STEP_KEYS),
             (example["loss"], LOSS_KEYS),
-            (flow, FLOW_KEYS + FLOW_TIMES),
+            (flow, FLOW_KEYS),
             (flow["source"], SOURCE_KEYS),
             *((example[section], rows) for section, (_, _, rows) in SECTIONS.items()),
         ]
@@ -249,7 +274,6 @@ RANGE_PLACES = [
     ("link", ("link", "schedule", 0), STEP_KEYS, lambda spec: spec.link.rate_schedule[1]),
     ("loss", ("loss",), LOSS_KEYS, lambda spec: spec.loss),
     ("each", ("flows", 0), FLOW_KEYS, lambda spec: spec.flows[0]),
-    ("each", ("flows", 0), FLOW_TIMES, lambda spec: spec.flows[0].source),
     ("each", ("flows", 0, "source"), SOURCE_KEYS, lambda spec: spec.flows[0].source),
     *(
         (section, ("flows", 0, section), rows, lambda spec, attr=attr: getattr(spec.flows[0], attr))
@@ -309,10 +333,14 @@ def _ranged_base():
 class TestRanges:
     def test_every_table_has_a_place(self):
         # So a row added to any table gets its cases below.
-        tables = [rows for name, rows in vars(harness).items() if name.endswith(("_KEYS", "_TIMES"))]
+        # A sweep file's keys have their own cases, in TestSweepFile.
+        tables = [
+            rows for name, rows in vars(harness).items()
+            if name.endswith("_KEYS") and rows is not SWEEP_KEYS
+        ]
         tables += [rows for _, _, rows in SECTIONS.values()]
         placed = [rows for _, _, rows, _ in RANGE_PLACES]
-        assert len(tables) >= 10 and all(any(t is rows for rows in placed) for t in tables)
+        assert len(tables) >= 9 and all(any(t is rows for rows in placed) for t in tables)
 
     @pytest.mark.parametrize("path, row, stored, value", _range_cases())
     def test_edge_and_just_outside(self, path, row, stored, value):
@@ -368,6 +396,51 @@ def test_scenario_checks_live_in_the_harness():
             encoding="utf-8"
         )
         assert "ScenarioError" not in source, name
+
+
+def _is_rows(value):
+    return type(value) is tuple and value and all(
+        type(row) is tuple and len(row) == 5 and type(row[1]) is str for row in value
+    )
+
+
+# Each object of a scenario file: where it sits in the echo, its row
+# group, the record its rows fill, and its keys that hold other objects.
+FILE_OBJECTS = [
+    ((), SCENARIO_KEYS, ScenarioSpec, {"link", "loss", "flows"}),
+    (("link",), LINK_KEYS, LinkSpec, {"schedule"}),
+    (("loss",), LOSS_KEYS, LossSpec, set()),
+    (("flows", 0), FLOW_KEYS, FlowSpec, {"source", *SECTIONS}),
+    (("flows", 0, "source"), SOURCE_KEYS, SourceSpec, set()),
+    *((("flows", 0, section), rows, cls, set()) for section, (_, cls, rows) in SECTIONS.items()),
+]
+
+
+def test_each_file_object_has_one_row_group():
+    # A key's stored value has one home: each object of a scenario file
+    # takes its keys from one row group, and each row fills a field of
+    # the record that object builds (or, on the link, a read-only property
+    # derived from its fields). A schedule entry's rows fill a (time,
+    # rate) pair, and a sweep file's the SweepSpec.
+    groups = [rows for rows in vars(harness).values() if _is_rows(rows)]
+    groups += [rows for _, _, rows in SECTIONS.values()]
+    expected = [rows for _, rows, *_ in FILE_OBJECTS] + [STEP_KEYS, SWEEP_KEYS]
+    assert sorted(map(id, groups)) == sorted(map(id, expected))
+    assert all(attr in FlowSpec._fields for attr, _, _ in SECTIONS.values())
+    for _, rows, cls, _ in [*FILE_OBJECTS, ((), SWEEP_KEYS, SweepSpec, set())]:
+        for attr, *_ in rows:
+            assert attr in cls._fields or (
+                cls is LinkSpec and isinstance(getattr(cls, attr), property)
+            ), (cls.__name__, attr)
+    echo = scenario_from_dict(_ranged_base()).to_dict()
+    for path, rows, _, others in FILE_OBJECTS:
+        node = echo
+        for step in path:
+            node = node[step]
+        assert set(node) - others == {key for _, key, *_ in rows}, path
+    assert set(echo["link"]["schedule"][0]) == {key for _, key, *_ in STEP_KEYS}
+    sweep = sweep_from_dict({"scenario": "steady"})._asdict()
+    assert set(sweep) - {"axes", "options"} == {key for _, key, *_ in SWEEP_KEYS}
 
 
 def _leaf_paths(node, path=()):
@@ -461,6 +534,35 @@ def _fake_traces(n_samples: int = 10) -> TraceSet:
             ft.queue_segs.append(0)
         ts.flows[fid] = ft
     return ts
+
+
+class TestSweepFile:
+    @pytest.mark.parametrize("d, error", [
+        ({}, "sweep: scenario is required"),
+        ({"scenario": 1}, "sweep: scenario must be a string, got 1"),
+        ({"scenario": "steady", "algo": 3}, "sweep: algo must be a string, got 3"),
+        ({"scenario": "steady", "repetitions": True}, "sweep: repetitions must be an integer, got True"),
+        ({"scenario": "steady", "seed": "x"}, "sweep: seed must be an integer, got 'x'"),
+        ({"scenario": "steady", "oops": 1}, "sweep: unknown keys ['oops']"),
+        ({"scenario": "steady", "axes": [1]}, "sweep: axes must be an object, got [1]"),
+    ])
+    def test_refusal_wording(self, d, error):
+        with pytest.raises(ScenarioError) as info:
+            sweep_from_dict(d)
+        assert str(info.value) == error
+
+    @pytest.mark.parametrize(
+        "row", [row for row in SWEEP_KEYS if row[4] is not None], ids=lambda row: row[1]
+    )
+    def test_edge_and_just_outside(self, row):
+        # Every ranged sweep key is an integer.
+        attr, key, _, _, limits = row
+        for edge, _, away in _edges(limits):
+            assert getattr(sweep_from_dict({"scenario": "steady", key: int(edge)}), attr) == edge
+            outside = int(edge + away)
+            with pytest.raises(ScenarioError) as info:
+                sweep_from_dict({"scenario": "steady", key: outside})
+            assert str(info.value) == f"sweep: {attr} must be {limits}, got {outside}"
 
 
 class TestSweep:

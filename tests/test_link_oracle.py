@@ -12,12 +12,19 @@ log and `traces.rate_changes` alone, without the simulator's code:
 
 The log lists segments as their service ends, which on one server is the
 order they were served in.
+
+An in-order receiver rebuilt from the same log must also agree with each
+flow's `delivered_bytes` in the run's audit.
 """
 
 from bisect import bisect_right
 
 import pytest
+from hypothesis import given, settings
 from test_byte_identity import run_case
+from test_event_lanes import scenarios
+
+from roccet_lab.simulator import run
 
 
 def _mismatches(log, rate_changes, mtu_bytes):
@@ -33,6 +40,35 @@ def _mismatches(log, rate_changes, mtu_bytes):
             bad.append(("service time", rate, entry))
         previous_end = ended
     return bad
+
+
+def _in_order_bytes(log, horizon_us, mtu_bytes):
+    """Each flow's bytes delivered in order by the horizon: the segments
+    that reach the receiver by then, counted up from seq 0 to the first
+    one missing."""
+    arrived = {}
+    for flow, seq, _enqueued, _started, _ended, deliver_at, _rtx in log:
+        if deliver_at <= horizon_us:
+            arrived.setdefault(flow, set()).add(seq)
+    delivered = {}
+    for flow, seqs in arrived.items():
+        rcv_nxt = 0
+        while rcv_nxt in seqs:
+            rcv_nxt += 1
+        delivered[flow] = rcv_nxt * mtu_bytes
+    return delivered
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=scenarios())
+def test_link_rules_and_in_order_delivery_hold_on_random_scenarios(spec):
+    traces = run(spec._replace(debug=True))
+    log, mtu_bytes = traces.debug_packets, spec.link.mtu_bytes
+    assert _mismatches(log, traces.rate_changes, mtu_bytes) == []
+    delivered = _in_order_bytes(log, spec.horizon_us, mtu_bytes)
+    assert {fid: delivered.get(fid, 0) for fid in traces.audit} == {
+        fid: entry["delivered_bytes"] for fid, entry in traces.audit.items()
+    }
 
 
 # bw-halving runs past its 15 s rate cut; the loss-window-jitter variant

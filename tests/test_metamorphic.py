@@ -45,7 +45,7 @@ _STEADY = builtin_scenario("steady", seed=1, horizon_s=4.0)
 def _behaviour(traces):
     """What a run did, apart from how it was sampled."""
     flows = {
-        fid: (ft.ce_log, ft.counters, ft.extra) for fid, ft in traces.flows.items()
+        fid: (ft.ce_log, traces.audit[fid], ft.extra) for fid, ft in traces.flows.items()
     }
     return flows, traces.drops
 
@@ -73,8 +73,7 @@ def test_half_horizon_run_is_a_prefix(spec):
     cut = spec.horizon_us // 2 // spec.sample_us * spec.sample_us
     assume(
         all(
-            f.source.start_us < cut
-            and (f.source.duration_us is None or f.source.start_us + f.source.duration_us < cut)
+            f.start_us < cut and (f.duration_us is None or f.start_us + f.duration_us < cut)
             for f in spec.flows
         )
     )
@@ -125,5 +124,6 @@ def test_scale_changes_no_behaviour_but_bytes(spec):
         other = doubled.flows[fid]
         assert other.ce_log == ft.ce_log
         assert other.extra == ft.extra
-        assert other.counters["delivered_bytes"] == 2 * ft.counters["delivered_bytes"]
-        assert {**other.counters, "delivered_bytes": 0} == {**ft.counters, "delivered_bytes": 0}
+        counters, other_counters = base.audit[fid], doubled.audit[fid]
+        assert other_counters["delivered_bytes"] == 2 * counters["delivered_bytes"]
+        assert {**other_counters, "delivered_bytes": 0} == {**counters, "delivered_bytes": 0}

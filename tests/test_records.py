@@ -48,7 +48,7 @@ def _share():
 
 
 def _flow_metrics():
-    return FlowMetrics("a", "roccet", 1.5, 1500, {"roccet_ce": 2})
+    return FlowMetrics("a", "roccet", 1.5, 1500)
 
 
 # Each record: a builder that makes a fresh record from the same values,
@@ -60,7 +60,7 @@ RECORDS = {
     RoccetState: (lambda: RoccetState(srrtt=0.5, rtt_min_us=40_000), "rtt_min_us", 41_000),
     ProbeRateParams: (lambda: ProbeRateParams(min_cwnd=8.0), "cwnd_gain", 3.0),
     LinkSpec: (lambda: builtin_scenario("bw-halving").link, "mtu_bytes", 1000),
-    SourceSpec: (lambda: SourceSpec(kind="app_limited", rate_bps=20_000_000), "start_us", 5),
+    SourceSpec: (lambda: SourceSpec(kind="app_limited", rate_bps=20_000_000), "rate_bps", 5),
     LossSpec: (lambda: builtin_scenario("frozen-cwnd").loss, "jitter_us", 3),
     FlowSpec: (lambda: builtin_scenario("frozen-cwnd").flows[0], "flow_id", "other"),
     ScenarioSpec: (lambda: builtin_scenario("frozen-cwnd"), "seed", 2),
@@ -76,7 +76,7 @@ RECORDS = {
     ShareReport: (_share, "jain_index", 0.5),
 }
 # These hold dicts, so they have no hash; nor had they as frozen dataclasses.
-UNHASHABLE = {Builtin, SweepSpec, SweepCell, FlowMetrics, ShareReport}
+UNHASHABLE = {Builtin, SweepSpec, SweepCell, ShareReport}
 
 params = pytest.mark.parametrize(
     "cls, build, name, other", [(cls, *row) for cls, row in RECORDS.items()],
@@ -249,7 +249,7 @@ MUTABLE = {
     ),
     FlowTrace: (
         ("flow_id", "algo", "start_us", "mss_bytes", "t_us", "cwnd", "srtt_us",
-         "delivered_segs", "queue_segs", "ce_log", "counters", "extra"),
+         "delivered_segs", "queue_segs", "ce_log", "extra"),
         lambda: FlowTrace("a", "roccet", 0, 1500),
     ),
     TraceSet: (
@@ -310,13 +310,13 @@ def test_trace_containers_start_empty_and_unshared():
     a, b = FlowTrace("a", "cubic", 5, 1500), FlowTrace("b", "roccet", 7, 1500)
     assert (a.flow_id, a.algo, a.start_us) == ("a", "cubic", 5)
     columns = ("t_us", "cwnd", "srtt_us", "delivered_segs", "queue_segs")
-    for name in (*columns, "ce_log", "counters", "extra"):
+    for name in (*columns, "ce_log", "extra"):
         assert getattr(a, name) == type(getattr(a, name))()
         assert getattr(a, name) is not getattr(b, name)
     for name in columns:
         getattr(a, name).append(1)
-    a.counters["acks"] = 1
-    assert b.samples == [] and b.counters == {}
+    a.extra["launch_exits"] = []
+    assert b.samples == [] and b.extra == {}
 
     ta, tb = TraceSet(10, {"seed": 1}), TraceSet(10, {"seed": 1})
     assert (ta.horizon_us, ta.config) == (10, {"seed": 1})

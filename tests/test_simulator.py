@@ -96,13 +96,15 @@ class TestQueueOp:
 
 class TestRun:
     def test_zero_flows_is_empty(self):
+        # A scenario with no flow is refused, by `run` as by every other
+        # entry point.
         spec = ScenarioSpec(
             link=_mk_link(10.0, 40.0), buffer_bdp=1.0, flows=(),
             horizon_us=s_to_us(1.0), name="empty",
         )
-        traces = run(spec)
-        assert traces.flows == {}
-        assert traces.events_processed == 0
+        with pytest.raises(ScenarioError) as info:
+            run(spec)
+        assert str(info.value) == "scenario needs at least one flow"
 
     def test_duplicate_flow_ids_rejected(self):
         spec = ScenarioSpec(
@@ -358,10 +360,8 @@ class TestTransport:
         assert 9.0 < mbps < 10.5
 
     def test_flow_duration_stops_transmission(self):
-        spec = _single_flow(
-            "cubic", horizon_s=10.0,
-            source=SourceSpec(kind="greedy", duration_us=s_to_us(2.0)),
-        )
+        spec = _single_flow("cubic", horizon_s=10.0)
+        spec = spec._replace(flows=(spec.flows[0]._replace(duration_us=s_to_us(2.0)),))
         traces = run(spec)
         fm = traces.flows["cubic0"]
         late = [s.delivered_bytes for s in fm.samples if s.t_us > 4e6]

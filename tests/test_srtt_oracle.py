@@ -34,7 +34,7 @@ def _rtt_events(spec, log):
     the horizon, in arrival order."""
     prop = spec.link.prop_delay_us
     (flow,) = spec.flows
-    start = flow.source.start_us
+    start = flow.start_us
     events = [(start + 2 * prop + 1, 2 * prop + 1)]
     for _flow_id, _seq, enqueued, _served, _done, deliver_at, _rtx in log:
         if deliver_at + prop <= spec.horizon_us:
